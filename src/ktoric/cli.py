@@ -33,6 +33,13 @@ def _fraction_list(text):
     return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _budget(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return n
+
+
 def _scalar(v):
     if v is None:
         return "null"
@@ -162,7 +169,7 @@ def build_parser():
         sp.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
         if budget:
-            sp.add_argument("--budget", type=int, default=200000,
+            sp.add_argument("--budget", type=_budget, default=200000,
                             help="cap on basis-computation work (default 200000)")
 
     v = sub.add_parser("validate", help="check a polytope and its facet vectors")

@@ -24,12 +24,6 @@ def mat_mul(a, b):
             for row in a]
 
 
-def mat_vec(a, v):
-    if a and len(a[0]) != len(v):
-        raise ValueError("inner dimensions do not match")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

@@ -2,7 +2,8 @@
 
 Key order in every report is fixed at construction so that serializing the
 same computation twice gives byte-identical output. Rationals travel as
-"p/q" strings, never floats.
+"p/q" strings, never floats. The readers take JSON integers only where an
+integer is meant: a float or a boolean is refused, not truncated.
 """
 
 import json
@@ -14,20 +15,29 @@ from .polyring import render_poly
 from .polytope import SimplePolytope, VertexOrder
 
 
-def format_rational(x):
-    return str(Fraction(x))
+def _int(x, field):
+    if type(x) is not int:
+        raise ValueError(f"{field}: expected an integer, got {x!r}")
+    return x
 
 
-def parse_rational(s):
-    return Fraction(s)
+def _ints(seq, field):
+    return tuple(_int(x, field) for x in seq)
+
+
+def _rational(x, field):
+    if type(x) not in (int, str):
+        raise ValueError(f"{field}: expected an integer or a string, got {x!r}")
+    return Fraction(x)
 
 
 def polytope_from_dict(data):
-    vertices = tuple(frozenset(int(f) for f in v) for v in data["vertices"])
+    vertices = tuple(frozenset(_ints(v, "vertices")) for v in data["vertices"])
     coords = data.get("coords")
     if coords is not None:
-        coords = tuple(tuple(parse_rational(x) for x in pt) for pt in coords)
-    return SimplePolytope(int(data["dim"]), int(data["facets"]), vertices, coords)
+        coords = tuple(tuple(_rational(x, "coords") for x in pt) for pt in coords)
+    return SimplePolytope(_int(data["dim"], "dim"), _int(data["facets"], "facets"),
+                          vertices, coords)
 
 
 def polytope_to_dict(p):
@@ -37,14 +47,15 @@ def polytope_to_dict(p):
         "vertices": [sorted(v) for v in p.vertices],
     }
     if p.coords is not None:
-        out["coords"] = [[format_rational(x) for x in pt] for pt in p.coords]
+        out["coords"] = [[str(x) for x in pt] for pt in p.coords]
     return out
 
 
 def charmap_from_dict(data):
-    vectors = tuple(tuple(int(x) for x in row) for row in data["lambda"])
+    vectors = tuple(_ints(row, "lambda") for row in data["lambda"])
     base = data.get("base_vertex")
-    return CharacteristicMap(vectors, None if base is None else int(base))
+    return CharacteristicMap(vectors,
+                             None if base is None else _int(base, "base_vertex"))
 
 
 def charmap_to_dict(lam):
@@ -55,7 +66,8 @@ def charmap_to_dict(lam):
 
 
 def bott_from_dict(data):
-    return BottMatrix.from_triples(int(data["n"]), data.get("c", ()))
+    return BottMatrix.from_triples(_int(data["n"], "n"),
+                                   [_ints(t, "c") for t in data.get("c", ())])
 
 
 def bott_to_dict(c):
@@ -66,11 +78,11 @@ def cartan_word_from_dict(data, convention=None):
     kind = str(data["type"])
     if convention is None:
         convention = data.get("convention", "row")
-    word = tuple(int(w) for w in data["word"])
+    word = _ints(data["word"], "word")
     if kind == "matrix":
-        mat = tuple(tuple(int(x) for x in row) for row in data["matrix"])
+        mat = tuple(_ints(row, "matrix") for row in data["matrix"])
     else:
-        mat = cartan_matrix(kind, int(data["rank"]))
+        mat = cartan_matrix(kind, _int(data["rank"], "rank"))
     return CartanWord(mat, word, convention)
 
 
@@ -85,7 +97,7 @@ def cartan_word_to_dict(cw):
 
 
 def vertex_order_from_dict(data):
-    return VertexOrder.from_sequence(data["order"])
+    return VertexOrder.from_sequence(_ints(data["order"], "order"))
 
 
 def _check_flags(report):
@@ -113,7 +125,7 @@ def _sparse_structure(structure):
         for j, vec in enumerate(row):
             for k, val in enumerate(vec):
                 if val:
-                    out.append([i, j, k, format_rational(val)])
+                    out.append([i, j, k, str(val)])
     return out
 
 
@@ -122,7 +134,7 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
         "command": "kring",
         "polytope": polytope_to_dict(pres.polytope),
         "lambda": charmap_to_dict(pres.charmap),
-        "coefficients": [format_rational(v) for v in pres.coeffs.values],
+        "coefficients": [str(v) for v in pres.coeffs.values],
         "base_vertex": pres.base_vertex,
         "variables": list(pres.var_names),
         "relations": [render_poly(g, pres.var_names, pres.order)
@@ -134,7 +146,7 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
         "basis": [list(fs) for fs in basis.basis_facet_sets],
         "structure_constants": _sparse_structure(basis.structure),
         "change_determinant": (None if basis.change_det is None
-                               else format_rational(basis.change_det)),
+                               else str(basis.change_det)),
         "warnings": list(basis.warnings),
     }
     if projective is not None:
@@ -186,7 +198,7 @@ def compare_report(c, rep):
         "relations_zero": bool(rep.iso.relations_zero),
         "failed_relations": list(rep.iso.failed_relations),
         "transition_determinant": (None if rep.iso.change_det is None
-                                   else format_rational(rep.iso.change_det)),
+                                   else str(rep.iso.change_det)),
         "unimodular": rep.iso.unimodular,
         "isomorphic": bool(rep.ok),
     }

@@ -10,6 +10,7 @@ integers, and the structure constants come out integral.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .charmap import dual_basis, reindex_to_base, validate_charmap
 from .errors import (
@@ -86,7 +87,7 @@ def polynomial_presentation(ideal_gens, var_names=None):
 
 def _square_free(nvars, facets):
     fs = set(facets)
-    mono = Monomial(tuple(1 if j in fs else 0 for j in range(nvars)))
+    mono = Monomial(1 if j in fs else 0 for j in range(nvars))
     return Poly(nvars, {mono: 1})
 
 
@@ -185,6 +186,18 @@ def quotient_basis(pres, budget=200000, cap=100000):
     return gb, std
 
 
+def _coords(gb, index, p):
+    """Sparse coordinates of the normal form of p: (position, coefficient)
+    for each standard monomial that occurs, positions read from index."""
+    out = []
+    for mono, c in gb.reduce(p).terms.items():
+        i = index.get(mono)
+        if i is None:
+            raise KtoricError("normal form left the standard monomial span")
+        out.append((i, c))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
@@ -210,23 +223,21 @@ class BasisResult:
     def normal_form(self, p):
         return self.groebner.reduce(p)
 
+    @cached_property
+    def _std_index(self):
+        return {mono: i for i, mono in enumerate(self.std_monomials)}
+
     def std_coords(self, p):
-        nf = self.groebner.reduce(p)
-        index = {mono: i for i, mono in enumerate(self.std_monomials)}
-        coords = [Fraction(0)] * len(self.std_monomials)
-        for mono, c in nf.terms.items():
-            i = index.get(mono)
-            if i is None:
-                raise KtoricError("normal form left the standard monomial span")
-            coords[i] = c
-        return tuple(coords)
+        coords = dict(_coords(self.groebner, self._std_index, p))
+        return tuple(coords.get(i, Fraction(0))
+                     for i in range(len(self.std_monomials)))
 
     def basis_coords(self, p):
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        v = self.std_coords(p)
-        return tuple(sum(row[i] * v[i] for i in range(len(v)))
+        v = _coords(self.groebner, self._std_index, p)
+        return tuple(sum((row[i] * c for i, c in v), Fraction(0))
                      for row in self.change_inverse)
 
 
@@ -252,17 +263,14 @@ def compute_basis(pres, vertex_order, budget=200000, cap=100000):
     for w in vertex_order.order:
         fs = faces[w].facet_set
         basis_facet_sets.append(tuple(sorted(fs)))
-        basis_monos.append(Monomial(tuple(1 if j in fs else 0 for j in range(d))))
+        basis_monos.append(Monomial(1 if j in fs else 0 for j in range(d)))
 
     index = {mono: i for i, mono in enumerate(std)}
-    cols = []
-    for mono in basis_monos:
-        nf = gb.reduce(Poly(d, {mono: 1}))
-        col = [Fraction(0)] * q
-        for mo, c in nf.terms.items():
-            col[index[mo]] = c
-        cols.append(col)
-    change = tuple(tuple(cols[k][i] for k in range(m)) for i in range(q))
+    change = [[Fraction(0)] * m for _ in range(q)]
+    for k, mono in enumerate(basis_monos):
+        for i, c in _coords(gb, index, Poly(d, {mono: 1})):
+            change[i][k] = c
+    change = tuple(map(tuple, change))
     rank = rat_rank([list(row) for row in change])
 
     warnings = []
@@ -286,11 +294,9 @@ def compute_basis(pres, vertex_order, budget=200000, cap=100000):
             row_out = []
             for j in range(m):
                 prod = Poly(d, {basis_monos[i] * basis_monos[j]: 1})
-                nf = gb.reduce(prod)
-                col = [Fraction(0)] * q
-                for mo, c in nf.terms.items():
-                    col[index[mo]] = c
-                vec = tuple(sum(r[t] * col[t] for t in range(q)) for r in inv)
+                col = _coords(gb, index, prod)
+                vec = tuple(sum((r[t] * c for t, c in col), Fraction(0))
+                            for r in inv)
                 if pres.integral and any(x.denominator != 1 for x in vec):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
@@ -313,15 +319,11 @@ def invert_unit(p, basis):
     if q == 0:
         raise NotAUnitError("the quotient ring is zero")
     d = gb.nvars
-    index = {mono: i for i, mono in enumerate(std)}
-    cols = []
-    for mono in std:
-        nf = gb.reduce(p * Poly(d, {mono: 1}))
-        col = [Fraction(0)] * q
-        for mo, c in nf.terms.items():
-            col[index[mo]] = c
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(q)] for i in range(q)]
+    index = basis._std_index
+    mat = [[Fraction(0)] * q for _ in range(q)]
+    for j, mono in enumerate(std):
+        for i, c in _coords(gb, index, p * Poly(d, {mono: 1})):
+            mat[i][j] = c
     target = index.get(Monomial.one(d))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")

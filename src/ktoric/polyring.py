@@ -9,58 +9,65 @@ identical bases.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import add, le, sub
 
 from .errors import BudgetExceededError
 
 
-class Monomial:
-    __slots__ = ("exps", "_hash")
+class Monomial(tuple):
+    """An exponent tuple over a fixed number of variables. It hashes and
+    compares as the plain tuple of its exponents, so either can look up a
+    term of a polynomial."""
 
-    def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+    __slots__ = ()
+
+    def __new__(cls, exps):
+        exps = tuple(map(int, exps))
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_hash", hash(exps))
+        return tuple.__new__(cls, exps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("monomials are immutable")
+    _raw = classmethod(tuple.__new__)  # unchecked, for exponents known valid
 
     @classmethod
     def one(cls, nvars):
-        return cls((0,) * nvars)
+        return cls._raw((0,) * nvars)
 
     @classmethod
     def variable(cls, nvars, index, power=1):
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
-        return cls(tuple(power if i == index else 0 for i in range(nvars)))
+        return cls._raw(power if i == index else 0 for i in range(nvars))
+
+    @property
+    def exps(self):
+        return self
 
     @property
     def nvars(self):
-        return len(self.exps)
+        return len(self)
 
     @property
     def degree(self):
-        return sum(self.exps)
+        return sum(self)
 
     @property
     def exponents(self):
         """Sparse view: (index, exponent) for the variables that occur."""
-        return tuple((i, e) for i, e in enumerate(self.exps) if e)
+        return tuple((i, e) for i, e in enumerate(self) if e)
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self, other))
 
     def divide(self, other):
         """self / other, assuming other divides self."""
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return Monomial._raw(map(sub, self, other))
 
     def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial._raw(map(max, self, other))
 
     def __mul__(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial._raw(map(add, self, other))
 
     def pure_power(self):
         """(index, exponent) when only one variable occurs, else None."""
@@ -69,19 +76,10 @@ class Monomial:
 
     def permute(self, perm):
         """Relabel variables: old index i becomes perm[i]."""
-        out = [0] * len(self.exps)
-        for i, e in enumerate(self.exps):
+        out = [0] * len(self)
+        for i, e in enumerate(self):
             out[perm[i]] = e
-        return Monomial(tuple(out))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Monomial({self.exps})"
+        return Monomial._raw(out)
 
 
 class DegRevLex:
@@ -107,11 +105,10 @@ class DegRevLex:
         return cls(range(nvars))
 
     def key(self, mono):
-        exps = mono.exps
-        k = self._cache.get(exps)
+        k = self._cache.get(mono)
         if k is None:
-            k = (sum(exps), tuple(-exps[p] for p in self._rev))
-            self._cache[exps] = k
+            k = (sum(mono), tuple(-mono[p] for p in self._rev))
+            self._cache[mono] = k
         return k
 
     def __eq__(self, other):
@@ -269,8 +266,7 @@ class Poly:
     def __repr__(self):
         if self.is_zero:
             return "Poly(0)"
-        parts = [f"{c}*{m.exps}" for m, c in sorted(
-            self.terms.items(), key=lambda t: t[0].exps)]
+        parts = [f"{c}*{tuple(m)}" for m, c in sorted(self.terms.items())]
         return "Poly(" + " + ".join(parts) + ")"
 
 
@@ -349,23 +345,10 @@ def _interreduce(polys, order):
         lm = p.leading_monomial(order)
         if not any(q.leading_monomial(order).divides(lm) for q in kept):
             kept.append(p)
-    # tail-reduce until nothing changes; each pass rewrites one basis element
-    # against all the others
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            r = _reduce(kept[i], others, order)
-            if not r == kept[i]:
-                changed = True
-                if r.is_zero:
-                    kept.pop(i)
-                else:
-                    kept[i] = r.monic(order)
-                break
-        kept.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    return kept
+    # no leading monomial divides another, so reducing each element by the
+    # rest rewrites only its tail: one pass leaves it monic and reduced
+    return [_reduce(p, kept[:i] + kept[i + 1:], order)
+            for i, p in enumerate(kept)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +468,7 @@ def standard_monomials(gb, cap=100000):
                 f"candidate box holds more than {cap} monomials")
     out = []
     for exps in iter_product(*(range(b) for b in bound)):
-        mono = Monomial(exps)
+        mono = Monomial._raw(exps)
         if not any(lm.divides(mono) for lm in lms):
             out.append(mono)
     out.sort(key=lambda m: (m.degree, gb.order.key(m)))

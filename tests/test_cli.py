@@ -72,6 +72,80 @@ def test_budget_is_exit_one(json_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_negative_budget_is_exit_two(tower_files, capsys):
+    tf = tower_files(2, [(1, 2, 1)])
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", tf, "--budget", "-5"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", [
+    [[-1.9, -1], [1, 0.4], [0, True]],
+    [[-1, -1], [1, 0], [0, True]],
+    [[-1, -1], [1, 0.0], [0, 1]],
+])
+def test_non_integer_vectors_are_exit_two(json_file, simplex_files, lam, capsys):
+    pf, _ = simplex_files(2)
+    lf = json_file({"lambda": lam})
+    assert main(["validate", pf, lf]) == 2
+    assert "lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tower, field", [
+    ({"n": 2.7, "c": [[1, 2, 1.5]]}, "n"),
+    ({"n": 2, "c": [[1, 2, 1.5]]}, "c"),
+    ({"n": True, "c": []}, "n"),
+])
+def test_non_integer_tower_is_exit_two(json_file, tower, field, capsys):
+    tf = json_file(tower)
+    assert main(["bott", tf]) == 2
+    assert f"{field}: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"dim": 2.0}, "dim"),
+    ({"facets": True}, "facets"),
+    ({"vertices": [[1, 2], [0, 2.0], [0, 1]]}, "vertices"),
+    ({"coords": [["0", "0"], [0.5, "0"], ["0", "1"]]}, "coords"),
+    ({"coords": [["0", "0"], [True, "0"], ["0", "1"]]}, "coords"),
+])
+def test_non_integer_polytope_is_exit_two(json_file, change, field, capsys):
+    pd = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]],
+          "coords": [["0", "0"], ["1", "0"], ["0", "1"]]}
+    pf = json_file({**pd, **change})
+    lf = json_file({"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0})
+    assert main(["kring", pf, lf]) == 2
+    assert f"{field}: expected an integer" in capsys.readouterr().err
+
+
+def test_integer_coords_are_accepted(json_file, capsys):
+    pf = json_file({"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]],
+                    "coords": [[0, 0], [1, "0"], ["0", 1]]})
+    lf = json_file({"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0})
+    assert main(["kring", pf, lf]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["polytope"]["coords"] == [["0", "0"], ["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("cartan, field", [
+    ({"type": "A", "rank": 2.0, "word": [1, 2]}, "rank"),
+    ({"type": "A", "rank": 2, "word": [1, 2.0]}, "word"),
+    ({"type": "matrix", "matrix": [[2, -1], [-1.0, 2]], "word": [1, 2]}, "matrix"),
+])
+def test_non_integer_cartan_is_exit_two(json_file, cartan, field, capsys):
+    cf = json_file(cartan)
+    assert main(["bott-samelson", cf]) == 2
+    assert f"{field}: expected an integer" in capsys.readouterr().err
+
+
+def test_non_integer_order_file_is_exit_two(json_file, simplex_files, capsys):
+    pf, lf = simplex_files(2)
+    of = json_file({"order": [0, 2.0, 1]})
+    assert main(["kring", pf, lf, "--order-file", of]) == 2
+    assert "order: expected an integer" in capsys.readouterr().err
+
+
 def test_bad_coefficient_arity_is_exit_two(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf, "--r", "2"]) == 2

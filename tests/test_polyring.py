@@ -39,6 +39,27 @@ def test_monomial_basics():
     assert Monomial((0, 2)).lcm(Monomial((1, 1))) == Monomial((1, 2))
 
 
+def test_monomial_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        Monomial((-1, 0))
+
+
+def test_monomial_arithmetic_stays_monomial():
+    m, n = Monomial((2, 1)), Monomial((1, 3))
+    for result in (m.lcm(n), m.divide(Monomial((1, 0))), m * n,
+                   m.permute((1, 0)), Monomial.one(2), Monomial.variable(2, 1)):
+        assert type(result) is Monomial
+    assert m * n == (3, 4)  # exponents add; the tuple is not repeated
+    assert m.permute((1, 0)) == (1, 2)
+    assert m.exps == (2, 1) and hash(m) == hash((2, 1))
+
+
+def test_plain_tuple_keys_become_monomials():
+    p = Poly(2, {(1, 0): 1})
+    assert p == Poly.variable(2, 0)
+    assert all(type(m) is Monomial for m in p.terms)
+
+
 def test_poly_arithmetic():
     x, y = variables(2)
     o = DegRevLex.standard(2)
