@@ -6,10 +6,12 @@ monomial order and then by generator position, so repeated runs produce
 identical bases.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
-from operator import add, le, sub
+from operator import add, index, le, sub
 
 from .errors import BudgetExceededError
 
@@ -22,7 +24,7 @@ class Monomial(tuple):
     __slots__ = ()
 
     def __new__(cls, exps):
-        exps = tuple(map(int, exps))
+        exps = tuple(map(index, exps))
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         return tuple.__new__(cls, exps)
@@ -271,29 +273,37 @@ class Poly:
 
 
 class _Budget:
-    """Counts division steps; raises once the allowance is spent."""
+    """Counts the cancellation steps of one stage; raises once the allowance
+    is spent."""
 
-    __slots__ = ("left",)
+    __slots__ = ("stage", "limit", "left")
 
-    def __init__(self, limit):
+    def __init__(self, limit, stage):
+        self.stage = stage
+        self.limit = limit
         self.left = limit
 
     def spend(self):
         if self.left <= 0:
             raise BudgetExceededError(
-                "reduction budget exhausted; raise the budget to continue")
+                f"{self.stage} budget exhausted after {self.limit} cancellation "
+                "steps; raise the budget to continue")
         self.left -= 1
 
 
-def _reduce(p, gens, order, budget=None):
+def _heads_of(gens, order):
+    return [(g.leading_monomial(order), g) for g in gens]
+
+
+def _reduce(p, heads, order, budget=None):
+    """Normal form of p by the (leading monomial, generator) pairs heads."""
     nvars = p.nvars
     remainder = {}
     work = dict(p.terms)
-    lms = [(g.leading_monomial(order), g) for g in gens]
     while work:
         mono = max(work, key=order.key)
         coeff = work.pop(mono)
-        for lm, g in lms:
+        for lm, g in heads:
             if lm.divides(mono):
                 if budget is not None:
                     budget.spend()
@@ -326,7 +336,8 @@ def reduce(p, gens, order, budget=None):
     for g in gens:
         if g.nvars != p.nvars:
             raise ValueError("generators live over a different variable set")
-    return _reduce(p, gens, order, _Budget(budget) if budget is not None else None)
+    return _reduce(p, _heads_of(gens, order), order,
+                   _Budget(budget, "reduce") if budget is not None else None)
 
 
 def s_polynomial(f, g, order):
@@ -337,18 +348,16 @@ def s_polynomial(f, g, order):
             - g.mul_term(l.divide(lg), Fraction(1) / g.terms[lg]))
 
 
-def _interreduce(polys, order):
-    polys = [p.monic(order) for p in polys if not p.is_zero]
-    polys.sort(key=lambda p: order.key(p.leading_monomial(order)))
+def _interreduce(heads, order):
+    """Reduced basis from the heads of a monic Groebner basis."""
     kept = []
-    for p in polys:
-        lm = p.leading_monomial(order)
-        if not any(q.leading_monomial(order).divides(lm) for q in kept):
-            kept.append(p)
+    for lm, g in sorted(heads, key=lambda h: order.key(h[0])):
+        if not any(k.divides(lm) for k, _ in kept):
+            kept.append((lm, g))
     # no leading monomial divides another, so reducing each element by the
     # rest rewrites only its tail: one pass leaves it monic and reduced
-    return [_reduce(p, kept[:i] + kept[i + 1:], order)
-            for i, p in enumerate(kept)]
+    return [_reduce(g, kept[:i] + kept[i + 1:], order)
+            for i, (_, g) in enumerate(kept)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,24 +371,30 @@ class GroebnerBasis:
     def nvars(self):
         return self.generators[0].nvars if self.generators else 0
 
+    @cached_property
+    def _heads(self):
+        return tuple(_heads_of(self.generators, self.order))
+
     def leading_monomials(self):
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
+        return tuple(lm for lm, _ in self._heads)
 
     def reduce(self, p):
-        return _reduce(p, self.generators, self.order)
+        return _reduce(p, self._heads, self.order)
 
 
 def buchberger(gens, order, budget=200000):
     """Groebner basis by critical pairs, normal selection strategy.
 
-    Pairs are processed smallest least-common-multiple first (degree, then
-    order key, then generator indices). Pairs with coprime leading monomials
-    are dropped, as are pairs subsumed by an already-processed third
-    generator. budget caps the total number of cancellation steps across all
-    reductions; BudgetExceededError means the cap was hit, not that the
-    computation would diverge.
+    Each pair enters a heap once, when its second generator joins the basis,
+    keyed by the order key of the least common multiple of the two leading
+    monomials (degree first) and then by the generator indices; pairs are
+    popped smallest key first. A popped pair with coprime leading monomials
+    is dropped, as is one subsumed by a third generator whose pairs with
+    both have already been popped. budget caps the total number of
+    cancellation steps across all reductions; BudgetExceededError means the
+    cap was hit, not that the computation would diverge.
     """
-    counter = _Budget(budget)
+    counter = _Budget(budget, "buchberger")
     basis = [g.monic(order) for g in gens if not g.is_zero]
     if not basis:
         raise ValueError("no nonzero generators")
@@ -387,28 +402,30 @@ def buchberger(gens, order, budget=200000):
     if any(g.nvars != nvars for g in basis):
         raise ValueError("generators live over different variable sets")
 
-    lms = [g.leading_monomial(order) for g in basis]
-    pending = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    heads = _heads_of(basis, order)
+    queue = []         # (order key of the lcm, i, j, lcm), a heap
+    pending = set()    # the pairs still in the queue
+
+    def add_pairs(j):
+        lm = heads[j][0]
+        for i in range(j):
+            l = heads[i][0].lcm(lm)
+            heapq.heappush(queue, (order.key(l), i, j, l))
             pending.add((i, j))
 
-    def pair_sort_key(pair):
-        i, j = pair
-        l = lms[i].lcm(lms[j])
-        return (l.degree, order.key(l), i, j)
+    for j in range(1, len(basis)):
+        add_pairs(j)
 
-    while pending:
-        i, j = min(pending, key=pair_sort_key)
+    while queue:
+        _, i, j, l = heapq.heappop(queue)
         pending.discard((i, j))
-        l = lms[i].lcm(lms[j])
-        if l.degree == lms[i].degree + lms[j].degree:
+        if l.degree == heads[i][0].degree + heads[j][0].degree:
             continue  # coprime leading monomials reduce to zero for free
         subsumed = False
-        for k in range(len(basis)):
+        for k, (lm, _) in enumerate(heads):
             if k in (i, j):
                 continue
-            if lms[k].divides(l):
+            if lm.divides(l):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -416,25 +433,24 @@ def buchberger(gens, order, budget=200000):
                     break
         if subsumed:
             continue
-        r = _reduce(s_polynomial(basis[i], basis[j], order), basis, order, counter)
+        r = _reduce(s_polynomial(basis[i], basis[j], order), heads, order, counter)
         if r.is_zero:
             continue
         r = r.monic(order)
-        new = len(basis)
         basis.append(r)
-        lms.append(r.leading_monomial(order))
-        for k in range(new):
-            pending.add((k, new))
+        heads.append((r.leading_monomial(order), r))
+        add_pairs(len(basis) - 1)
 
-    return GroebnerBasis(tuple(_interreduce(basis, order)), order)
+    return GroebnerBasis(tuple(_interreduce(heads, order)), order)
 
 
 def is_groebner(gens, order):
     """Every pairwise syzygy polynomial must reduce to zero."""
     gens = [g for g in gens if not g.is_zero]
+    heads = _heads_of(gens, order)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if not _reduce(s_polynomial(gens[i], gens[j], order), gens, order).is_zero:
+            if not _reduce(s_polynomial(gens[i], gens[j], order), heads, order).is_zero:
                 return False
     return True
 

@@ -72,6 +72,13 @@ def test_budget_is_exit_one(json_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_budget_error_names_the_stage(tower_files, capsys):
+    tf = tower_files(3, [(1, 2, 1), (1, 3, -1), (2, 3, 2)])
+    assert main(["compare", tf, "--budget", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "buchberger budget exhausted after 5 cancellation steps" in err
+
+
 def test_negative_budget_is_exit_two(tower_files, capsys):
     tf = tower_files(2, [(1, 2, 1)])
     with pytest.raises(SystemExit) as exc:

@@ -7,13 +7,21 @@ import pytest
 
 from ktoric import (
     BudgetExceededError,
+    CartanWord,
+    CharacteristicMap,
     DegRevLex,
     Monomial,
     Poly,
+    bott_presentation,
+    bott_samelson_presentation,
     buchberger,
     build_presentation,
+    cartan_matrix,
     cube,
     is_groebner,
+    polyring,
+    product,
+    product_charmap,
     reduce,
     render_poly,
     s_polynomial,
@@ -42,6 +50,14 @@ def test_monomial_basics():
 def test_monomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         Monomial((-1, 0))
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0), (Fraction(1), 0), ("1", 0)])
+def test_monomial_rejects_non_integer_exponents(exps):
+    with pytest.raises(TypeError):
+        Monomial(exps)
+    with pytest.raises(TypeError):
+        Poly(2, {exps: 1})
 
 
 def test_monomial_arithmetic_stays_monomial():
@@ -184,8 +200,10 @@ def test_buchberger_budget():
     gens = [xs[0] ** 2 + xs[1] * xs[2] - 1,
             xs[0] * xs[1] + xs[2] ** 2,
             xs[1] ** 2 - xs[0] * xs[2]]
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="buchberger"):
         buchberger(gens, o, budget=3)
+    with pytest.raises(BudgetExceededError, match="reduce budget exhausted after 0 "):
+        reduce(gens[0], gens, o, budget=0)
 
 
 def test_standard_monomials_unit_ideal():
@@ -236,3 +254,137 @@ def test_quotient_dimension_priority_independent():
             gb = buchberger(list(gens), DegRevLex(priority))
             sizes.add(len(standard_monomials(gb)))
         assert len(sizes) == 1
+
+
+def random_tower(n, rng):
+    return BottMatrix.from_triples(n, [
+        (i, j, rng.randint(-2, 2))
+        for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+def rescan_buchberger(gens, order):
+    """Reference Buchberger that picks each pair by rescanning every pending
+    pair with min(), as the library did before its pair heap. Returns the
+    reduced basis and the number of S-polynomials reduced."""
+    basis = [g.monic(order) for g in gens if not g.is_zero]
+    lms = [g.leading_monomial(order) for g in basis]
+    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+
+    def pair_sort_key(pair):
+        i, j = pair
+        l = lms[i].lcm(lms[j])
+        return (l.degree, order.key(l), i, j)
+
+    reduced = 0
+    while pending:
+        i, j = min(pending, key=pair_sort_key)
+        pending.discard((i, j))
+        l = lms[i].lcm(lms[j])
+        if l.degree == lms[i].degree + lms[j].degree:
+            continue
+        if any(lms[k].divides(l) and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(basis)) if k not in (i, j)):
+            continue
+        reduced += 1
+        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        if r.is_zero:
+            continue
+        pending.update((k, len(basis)) for k in range(len(basis)))
+        basis.append(r.monic(order))
+        lms.append(basis[-1].leading_monomial(order))
+    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    kept = []
+    for g in basis:
+        lm = g.leading_monomial(order)
+        if not any(h.leading_monomial(order).divides(lm) for h in kept):
+            kept.append(g)
+    return [reduce(g, kept[:i] + kept[i + 1:], order)
+            for i, g in enumerate(kept)], reduced
+
+
+def selection_cases():
+    for seed in (5, 17):
+        rng = random.Random(seed)
+        for n in (1, 2, 3):
+            c = random_tower(n, rng)
+            yield pytest.param(bott_presentation(c), id=f"seed{seed}-n{n}-laurent")
+            yield pytest.param(build_presentation(*bott_charmap(c)),
+                               id=f"seed{seed}-n{n}-cube")
+    for kind, word in (("A", (1, 2, 1)), ("B", (1, 2, 1, 2))):
+        yield pytest.param(bott_samelson_presentation(
+            CartanWord(cartan_matrix(kind, 2), word)), id=f"{kind}2-word{len(word)}")
+
+
+@pytest.mark.parametrize("pres", list(selection_cases()))
+def test_heap_selection_matches_rescan(pres, monkeypatch):
+    calls = []
+
+    def counted(f, g, order):
+        calls.append(None)
+        return s_polynomial(f, g, order)
+
+    monkeypatch.setattr(polyring, "s_polynomial", counted)
+    gb = buchberger(list(pres.ideal_gens), pres.order)
+    monkeypatch.undo()
+    want, reduced = rescan_buchberger(list(pres.ideal_gens), pres.order)
+    assert list(gb.generators) == want
+    assert len(calls) == reduced
+
+
+def test_buchberger_budget_boundary():
+    # the exact number of cancellation steps of one height-3 tower's
+    # stagewise basis; a different pair order or reduction changes it
+    pres = bott_presentation(random_tower(3, random.Random(17)))
+    gens = list(pres.ideal_gens)
+    steps = 173
+    buchberger(gens, pres.order, budget=steps)
+    with pytest.raises(BudgetExceededError,
+                       match=f"buchberger budget exhausted after {steps - 1} "):
+        buchberger(gens, pres.order, budget=steps - 1)
+
+
+def sympy_oracle_cases():
+    for n in (2, 3, 4):
+        yield pytest.param(build_presentation(simplex(n), simplex_charmap(n)),
+                           id=f"simplex{n}")
+    for a in (0, 1, 2):
+        yield pytest.param(build_presentation(cube(2), CharacteristicMap(
+            ((1, 0), (-1, a), (0, 1), (0, -1)), base_vertex=0)), id=f"square{a}")
+    yield pytest.param(build_presentation(
+        product(simplex(1), simplex(2)),
+        product_charmap(simplex(1), simplex_charmap(1), simplex(2), simplex_charmap(2))),
+        id="prism")
+    for v in range(-2, 3):
+        c = BottMatrix.from_triples(2, [(1, 2, v)])
+        yield pytest.param(build_presentation(*bott_charmap(c)), id=f"tower{v}-cube")
+        yield pytest.param(bott_presentation(c), id=f"tower{v}-laurent")
+
+
+@pytest.mark.parametrize("pres", list(sympy_oracle_cases()))
+def test_buchberger_matches_sympy(pres):
+    sympy = pytest.importorskip("sympy")
+    order = pres.order
+    syms = sympy.symbols(f"v0:{pres.nvars}")
+    gens = [syms[i] for i in order.priority]  # most significant first
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod(s ** e for s, e in zip(syms, m))
+                   for m, c in p.terms.items())
+
+    def from_sympy(g):
+        terms = {}
+        for exps, c in sympy.Poly(g, *gens).terms():
+            mono = [0] * pres.nvars
+            for var, e in zip(order.priority, exps):
+                mono[var] = e
+            terms[tuple(mono)] = Fraction(int(c.p), int(c.q))
+        return Poly(pres.nvars, terms).monic(order)
+
+    theirs = sympy.groebner([to_sympy(g) for g in pres.ideal_gens], *gens,
+                            order="grevlex", domain=sympy.QQ)
+    theirs = sorted((from_sympy(g) for g in theirs.exprs),
+                    key=lambda p: order.key(p.leading_monomial(order)))
+    ours = [g.monic(order) for g in buchberger(list(pres.ideal_gens), order).generators]
+    assert ours == theirs
