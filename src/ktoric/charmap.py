@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from random import Random
 
 from .errors import NoBaseVertexError
@@ -19,13 +20,15 @@ class CharacteristicMap:
     base_vertex: int = None
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
         if not vecs:
             raise ValueError("at least one facet vector required")
         arity = len(vecs[0])
         if any(len(v) != arity for v in vecs):
             raise ValueError("all facet vectors must have the same length")
         object.__setattr__(self, "vectors", vecs)
+        if self.base_vertex is not None:
+            object.__setattr__(self, "base_vertex", index(self.base_vertex))
 
     @property
     def ambient_dim(self):

@@ -24,10 +24,6 @@ def mat_mul(a, b):
             for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def det_bareiss(a):
     """Exact integer determinant by fraction-free elimination."""
     n = len(a)
@@ -197,22 +193,6 @@ def rat_solve(a, b):
     return x
 
 
-def rat_nullspace(a):
-    """Basis of the right kernel, one vector per free column."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m, pivots = rat_rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        basis.append(vec)
-    return basis
-
-
 def rat_inverse(a):
     """Inverse matrix over the rationals, or None when singular."""
     n = len(a)
@@ -248,7 +228,3 @@ def rat_det(a):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return det
-
-
-def is_integer_matrix(a):
-    return all(Fraction(x).denominator == 1 for row in a for x in row)

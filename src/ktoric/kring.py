@@ -289,14 +289,19 @@ def compute_basis(pres, vertex_order, budget=200000, cap=100000):
         mat = [list(row) for row in change]
         det = rat_det(mat)
         inv = tuple(tuple(row) for row in rat_inverse(mat))
+        # the nonzero (row, entry) pairs of each column of inv
+        inv_cols = [[(r, row[t]) for r, row in enumerate(inv) if row[t]]
+                    for t in range(m)]
         structure = []
         for i in range(m):
             row_out = []
             for j in range(m):
                 prod = Poly(d, {basis_monos[i] * basis_monos[j]: 1})
-                col = _coords(gb, index, prod)
-                vec = tuple(sum((r[t] * c for t, c in col), Fraction(0))
-                            for r in inv)
+                acc = [Fraction(0)] * m
+                for t, c in _coords(gb, index, prod):
+                    for r, x in inv_cols[t]:
+                        acc[r] += x * c
+                vec = tuple(acc)
                 if pres.integral and any(x.denominator != 1 for x in vec):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "

@@ -378,8 +378,60 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(lm for lm, _ in self._heads)
 
+    @cached_property
+    def _normal_forms(self):
+        """Monomial -> its normal form as a term dict, largest term first;
+        filled on demand by _normal_form."""
+        return {}
+
+    def _normal_form(self, mono):
+        """The remainder of mono, as the division loop would leave it.
+
+        The loop is linear and each monomial's fate depends on the monomial
+        alone: it cancels against the first head dividing it, which leaves
+        -(c_t / lc) * t * factor for each tail term c_t * t of that head, all
+        smaller than mono. So NF(mono) is that combination of smaller normal
+        forms, computed here bottom-up with an explicit stack.
+        """
+        table = self._normal_forms
+        key = self.order.key
+        stack = [mono]
+        while stack:
+            m = stack[-1]
+            if m in table:
+                stack.pop()
+                continue
+            head = next((h for h in self._heads if h[0].divides(m)), None)
+            if head is None:
+                table[m] = {m: Fraction(1)}
+                stack.pop()
+                continue
+            lm, g = head
+            factor = m.divide(lm)
+            tail = [(m2 * factor, c2) for m2, c2 in g.terms.items() if m2 != lm]
+            missing = [t for t, _ in tail if t not in table]
+            if missing:
+                stack.extend(missing)
+                continue
+            lc = g.terms[lm]
+            acc = {}
+            for t, c2 in tail:
+                ratio = c2 / lc
+                for m3, c3 in table[t].items():
+                    acc[m3] = acc.get(m3, 0) - ratio * c3
+            table[m] = {m3: acc[m3] for m3 in sorted(acc, key=key, reverse=True)
+                        if acc[m3]}
+            stack.pop()
+        return table[mono]
+
     def reduce(self, p):
-        return _reduce(p, self._heads, self.order)
+        """Normal form of p. A single term c*m is c times the tabled normal
+        form of m; longer polynomials go through the division loop."""
+        if len(p.terms) != 1:
+            return _reduce(p, self._heads, self.order)
+        (mono, c), = p.terms.items()
+        return Poly._raw(p.nvars,
+                         {m: c * c2 for m, c2 in self._normal_form(mono).items()})
 
 
 def buchberger(gens, order, budget=200000):

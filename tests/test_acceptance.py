@@ -32,25 +32,17 @@ from ktoric import (
 )
 from ktoric.polyring import render_poly
 
+from ladder import generic_functional, random_tower
+
 
 def verdict(label, ok, detail):
     print(f"{label}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{label}: {detail}"
 
 
-def generic_functional(dim):
-    return tuple(1 << k for k in range(dim))
-
-
 def face_basis(p, lam, coeffs=None):
     pres = build_presentation(p, lam, coeffs)
     return pres, compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
-
-
-def random_tower(n, rng):
-    return BottMatrix.from_triples(n, [
-        (i, j, rng.randint(-2, 2))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def test_criterion_1_simplex_is_truncated_polynomial_ring():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,3 +248,35 @@ def test_word_tower_equivalence():
     rep = bott_equivalence(cartan_word_matrix(cw))
     assert rep.expected_rank == 16
     assert rep.iso.ok and rep.iso.unimodular
+
+
+@pytest.mark.parametrize("n, rows", [
+    (2, ((1.7,),)),
+    (2, ((Fraction(1),),)),
+    (2.0, ((1,),)),
+])
+def test_bott_matrix_rejects_non_integers(n, rows):
+    with pytest.raises(TypeError):
+        BottMatrix(n, rows)
+
+
+@pytest.mark.parametrize("n, triples", [
+    (2, [(1, 2, 1.7)]),
+    (2, [(1.0, 2, 1)]),
+    (2, [(1, 2, "1")]),
+    (2.0, [(1, 2, 1)]),
+])
+def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
+    # from_triples(2, [(1, 2, 1.7)]) used to store the twist 1
+    with pytest.raises(TypeError):
+        BottMatrix.from_triples(n, triples)
+
+
+@pytest.mark.parametrize("cartan, word", [
+    (((2, -1.5), (-1, 2)), (1, 2)),
+    (((2, -1), (-1, 2)), (1, 2.0)),
+    (((2, -1), (-1, 2)), (Fraction(1), 2)),
+])
+def test_cartan_word_rejects_non_integers(cartan, word):
+    with pytest.raises(TypeError):
+        CartanWord(cartan, word)

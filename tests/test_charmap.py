@@ -1,6 +1,7 @@
 """Facet vector assignments: validation, duals, Smith spot checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -179,3 +180,15 @@ def test_product_charmap_blocks():
     assert validate_charmap(p, lam).ok
     # base facets of vertex 0 are {1,3,4}, whose vectors are the identity
     assert dual_basis(p, lam) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize("vectors, base", [
+    (((1.9, 0), (0, 1)), 0),
+    (((1, 0), (0, Fraction(1))), 0),
+    (((1, 0), (0, "1")), 0),
+    (((1, 0), (0, 1)), 0.0),
+])
+def test_charmap_rejects_non_integers(vectors, base):
+    # truncating 1.9 to 1 would silently label a different manifold
+    with pytest.raises(TypeError):
+        CharacteristicMap(vectors, base)

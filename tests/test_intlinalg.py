@@ -8,15 +8,13 @@ import pytest
 from ktoric import NonSquareError
 from ktoric.intlinalg import (
     det_bareiss,
-    is_integer_matrix,
     mat_mul,
     rat_det,
     rat_inverse,
-    rat_nullspace,
     rat_rank,
+    rat_rref,
     rat_solve,
     smith_normal_form,
-    transpose,
 )
 
 
@@ -33,6 +31,29 @@ def det_minors(a):
             minor = [row[:j] + row[j + 1:] for row in a[1:]]
             total += (-1) ** j * a[0][j] * det_minors(minor)
     return total
+
+
+def rat_nullspace(a):
+    """Basis of the right kernel, one vector per free column."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m, pivots = rat_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        basis.append(vec)
+    return basis
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def is_integer_matrix(a):
+    return all(Fraction(x).denominator == 1 for row in a for x in row)
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ktoric import (
+    BottMatrix,
     BudgetExceededError,
     CharacteristicMap,
     CoefficientSpec,
@@ -17,6 +18,7 @@ from ktoric import (
     RankDeficientError,
     ValidationFailedError,
     ascending_faces,
+    bott_charmap,
     build_presentation,
     compute_basis,
     covector_relation,
@@ -34,6 +36,8 @@ from ktoric import (
 )
 from ktoric.polyring import Monomial, render_poly
 from ktoric.polytope import SimplePolytope
+
+from ladder import face_rungs, generic_functional, twisted_square
 
 
 def var(d, j):
@@ -436,3 +440,70 @@ def test_cap_propagates_through_quotient_basis():
     x, y = var(2, 0), var(2, 1)
     with pytest.raises(BudgetExceededError, match="candidate box"):
         quotient_basis(polynomial_presentation([x ** 50, y ** 50]), cap=100)
+
+
+# --- ring axioms of the structure constants -------------------------------
+
+
+def assert_ring_axioms(pres, b):
+    """b_i * b_j = sum_k c[i][j][k] b_k defines a commutative, associative
+    ring whose unit is the class of the lowest vertex; with all
+    coefficients 1 the constants are integers."""
+    c, m = b.structure, b.m
+    assert b.basis_monomials[0].degree == 0  # the lowest vertex's face is P
+    unit = [tuple(Fraction(int(k == j)) for k in range(m)) for j in range(m)]
+    for i in range(m):
+        assert c[0][i] == unit[i] and c[i][0] == unit[i]
+        for j in range(m):
+            assert c[i][j] == c[j][i]
+            if pres.integral:
+                assert all(x.denominator == 1 for x in c[i][j])
+
+    def times(vec, k):  # (sum_l vec[l] b_l) * b_k in coordinates
+        out = [Fraction(0)] * m
+        for l, x in enumerate(vec):
+            if x:
+                for s, y in enumerate(c[l][k]):
+                    out[s] += x * y
+        return out
+
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                # (b_i b_j) b_k == (b_j b_k) b_i, given commutativity
+                assert times(c[i][j], k) == times(c[j][k], i)
+
+
+@pytest.mark.parametrize("p, lam", list(face_rungs()))
+def test_structure_constants_satisfy_ring_axioms(p, lam):
+    pres = build_presentation(p, lam)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    assert b.rank == b.m == p.vertex_count
+    assert_ring_axioms(pres, b)
+
+
+def test_structure_constants_satisfy_ring_axioms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def tower(n):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return st.lists(st.integers(-3, 3), min_size=len(pairs),
+                        max_size=len(pairs)).map(
+            lambda vals: BottMatrix.from_triples(
+                n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
+
+    labeled = st.one_of(
+        st.integers(1, 3).flatmap(tower).map(bott_charmap),
+        st.integers(-4, 4).map(twisted_square))
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(labeled)
+    def check(case):
+        p, lam = case
+        pres = build_presentation(p, lam)
+        assert_ring_axioms(
+            pres, compute_basis(pres, order_vertices(p, generic_functional(p.dim))))
+
+    check()

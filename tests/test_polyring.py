@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -10,6 +11,7 @@ from ktoric import (
     CartanWord,
     CharacteristicMap,
     DegRevLex,
+    GroebnerBasis,
     Monomial,
     Poly,
     bott_presentation,
@@ -17,8 +19,10 @@ from ktoric import (
     buchberger,
     build_presentation,
     cartan_matrix,
+    compute_basis,
     cube,
     is_groebner,
+    order_vertices,
     polyring,
     product,
     product_charmap,
@@ -30,6 +34,8 @@ from ktoric import (
     standard_monomials,
 )
 from ktoric.bott import BottMatrix, bott_charmap
+
+from ladder import face_rungs, generic_functional, random_tower
 
 
 def variables(n):
@@ -256,12 +262,6 @@ def test_quotient_dimension_priority_independent():
         assert len(sizes) == 1
 
 
-def random_tower(n, rng):
-    return BottMatrix.from_triples(n, [
-        (i, j, rng.randint(-2, 2))
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)])
-
-
 def rescan_buchberger(gens, order):
     """Reference Buchberger that picks each pair by rescanning every pending
     pair with min(), as the library did before its pair heap. Returns the
@@ -388,3 +388,58 @@ def test_buchberger_matches_sympy(pres):
                     key=lambda p: order.key(p.leading_monomial(order)))
     ours = [g.monic(order) for g in buchberger(list(pres.ideal_gens), order).generators]
     assert ours == theirs
+
+
+def assert_same_as_division_loop(gb, p):
+    got = gb.reduce(p)
+    want = polyring._reduce(p, gb._heads, gb.order)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.nvars == want.nvars
+
+
+@pytest.mark.parametrize("p, lam", list(face_rungs()))
+def test_tabled_normal_forms_match_division_loop(p, lam):
+    pres = build_presentation(p, lam)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    gb = GroebnerBasis(b.groebner.generators, b.groebner.order)  # empty table
+    d = pres.nvars
+    monos = b.basis_monomials
+    for mi in monos:
+        assert_same_as_division_loop(gb, Poly(d, {mi: 1}))
+        for mj in monos:
+            assert_same_as_division_loop(gb, Poly(d, {mi * mj: 1}))
+    assert gb._normal_forms
+
+
+def test_tabled_normal_forms_of_non_groebner_generators():
+    # heads that are neither monic nor a Groebner basis: the table must still
+    # follow the division loop's first-divisor rule, not the ideal
+    o = DegRevLex((2, 0, 1))
+    x, y, z = variables(3)
+    gb = GroebnerBasis((2 * x * y + 3 * z, 3 * y ** 2 - x + 1, x * z - y), o)
+    assert not is_groebner(list(gb.generators), o)
+    for exps in iter_product(range(4), repeat=3):
+        assert_same_as_division_loop(gb, Poly(3, {exps: 1}))
+
+
+def test_tabled_normal_form_of_a_scaled_term():
+    pres = build_presentation(simplex(3), simplex_charmap(3))
+    gb = buchberger(list(pres.ideal_gens), pres.order)
+    for exps in ((2, 1, 0, 0), (0, 0, 3, 1), (1, 1, 1, 1)):
+        for c in (Fraction(3, 2), Fraction(-7), Fraction(1, 3)):
+            assert_same_as_division_loop(gb, Poly(4, {exps: c}))
+    assert gb.reduce(Poly.zero(4)).is_zero
+
+
+def test_bases_never_share_a_table():
+    o = DegRevLex.standard(2)
+    x, y = variables(2)
+    first = GroebnerBasis((x * x - y,), o)
+    same = GroebnerBasis((x * x - y,), o)
+    other = GroebnerBasis((x * x - 2 * y,), o)
+    cube_x = Poly(2, {(3, 0): 1})
+    assert first.reduce(cube_x) == x * y
+    assert not same._normal_forms
+    assert other.reduce(cube_x) == 2 * x * y
+    assert first._normal_forms is not other._normal_forms
+    assert same.reduce(cube_x) == x * y

@@ -1,5 +1,6 @@
 """Combinatorics layer: builders, validation, non-faces, vertex orders."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -204,3 +205,30 @@ def test_explicit_order_must_come_from_a_height_function():
 def test_explicit_valid_order_accepted():
     af = ascending_faces(cube(2), VertexOrder.from_sequence((0, 2, 1, 3)))
     assert sorted(af[3].facet_set) == [1, 3]
+
+
+@pytest.mark.parametrize("order, heights", [
+    ((0.0, 1), (0, 1)),
+    ((0, Fraction(1)), (0, 1)),
+])
+def test_vertex_order_rejects_non_integers(order, heights):
+    with pytest.raises(TypeError):
+        VertexOrder(order, heights)
+
+
+@pytest.mark.parametrize("seq", [[0.2, 1.9], [0, 1.0], [0, "1"]])
+def test_vertex_order_from_sequence_rejects_non_integers(seq):
+    # [0.2, 1.9] used to truncate to the order (0, 1)
+    with pytest.raises(TypeError):
+        VertexOrder.from_sequence(seq)
+
+
+@pytest.mark.parametrize("dim, facets, vertices", [
+    (1, 2, ({1.0}, {0})),
+    (1, 2, ({Fraction(1)}, {0})),
+    (1.0, 2, ({1}, {0})),
+    (1, 2.0, ({1}, {0})),
+])
+def test_polytope_rejects_non_integers(dim, facets, vertices):
+    with pytest.raises(TypeError):
+        SimplePolytope(dim, facets, vertices)
