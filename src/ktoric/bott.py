@@ -10,7 +10,6 @@ data, one stage per letter.
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import index
 
 from .charmap import CharacteristicMap, validate_charmap
 from .errors import ValidationFailedError
@@ -23,6 +22,7 @@ from .kring import (
 )
 from .polyring import DegRevLex, Monomial, Poly, buchberger
 from .polytope import cube, order_vertices
+from .validation import strict_int
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class BottMatrix:
     rows: tuple
 
     def __post_init__(self):
-        n = index(self.n)
+        n = strict_int(self.n)
         if n < 1:
             raise ValueError("tower height must be at least 1")
-        rows = tuple(tuple(map(index, row)) for row in self.rows)
+        rows = tuple(tuple(map(strict_int, row)) for row in self.rows)
         if len(rows) != n - 1:
             raise ValueError("one row per stage except the last required")
         for k, row in enumerate(rows):
@@ -53,17 +53,17 @@ class BottMatrix:
 
     @classmethod
     def from_triples(cls, n, triples):
-        n = index(n)
+        n = strict_int(n)
         rows = [[0] * (n - 1 - k) for k in range(n - 1)]
         seen = set()
         for i, j, value in triples:
-            i, j = index(i), index(j)
+            i, j = strict_int(i), strict_int(j)
             if not 1 <= i < j <= n:
                 raise ValueError(f"entry ({i},{j}) is not strictly above the diagonal")
             if (i, j) in seen:
                 raise ValueError(f"entry ({i},{j}) given twice")
             seen.add((i, j))
-            rows[i - 1][j - i - 1] = index(value)
+            rows[i - 1][j - i - 1] = strict_int(value)
         return cls(n, tuple(tuple(r) for r in rows))
 
     def entry(self, i, j):
@@ -297,7 +297,7 @@ class CartanWord:
     convention: str = "row"
 
     def __post_init__(self):
-        mat = tuple(tuple(map(index, row)) for row in self.cartan)
+        mat = tuple(tuple(map(strict_int, row)) for row in self.cartan)
         l = len(mat)
         if l == 0 or any(len(row) != l for row in mat):
             raise ValueError("a square matrix is required")
@@ -306,7 +306,7 @@ class CartanWord:
                 raise ValueError("diagonal entries must equal 2")
             if any(mat[i][j] > 0 for j in range(l) if j != i):
                 raise ValueError("off-diagonal entries must be nonpositive")
-        word = tuple(map(index, self.word))
+        word = tuple(map(strict_int, self.word))
         if not word:
             raise ValueError("the word must not be empty")
         if any(not 1 <= w <= l for w in word):

@@ -3,12 +3,11 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import index
 from random import Random
 
 from .errors import NoBaseVertexError
 from .intlinalg import det_bareiss, rat_inverse, smith_normal_form
-from .validation import CheckResult, ValidationReport
+from .validation import CheckResult, ValidationReport, strict_int
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,7 @@ class CharacteristicMap:
     base_vertex: int = None
 
     def __post_init__(self):
-        vecs = tuple(tuple(map(index, v)) for v in self.vectors)
+        vecs = tuple(tuple(map(strict_int, v)) for v in self.vectors)
         if not vecs:
             raise ValueError("at least one facet vector required")
         arity = len(vecs[0])
@@ -28,7 +27,7 @@ class CharacteristicMap:
             raise ValueError("all facet vectors must have the same length")
         object.__setattr__(self, "vectors", vecs)
         if self.base_vertex is not None:
-            object.__setattr__(self, "base_vertex", index(self.base_vertex))
+            object.__setattr__(self, "base_vertex", strict_int(self.base_vertex))
 
     @property
     def ambient_dim(self):

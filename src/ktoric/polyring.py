@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
+from math import gcd, lcm
 from operator import add, index, le, sub
 
 from .errors import BudgetExceededError
@@ -90,6 +91,14 @@ class DegRevLex:
     priority lists variable indices from most to least significant. Two
     orders compare equal exactly when their priorities do; keys are cached
     per exponent tuple since reductions revisit the same monomials often.
+
+    A key is an int, so that its negation orders a min-heap largest first.
+    Each exponent of a monomial of degree d is at most d, so the digits
+    d - e, from the last variable in priority to the first, make a
+    base-(d + 1) number below (d + 1)**n that orders the monomials of
+    degree d reverse-lexicographically; with d in front the keys of degree
+    d lie in [d*(d + 1)**n, (d + 1)**(n + 1)), below every key of degree
+    d + 1.
     """
 
     __slots__ = ("priority", "_rev", "_cache")
@@ -109,7 +118,10 @@ class DegRevLex:
     def key(self, mono):
         k = self._cache.get(mono)
         if k is None:
-            k = (sum(mono), tuple(-mono[p] for p in self._rev))
+            d = sum(mono)
+            k = d
+            for p in self._rev:
+                k = k * (d + 1) + d - mono[p]
             self._cache[mono] = k
         return k
 
@@ -183,11 +195,12 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
+            s = out.get(mono)
+            s = coeff if s is None else s + coeff
             if s:
                 out[mono] = s
             else:
-                out.pop(mono, None)
+                del out[mono]
         return Poly._raw(self.nvars, out)
 
     def __radd__(self, other):
@@ -215,11 +228,12 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
+                s = out.get(m)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
+                    del out[m]
         return Poly._raw(self.nvars, out)
 
     def __rmul__(self, other):
@@ -292,36 +306,86 @@ class _Budget:
 
 
 def _heads_of(gens, order):
-    return [(g.leading_monomial(order), g) for g in gens]
+    """One (leading monomial, den, rule, generator) head per generator. The
+    rule lists (t, a) for each tail term c*t of the generator, where a/den
+    is -c/lc over the least common denominator den of those ratios: modulo
+    the generator, the leading monomial is the sum of the (a/den)*t."""
+    heads = []
+    for g in gens:
+        lm = g.leading_monomial(order)
+        lc = g.terms[lm]
+        ratios = [(m, -c / lc) for m, c in g.terms.items() if m != lm]
+        den = lcm(*(r.denominator for _, r in ratios))
+        rule = tuple((m, r.numerator * (den // r.denominator)) for m, r in ratios)
+        heads.append((lm, den, rule, g))
+    return heads
 
 
-def _reduce(p, heads, order, budget=None):
-    """Normal form of p by the (leading monomial, generator) pairs heads."""
-    nvars = p.nvars
+def _reduce(p, heads, order, budget=None, divisors=None):
+    """Normal form of p by heads, as built by _heads_of.
+
+    Each step cancels the largest remaining monomial against the first head
+    whose leading monomial divides it. Monomials wait in a heap under their
+    negated order keys; one that cancels to zero stays there and is skipped
+    when popped. divisors maps a monomial to the number of leading heads
+    known not to divide it, so a monomial met again resumes its scan there;
+    share one map across calls only while heads grows by appending.
+
+    Coefficients are int numerators over one common denominator den, since
+    int arithmetic is far cheaper than Fraction arithmetic; den stays 1
+    while every coefficient is integral. A step whose head's denominator
+    does not divide the popped numerator first divides out the content of
+    den and all numerators, then scales them so that it does. The remainder
+    has Fraction coefficients.
+    """
+    if divisors is None:
+        divisors = {}
+    key = order.key
+    n = len(heads)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    queue = [(-key(m), m) for m in work]
+    heapq.heapify(queue)
     remainder = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work, key=order.key)
-        coeff = work.pop(mono)
-        for lm, g in heads:
-            if lm.divides(mono):
-                if budget is not None:
-                    budget.spend()
-                factor = mono.divide(lm)
-                scale = coeff / g.terms[lm]
-                for m2, c2 in g.terms.items():
-                    if m2 is lm or m2 == lm:
-                        continue
-                    m = m2 * factor
-                    s = work.get(m, Fraction(0)) - scale * c2
-                    if s:
-                        work[m] = s
-                    else:
-                        work.pop(m, None)
-                break
-        else:
-            remainder[mono] = coeff
-    return Poly._raw(nvars, remainder)
+    while queue:
+        mono = heapq.heappop(queue)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue  # cancelled after it was queued
+        i = divisors.get(mono, 0)
+        while i < n and not heads[i][0].divides(mono):
+            i += 1
+        divisors[mono] = i
+        if i == n:
+            remainder[mono] = Fraction(coeff, den)
+            continue
+        if budget is not None:
+            budget.spend()
+        lm, b, rule, _ = heads[i]
+        factor = mono.divide(lm)
+        if coeff % b:
+            g = gcd(den, coeff, *work.values())
+            k = b // gcd(coeff // g, b)
+            den = den // g * k
+            coeff = coeff // g * k
+            for m in work:
+                work[m] = work[m] // g * k
+        coeff //= b
+        for m2, a in rule:
+            m = m2 * factor
+            c = work.get(m)
+            if c is None:
+                # every term a step leaves is smaller than mono, so m was
+                # never popped: it is new, or it cancelled and is queued stale
+                work[m] = coeff * a
+                heapq.heappush(queue, (-key(m), m))
+            else:
+                c += coeff * a
+                if c:
+                    work[m] = c
+                else:
+                    del work[m]
+    return Poly._raw(p.nvars, remainder)
 
 
 def reduce(p, gens, order, budget=None):
@@ -340,24 +404,39 @@ def reduce(p, gens, order, budget=None):
                    _Budget(budget, "reduce") if budget is not None else None)
 
 
+def _over(p, lc):
+    """The terms of p divided by lc; no division when lc is 1."""
+    items = p.terms.items()
+    return items if lc == 1 else [(m, c / lc) for m, c in items]
+
+
 def s_polynomial(f, g, order):
     lf = f.leading_monomial(order)
     lg = g.leading_monomial(order)
     l = lf.lcm(lg)
-    return (f.mul_term(l.divide(lf), Fraction(1) / f.terms[lf])
-            - g.mul_term(l.divide(lg), Fraction(1) / g.terms[lg]))
+    uf, ug = l.divide(lf), l.divide(lg)
+    out = {m * uf: c for m, c in _over(f, f.terms[lf])}
+    for m, c in _over(g, g.terms[lg]):
+        m = m * ug
+        s = out.get(m)
+        s = -c if s is None else s - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return Poly._raw(f.nvars, out)
 
 
 def _interreduce(heads, order):
     """Reduced basis from the heads of a monic Groebner basis."""
     kept = []
-    for lm, g in sorted(heads, key=lambda h: order.key(h[0])):
-        if not any(k.divides(lm) for k, _ in kept):
-            kept.append((lm, g))
+    for head in sorted(heads, key=lambda h: order.key(h[0])):
+        if not any(k[0].divides(head[0]) for k in kept):
+            kept.append(head)
     # no leading monomial divides another, so reducing each element by the
     # rest rewrites only its tail: one pass leaves it monic and reduced
     return [_reduce(g, kept[:i] + kept[i + 1:], order)
-            for i, (_, g) in enumerate(kept)]
+            for i, (_, _, _, g) in enumerate(kept)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,7 +455,12 @@ class GroebnerBasis:
         return tuple(_heads_of(self.generators, self.order))
 
     def leading_monomials(self):
-        return tuple(lm for lm, _ in self._heads)
+        return tuple(h[0] for h in self._heads)
+
+    @cached_property
+    def _divisors(self):
+        """The division loop's first-divisor memo for these fixed heads."""
+        return {}
 
     @cached_property
     def _normal_forms(self):
@@ -406,19 +490,17 @@ class GroebnerBasis:
                 table[m] = {m: Fraction(1)}
                 stack.pop()
                 continue
-            lm, g = head
+            lm, den, rule, _ = head
             factor = m.divide(lm)
-            tail = [(m2 * factor, c2) for m2, c2 in g.terms.items() if m2 != lm]
+            tail = [(m2 * factor, Fraction(a, den)) for m2, a in rule]
             missing = [t for t, _ in tail if t not in table]
             if missing:
                 stack.extend(missing)
                 continue
-            lc = g.terms[lm]
             acc = {}
-            for t, c2 in tail:
-                ratio = c2 / lc
+            for t, r in tail:
                 for m3, c3 in table[t].items():
-                    acc[m3] = acc.get(m3, 0) - ratio * c3
+                    acc[m3] = acc.get(m3, 0) + r * c3
             table[m] = {m3: acc[m3] for m3 in sorted(acc, key=key, reverse=True)
                         if acc[m3]}
             stack.pop()
@@ -428,7 +510,7 @@ class GroebnerBasis:
         """Normal form of p. A single term c*m is c times the tabled normal
         form of m; longer polynomials go through the division loop."""
         if len(p.terms) != 1:
-            return _reduce(p, self._heads, self.order)
+            return _reduce(p, self._heads, self.order, divisors=self._divisors)
         (mono, c), = p.terms.items()
         return Poly._raw(p.nvars,
                          {m: c * c2 for m, c2 in self._normal_form(mono).items()})
@@ -457,6 +539,7 @@ def buchberger(gens, order, budget=200000):
     heads = _heads_of(basis, order)
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
+    divisors = {}      # the division loop's memo; heads only grows
 
     def add_pairs(j):
         lm = heads[j][0]
@@ -474,7 +557,7 @@ def buchberger(gens, order, budget=200000):
         if l.degree == heads[i][0].degree + heads[j][0].degree:
             continue  # coprime leading monomials reduce to zero for free
         subsumed = False
-        for k, (lm, _) in enumerate(heads):
+        for k, (lm, _, _, _) in enumerate(heads):
             if k in (i, j):
                 continue
             if lm.divides(l):
@@ -485,12 +568,13 @@ def buchberger(gens, order, budget=200000):
                     break
         if subsumed:
             continue
-        r = _reduce(s_polynomial(basis[i], basis[j], order), heads, order, counter)
+        r = _reduce(s_polynomial(basis[i], basis[j], order), heads, order,
+                    counter, divisors)
         if r.is_zero:
             continue
         r = r.monic(order)
         basis.append(r)
-        heads.append((r.leading_monomial(order), r))
+        heads.extend(_heads_of([r], order))
         add_pairs(len(basis) - 1)
 
     return GroebnerBasis(tuple(_interreduce(heads, order)), order)
@@ -539,7 +623,7 @@ def standard_monomials(gb, cap=100000):
         mono = Monomial._raw(exps)
         if not any(lm.divides(mono) for lm in lms):
             out.append(mono)
-    out.sort(key=lambda m: (m.degree, gb.order.key(m)))
+    out.sort(key=gb.order.key)
     return tuple(out)
 
 

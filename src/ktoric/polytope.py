@@ -8,10 +8,9 @@ functionals; geometric consistency with the incidence data is not checked.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import index
 
 from .errors import OrderPropertyError, TieError
-from .validation import CheckResult, ValidationReport
+from .validation import CheckResult, ValidationReport, strict_int
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,13 @@ class SimplePolytope:
     coords: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", index(self.dim))
-        object.__setattr__(self, "facet_count", index(self.facet_count))
+        object.__setattr__(self, "dim", strict_int(self.dim))
+        object.__setattr__(self, "facet_count", strict_int(self.facet_count))
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if self.facet_count < self.dim:
             raise ValueError("need at least dim facets")
-        verts = tuple(frozenset(map(index, v)) for v in self.vertices)
+        verts = tuple(frozenset(map(strict_int, v)) for v in self.vertices)
         if not verts:
             raise ValueError("at least one vertex required")
         for i, v in enumerate(verts):
@@ -66,7 +65,7 @@ class VertexOrder:
     heights: tuple
 
     def __post_init__(self):
-        order = tuple(map(index, self.order))
+        order = tuple(map(strict_int, self.order))
         heights = tuple(Fraction(h) for h in self.heights)
         if sorted(order) != list(range(len(order))) or len(heights) != len(order):
             raise ValueError("order must be a permutation with matching heights")
@@ -80,7 +79,7 @@ class VertexOrder:
 
     @classmethod
     def from_sequence(cls, seq):
-        seq = list(map(index, seq))
+        seq = list(map(strict_int, seq))
         heights = [Fraction(0)] * len(seq)
         for pos, v in enumerate(seq):
             heights[v] = Fraction(pos)

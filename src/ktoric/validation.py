@@ -1,6 +1,17 @@
-"""Tiny check-report containers used by the validators."""
+"""Tiny check-report containers used by the validators, and the integer
+check shared by the constructors."""
 
 from dataclasses import dataclass, field
+from operator import index
+
+
+def strict_int(value):
+    """value as an int. Raises TypeError on a bool, which operator.index
+    would take as 0 or 1, and on anything operator.index refuses: floats,
+    Fractions and strings."""
+    if isinstance(value, bool):
+        raise TypeError(f"an integer is required, not {value!r}")
+    return index(value)
 
 
 @dataclass(frozen=True)

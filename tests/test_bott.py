@@ -254,6 +254,7 @@ def test_word_tower_equivalence():
     (2, ((1.7,),)),
     (2, ((Fraction(1),),)),
     (2.0, ((1,),)),
+    (2, ((True,),)),
 ])
 def test_bott_matrix_rejects_non_integers(n, rows):
     with pytest.raises(TypeError):
@@ -265,9 +266,11 @@ def test_bott_matrix_rejects_non_integers(n, rows):
     (2, [(1.0, 2, 1)]),
     (2, [(1, 2, "1")]),
     (2.0, [(1, 2, 1)]),
+    (2, [(1, 2, True)]),
 ])
 def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
-    # from_triples(2, [(1, 2, 1.7)]) used to store the twist 1
+    # from_triples(2, [(1, 2, 1.7)]) used to store the twist 1, and
+    # from_triples(2, [(1, 2, True)]) still did
     with pytest.raises(TypeError):
         BottMatrix.from_triples(n, triples)
 
@@ -276,6 +279,7 @@ def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
     (((2, -1.5), (-1, 2)), (1, 2)),
     (((2, -1), (-1, 2)), (1, 2.0)),
     (((2, -1), (-1, 2)), (Fraction(1), 2)),
+    (((2, -1), (-1, 2)), (True, 2)),
 ])
 def test_cartan_word_rejects_non_integers(cartan, word):
     with pytest.raises(TypeError):

@@ -187,6 +187,7 @@ def test_product_charmap_blocks():
     (((1, 0), (0, Fraction(1))), 0),
     (((1, 0), (0, "1")), 0),
     (((1, 0), (0, 1)), 0.0),
+    (((True, 0), (0, 1)), 0),
 ])
 def test_charmap_rejects_non_integers(vectors, base):
     # truncating 1.9 to 1 would silently label a different manifold

@@ -35,7 +35,7 @@ from ktoric import (
 )
 from ktoric.bott import BottMatrix, bott_charmap
 
-from ladder import face_rungs, generic_functional, random_tower
+from ladder import face_rungs, generic_functional, random_tower, twisted_square
 
 
 def variables(n):
@@ -103,6 +103,18 @@ def test_degrevlex_tiebreak():
     x2, y2 = Monomial((1, 0)), Monomial((0, 1))
     assert o.key(x2) > o.key(y2)
     assert o.key(Monomial((0, 2))) < o.key(Monomial((1, 1)))
+
+
+@pytest.mark.parametrize("priority", [(0,), (0, 1, 2), (2, 0, 1, 3)])
+def test_degrevlex_key_is_degree_then_reverse_lex(priority):
+    # the int key against the order spelled out as a tuple
+    o = DegRevLex(priority)
+    rev = tuple(reversed(priority))
+    monos = [Monomial(e) for e in iter_product(range(5), repeat=len(priority))]
+    by_int = sorted(monos, key=o.key)
+    assert by_int == sorted(monos, key=lambda m: (sum(m), tuple(-m[v] for v in rev)))
+    assert len({o.key(m) for m in monos}) == len(monos)
+    assert all(type(o.key(m)) is int for m in monos)
 
 
 def test_degrevlex_priority_changes_leader():
@@ -443,3 +455,167 @@ def test_bases_never_share_a_table():
     assert other.reduce(cube_x) == 2 * x * y
     assert first._normal_forms is not other._normal_forms
     assert same.reduce(cube_x) == x * y
+
+
+def reference_division(p, heads, order, budget):
+    """The division loop as it was before its heap and memo: every step
+    rescans the working polynomial for its largest monomial under a
+    separately built order key and scans the (leading monomial, generator)
+    heads from the first, in Fraction arithmetic throughout."""
+    rev = tuple(reversed(order.priority))
+
+    def key(m):
+        return (sum(m), tuple(-m[v] for v in rev))
+
+    remainder = {}
+    work = dict(p.terms)
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        for lm, g in heads:
+            if lm.divides(mono):
+                budget.spend()
+                factor = mono.divide(lm)
+                scale = coeff / g.terms[lm]
+                for m2, c2 in g.terms.items():
+                    if m2 == lm:
+                        continue
+                    m = m2 * factor
+                    s = work.get(m, Fraction(0)) - scale * c2
+                    if s:
+                        work[m] = s
+                    else:
+                        work.pop(m, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return Poly._raw(p.nvars, remainder)
+
+
+class Steps:
+    """A budget that counts its steps and passes each on to inner."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        if self.inner is not None:
+            self.inner.spend()
+
+
+class MemoProbe(dict):
+    """A first-divisor memo that counts the monomials whose scan found no
+    head in one call and found a head appended since in a later call."""
+
+    def __init__(self):
+        super().__init__()
+        self.heads = 0  # the head count of the running call
+        self.missed = set()
+        self.resumed = 0
+
+    def __setitem__(self, mono, i):
+        if i == self.heads:
+            self.missed.add(mono)
+        elif mono in self.missed:
+            self.missed.discard(mono)
+            self.resumed += 1
+        super().__setitem__(mono, i)
+
+
+class CheckedDivision:
+    """Stands in for polyring._reduce: runs the library loop and the
+    reference on the same input and requires the same terms in the same
+    order, Fraction coefficients and the same number of budget steps."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.calls = 0
+        self.probes = {}  # id of a caller's memo -> (that memo, its probe)
+
+    def __call__(self, p, heads, order, budget=None, divisors=None):
+        if divisors is not None:
+            divisors = self.probes.setdefault(id(divisors), (divisors, MemoProbe()))[1]
+            divisors.heads = len(heads)
+        steps = Steps(budget)
+        got = self.loop(p, heads, order, steps, divisors)
+        want_steps = Steps()
+        want = reference_division(p, [(h[0], h[3]) for h in heads], order, want_steps)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert steps.spent == want_steps.spent
+        self.calls += 1
+        return got
+
+    @property
+    def resumed(self):
+        return sum(probe.resumed for _, probe in self.probes.values())
+
+
+@pytest.fixture
+def checked_division(monkeypatch):
+    checked = CheckedDivision(polyring._reduce)
+    monkeypatch.setattr(polyring, "_reduce", checked)
+    return checked
+
+
+def division_rungs():
+    for rung in face_rungs():
+        yield pytest.param(build_presentation(*rung.values), id=rung.id)
+    for kind, word in (("A", (1, 2, 1)), ("B", (1, 2, 1, 2))):
+        yield pytest.param(bott_samelson_presentation(
+            CartanWord(cartan_matrix(kind, 2), word)), id=f"{kind}2-word{len(word)}")
+
+
+def fractional_square(nvars):
+    """(1 + sum of x_i / (i + 2))**2: many terms, none of them integral."""
+    p = Poly.one(nvars)
+    for i in range(nvars):
+        p = p + Poly.variable(nvars, i) * Fraction(1, i + 2)
+    return p * p
+
+
+@pytest.mark.parametrize("pres", list(division_rungs()))
+def test_division_loop_matches_reference(pres, checked_division):
+    # every reduction of a Buchberger run (a growing head list sharing one
+    # memo, then the interreduction), then multi-term normal forms with
+    # non-integral coefficients against the finished basis's fixed heads
+    gb = buchberger(list(pres.ideal_gens), pres.order)
+    runs = checked_division.calls
+    assert runs > len(gb.generators)
+    p = fractional_square(pres.nvars)
+    for q in (p, p * Poly.variable(pres.nvars, 0), p - Fraction(1, 3)):
+        gb.reduce(q)
+    assert checked_division.calls == runs + 3
+
+
+def test_division_loop_matches_reference_on_g2_word(checked_division):
+    # the length-6 G2 word's full basis takes seconds, and many times that
+    # through the reference loop; its first 4000 cancellation steps are
+    # compared, up to the budget
+    pres = bott_samelson_presentation(
+        CartanWord(cartan_matrix("G", 2), (1, 2, 1, 2, 1, 2)))
+    with pytest.raises(BudgetExceededError):
+        buchberger(list(pres.ideal_gens), pres.order, budget=4000)
+    assert checked_division.calls > 20
+
+
+def test_division_loop_matches_reference_with_fractional_heads(checked_division):
+    o = DegRevLex((2, 0, 1))
+    x, y, z = variables(3)
+    gens = (2 * x * y + 3 * z, 3 * y ** 2 - x + 1, Fraction(2, 5) * x * z - y)
+    gb = GroebnerBasis(gens, o)
+    for p in (fractional_square(3), fractional_square(3) * (x - y) ** 2,
+              Fraction(7, 2) * x ** 3 * y - Fraction(1, 6) * z ** 2 + 1):
+        gb.reduce(p)
+        reduce(p, gens, o)
+    assert checked_division.calls == 6
+
+
+def test_first_divisor_memo_resumes_at_appended_heads(checked_division):
+    # a monomial that no head divided when it was first met is divided, in a
+    # later reduction of the same run, by a head appended in between
+    pres = build_presentation(*twisted_square(1))
+    buchberger(list(pres.ideal_gens), pres.order)
+    assert checked_division.resumed > 0

@@ -210,13 +210,14 @@ def test_explicit_valid_order_accepted():
 @pytest.mark.parametrize("order, heights", [
     ((0.0, 1), (0, 1)),
     ((0, Fraction(1)), (0, 1)),
+    ((False, 1), (0, 1)),
 ])
 def test_vertex_order_rejects_non_integers(order, heights):
     with pytest.raises(TypeError):
         VertexOrder(order, heights)
 
 
-@pytest.mark.parametrize("seq", [[0.2, 1.9], [0, 1.0], [0, "1"]])
+@pytest.mark.parametrize("seq", [[0.2, 1.9], [0, 1.0], [0, "1"], [False, True]])
 def test_vertex_order_from_sequence_rejects_non_integers(seq):
     # [0.2, 1.9] used to truncate to the order (0, 1)
     with pytest.raises(TypeError):
@@ -228,6 +229,7 @@ def test_vertex_order_from_sequence_rejects_non_integers(seq):
     (1, 2, ({Fraction(1)}, {0})),
     (1.0, 2, ({1}, {0})),
     (1, 2.0, ({1}, {0})),
+    (1, 2, ({True}, {0})),
 ])
 def test_polytope_rejects_non_integers(dim, facets, vertices):
     with pytest.raises(TypeError):
