@@ -30,7 +30,6 @@ from .charmap import (
     CharacteristicMap,
     Covector,
     dual_basis,
-    face_smith_check,
     product_charmap,
     reindex_to_base,
     simplex_charmap,
@@ -42,7 +41,6 @@ from .polyring import (
     Monomial,
     Poly,
     buchberger,
-    is_groebner,
     reduce,
     render_poly,
     s_polynomial,
@@ -53,13 +51,11 @@ from .kring import (
     CoefficientSpec,
     IsoReport,
     KRingPresentation,
-    SimplePresentation,
     build_presentation,
     compute_basis,
     covector_relation,
     evaluate_in_quotient,
     invert_unit,
-    polynomial_presentation,
     quotient_basis,
     ring_map_check,
 )

@@ -212,7 +212,7 @@ def _stage_products(lp):
     return tuple(out)
 
 
-def bott_equivalence(c, budget=200000, cap=100000):
+def bott_equivalence(c, budget=200000):
     """Run the cube pipeline and the stage-generator relations side by side
     and check they present the same ring.
 
@@ -225,7 +225,7 @@ def bott_equivalence(c, budget=200000, cap=100000):
     pres = build_presentation(p, lam)
     functional = tuple(1 << k for k in range(c.n))
     vo = order_vertices(p, functional)
-    basis = compute_basis(pres, vo, budget=budget, cap=cap)
+    basis = compute_basis(pres, vo, budget=budget)
     lp = bott_presentation(c)
     d = p.facet_count
     images = [None] * (2 * c.n)
@@ -233,14 +233,14 @@ def bott_equivalence(c, budget=200000, cap=100000):
         unit = 1 - Poly.variable(d, 2 * (i - 1) + 1)
         images[lp.y_inv(i)] = basis.normal_form(unit)
         images[lp.y(i)] = invert_unit(unit, basis)
-    iso = ring_map_check(lp, tuple(images), basis, budget=budget, cap=cap,
-                         src_basis=_stage_products(lp))
+    iso = ring_map_check(lp, tuple(images), basis, _stage_products(lp),
+                         budget=budget)
     return EquivalenceReport(c.n, 2 ** c.n, basis.rank, iso.src_rank, iso)
 
 
-def laurent_rank(pres, budget=200000, cap=100000):
+def laurent_rank(pres, budget=200000):
     """Rank of the quotient behind a stage-generator presentation."""
-    _, std = quotient_basis(pres, budget, cap)
+    _, std = quotient_basis(pres, budget)
     return len(std)
 
 

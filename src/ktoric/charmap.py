@@ -3,10 +3,9 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from random import Random
 
 from .errors import NoBaseVertexError
-from .intlinalg import det_bareiss, rat_inverse, smith_normal_form
+from .intlinalg import det_bareiss, rat_inverse
 from .validation import CheckResult, ValidationReport, strict_int
 
 
@@ -79,29 +78,6 @@ def validate_charmap(p, lam):
         "vertex_determinants", not nonunit,
         f"vertices whose facet vectors are not a basis: {nonunit}" if nonunit else ""))
 
-    return ValidationReport(tuple(checks))
-
-
-def face_smith_check(p, lam, faces=None, sample=None, seed=0):
-    """Smith normal form spot check: the facet vectors of any nonempty face
-    must have all-ones elementary divisors. faces is an iterable of facet
-    sets; when omitted every vertex is used, or `sample` random vertices."""
-    if faces is None:
-        idx = list(range(p.vertex_count))
-        if sample is not None and sample < len(idx):
-            idx = Random(seed).sample(idx, sample)
-        faces = [p.vertices[w] for w in idx]
-    checks = []
-    for fs in faces:
-        cols = sorted(fs)
-        mat = [[lam.vectors[f][i] for f in cols] for i in range(p.dim)]
-        _, d, _ = smith_normal_form(mat)
-        k = min(len(cols), p.dim)
-        diag = [d[i][i] for i in range(k)]
-        ok = diag == [1] * k
-        checks.append(CheckResult(
-            f"smith_face_{'_'.join(str(f) for f in cols)}", ok,
-            "" if ok else f"elementary divisors {diag}"))
     return ValidationReport(tuple(checks))
 
 

@@ -127,11 +127,11 @@ def cmd_kring(args):
     base = lam.base_vertex if lam.base_vertex is not None else vo.order[0]
     pres = build_presentation(p, lam, coeffs, base)
     basis = compute_basis(pres, vo, budget=args.budget)
+    projective = _projective_check(pres, basis)
     report = jsonio.kring_report(pres, basis, validate_polytope(p),
-                                 validate_charmap(p, lam),
-                                 _projective_check(pres, basis))
+                                 validate_charmap(p, lam), projective)
     _emit(report, args.format)
-    return 0
+    return 1 if projective is not None and not projective["reduces_to_zero"] else 0
 
 
 def cmd_bott(args):

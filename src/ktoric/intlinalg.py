@@ -1,27 +1,19 @@
 """Exact linear algebra on small dense matrices.
 
 Matrices are plain lists of row lists. Integer routines stay in int, the
-rational ones use fractions.Fraction throughout. Nothing here is
+rational ones use fractions.Fraction, except that rat_det scales its rows
+to integers and calls det_bareiss. Nothing here is
 asymptotically clever; every matrix this library meets is tiny.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import NonSquareError
 
 
 def identity_matrix(k):
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    if len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    cols = len(b[0])
-    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for row in a]
 
 
 def det_bareiss(a):
@@ -41,97 +33,15 @@ def det_bareiss(a):
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        pivot, top = m[k][k], m[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Bareiss identity
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            lead = m[i][k]
+            # exact by the Bareiss identity; columns up to k become or stay
+            # 0, and a row with lead 0 stays as it is when pivot == prev
+            if lead or pivot != prev:
+                m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def smith_normal_form(a):
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Args:
-        a: integer matrix, any shape.
-
-    Returns:
-        (u, d, v) with u*a*v == d, u and v square unimodular, d diagonal with
-        nonnegative entries and each diagonal entry dividing the next.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
-    d = [[int(x) for x in row] for row in a]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row i += q * row j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, q):  # col i += q * col j
-        for row in d:
-            row[i] += q * row[j]
-        for row in v:
-            row[i] += q * row[j]
-
-    t = 0
-    while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
-                    if d[i][t]:  # remainder became the smaller pivot
-                        swap_rows(i, t)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
-                continue
-            viol = None
-            for i in range(t + 1, rows):
-                if any(d[i][j] % d[t][t] for j in range(t + 1, cols)):
-                    viol = i
-                    break
-            if viol is None:
-                break
-            add_row(t, viol, 1)  # drag a nondivisible entry next to the pivot
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, d, v
 
 
 def _as_fractions(a):
@@ -208,23 +118,16 @@ def rat_inverse(a):
 
 
 def rat_det(a):
-    """Determinant over the rationals by plain elimination."""
+    """Determinant of a matrix of ints and Fractions: Bareiss on the matrix
+    with each row scaled to integers by the lcm of its denominators, divided
+    by the product of those lcms."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquareError("determinant needs a square matrix")
-    m = _as_fractions(a)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    rows = []
+    scale = 1
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return Fraction(det_bareiss(rows), scale)

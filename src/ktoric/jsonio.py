@@ -129,6 +129,10 @@ def _sparse_structure(structure):
     return out
 
 
+def _rendered_relations(pres):
+    return [render_poly(g, pres.var_names, pres.order) for g in pres.ideal_gens]
+
+
 def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
     report = {
         "command": "kring",
@@ -137,8 +141,7 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
         "coefficients": [str(v) for v in pres.coeffs.values],
         "base_vertex": pres.base_vertex,
         "variables": list(pres.var_names),
-        "relations": [render_poly(g, pres.var_names, pres.order)
-                      for g in pres.ideal_gens],
+        "relations": _rendered_relations(pres),
         "vertex_count": basis.m,
         "rank": basis.rank,
         "integral": pres.integral,
@@ -156,10 +159,6 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
         "lambda": _check_flags(charmap_rep),
     }
     return report
-
-
-def _rendered_relations(pres):
-    return [render_poly(g, pres.var_names, pres.order) for g in pres.ideal_gens]
 
 
 def bott_report(pres, rank, involution_ok):

@@ -61,30 +61,6 @@ class CoefficientSpec:
         return cls(tuple(Fraction(v) for v in seq))
 
 
-@dataclass(frozen=True, eq=False)
-class SimplePresentation:
-    """A bare generators-and-relations description, enough to act as the
-    source of a ring map."""
-
-    nvars: int
-    ideal_gens: tuple
-    order: DegRevLex
-    var_names: tuple
-
-
-def polynomial_presentation(ideal_gens, var_names=None):
-    gens = tuple(ideal_gens)
-    if not gens:
-        raise ValueError("at least one relation required")
-    nvars = gens[0].nvars
-    if any(g.nvars != nvars for g in gens):
-        raise ValueError("relations live over different variable sets")
-    if var_names is None:
-        var_names = tuple(f"t{i}" for i in range(nvars))
-    return SimplePresentation(nvars, gens, DegRevLex.standard(nvars),
-                              tuple(var_names))
-
-
 def _square_free(nvars, facets):
     fs = set(facets)
     mono = Monomial(1 if j in fs else 0 for j in range(nvars))
@@ -176,10 +152,10 @@ def build_presentation(p, lam, coeffs=None, base_vertex=None):
                              priority, order, nonface_gens, covector_gens)
 
 
-def quotient_basis(pres, budget=200000, cap=100000):
+def quotient_basis(pres, budget=200000):
     """Groebner basis of the ideal and the monomials spanning the quotient."""
     gb = buchberger(pres.ideal_gens, pres.order, budget)
-    std = standard_monomials(gb, cap)
+    std = standard_monomials(gb)
     if std is None:
         raise InfiniteDimensionError(
             "quotient is not a finite rank module; relations are missing")
@@ -227,11 +203,6 @@ class BasisResult:
     def _std_index(self):
         return {mono: i for i, mono in enumerate(self.std_monomials)}
 
-    def std_coords(self, p):
-        coords = dict(_coords(self.groebner, self._std_index, p))
-        return tuple(coords.get(i, Fraction(0))
-                     for i in range(len(self.std_monomials)))
-
     def basis_coords(self, p):
         if self.change_inverse is None:
             raise RankDeficientError(
@@ -241,7 +212,7 @@ class BasisResult:
                      for row in self.change_inverse)
 
 
-def compute_basis(pres, vertex_order, budget=200000, cap=100000):
+def compute_basis(pres, vertex_order, budget=200000):
     """Quotient data plus the ascending-face module basis.
 
     The face classes must span; in the integral case they must be a basis,
@@ -249,7 +220,7 @@ def compute_basis(pres, vertex_order, budget=200000, cap=100000):
     shortfall is only recorded as a warning.
     """
     p = pres.polytope
-    gb, std = quotient_basis(pres, budget, cap)
+    gb, std = quotient_basis(pres, budget)
     m = p.vertex_count
     q = len(std)
     if q > m:
@@ -389,18 +360,16 @@ class IsoReport:
         return True
 
 
-def ring_map_check(src, images, dst_basis, budget=200000, cap=100000,
-                   src_basis=None):
+def ring_map_check(src, images, dst_basis, src_basis, budget=200000):
     """Does sending the i-th source variable to images[i] give an
     isomorphism onto the quotient behind dst_basis?
 
-    Every source relation must land on zero, and the images of a module
-    basis of the source must form a basis on the target side; with all
-    coefficients 1 the transition matrix must also be unimodular. The source
-    basis defaults to the standard monomials, which span the right lattice
-    for monic integer presentations; when they do not (standard monomials of
-    a rational basis can sit in a strictly finer lattice), pass the honest
-    basis through src_basis.
+    Every source relation must land on zero, and the images of src_basis, a
+    sequence of monomials that is a module basis of the source, must form a
+    basis on the target side; with all coefficients 1 the transition matrix
+    must also be unimodular. The source's standard monomials are not always
+    such a basis: those of a rational Groebner basis can span a strictly
+    finer lattice.
     """
     images = tuple(images)
     if len(images) != src.nvars:
@@ -410,24 +379,15 @@ def ring_map_check(src, images, dst_basis, budget=200000, cap=100000,
     for idx, g in enumerate(src.ideal_gens):
         if not evaluate_in_quotient(g, images, gb).is_zero:
             failed.append(idx)
-    src_gb = buchberger(src.ideal_gens, src.order, budget)
-    src_std = standard_monomials(src_gb, cap)
-    if src_std is None:
-        raise InfiniteDimensionError("source quotient is not a finite rank module")
-    src_rank = len(src_std)
-    if src_basis is None:
-        basis_elems = [Poly(src.nvars, {mono: 1}) for mono in src_std]
-    else:
-        basis_elems = [Poly(src.nvars, {e: 1}) if isinstance(e, Monomial) else e
-                       for e in src_basis]
+    src_rank = len(quotient_basis(src, budget)[1])
     m = dst_basis.m
     spans = False
     det = None
     unimod = None
-    if dst_basis.change_inverse is not None and len(basis_elems) == m:
+    if dst_basis.change_inverse is not None and len(src_basis) == m:
         cols = []
-        for elem in basis_elems:
-            img = evaluate_in_quotient(elem, images, gb)
+        for mono in src_basis:
+            img = evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
             cols.append(dst_basis.basis_coords(img))
         mat = [[cols[j][i] for j in range(m)] for i in range(m)]
         det = rat_det(mat)

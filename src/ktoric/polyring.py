@@ -12,9 +12,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
-from operator import add, index, le, sub
+from operator import add, le, sub
 
 from .errors import BudgetExceededError
+from .validation import strict_int
+
+# most candidate monomials standard_monomials will enumerate
+BOX_CAP = 100000
 
 
 class Monomial(tuple):
@@ -25,7 +29,7 @@ class Monomial(tuple):
     __slots__ = ()
 
     def __new__(cls, exps):
-        exps = tuple(map(index, exps))
+        exps = tuple(map(strict_int, exps))
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         return tuple.__new__(cls, exps)
@@ -247,13 +251,6 @@ class Poly:
         for _ in range(n):
             out = out * self
         return out
-
-    def mul_term(self, mono, coeff):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars,
-                         {m * mono: c * coeff for m, c in self.terms.items()})
 
     def permute_vars(self, perm):
         return Poly._raw(self.nvars,
@@ -580,24 +577,13 @@ def buchberger(gens, order, budget=200000):
     return GroebnerBasis(tuple(_interreduce(heads, order)), order)
 
 
-def is_groebner(gens, order):
-    """Every pairwise syzygy polynomial must reduce to zero."""
-    gens = [g for g in gens if not g.is_zero]
-    heads = _heads_of(gens, order)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not _reduce(s_polynomial(gens[i], gens[j], order), heads, order).is_zero:
-                return False
-    return True
-
-
-def standard_monomials(gb, cap=100000):
+def standard_monomials(gb):
     """Monomials outside the leading ideal, sorted small to large.
 
     Returns () when the ideal is the whole ring, None when the quotient is
     infinite dimensional (some variable has no pure power among the leading
     monomials), and raises BudgetExceededError when the bounding box holds
-    more than cap candidates.
+    more than BOX_CAP candidates.
     """
     lms = gb.leading_monomials()
     nvars = gb.nvars
@@ -615,9 +601,9 @@ def standard_monomials(gb, cap=100000):
     box = 1
     for b in bound:
         box *= b
-        if box > cap:
+        if box > BOX_CAP:
             raise BudgetExceededError(
-                f"candidate box holds more than {cap} monomials")
+                f"candidate box holds more than {BOX_CAP} monomials")
     out = []
     for exps in iter_product(*(range(b) for b in bound)):
         mono = Monomial._raw(exps)

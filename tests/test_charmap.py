@@ -1,4 +1,4 @@
-"""Facet vector assignments: validation, duals, Smith spot checks."""
+"""Facet vector assignments: validation, duals, products."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,6 @@ from ktoric import (
     NoBaseVertexError,
     cube,
     dual_basis,
-    face_smith_check,
     product,
     product_charmap,
     reindex_to_base,
@@ -19,7 +18,7 @@ from ktoric import (
     simplex_charmap,
     validate_charmap,
 )
-from ktoric.intlinalg import det_bareiss, mat_mul
+from ktoric.intlinalg import det_bareiss
 
 
 def test_covector_is_a_functional():
@@ -140,34 +139,6 @@ def test_reindex_keeps_vectors():
     assert again == moved
     with pytest.raises(ValueError):
         reindex_to_base(simplex(2), lam, 7)
-
-
-def test_face_smith_all_vertices_pass():
-    rep = face_smith_check(simplex(3), simplex_charmap(3))
-    assert rep.ok
-    assert len(rep.checks) == 4
-
-
-def plain_cube_charmap(n):
-    vecs = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        vecs.append(e)
-        vecs.append(tuple(-x for x in e))
-    return CharacteristicMap(tuple(vecs), base_vertex=0)
-
-
-def test_face_smith_sampled_subset():
-    rep = face_smith_check(cube(3), plain_cube_charmap(3), sample=3, seed=1)
-    assert rep.ok
-    assert len(rep.checks) == 3
-
-
-def test_face_smith_catches_imprimitive_face():
-    lam = CharacteristicMap(((2, 0), (0, 1), (-1, -1)), base_vertex=0)
-    rep = face_smith_check(simplex(2), lam, faces=[{0}])
-    assert not rep.ok
-    assert "2" in rep.failures()[0].detail
 
 
 def test_product_charmap_blocks():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ktoric import cube, jsonio
+from ktoric import cli, cube, jsonio
 from ktoric.cli import main
 
 
@@ -225,6 +225,16 @@ def test_kring_coefficients_flag(simplex_files, capsys):
     assert report["integral"] is False
     assert report["rank"] == 3
     assert report["projective_check"]["reduces_to_zero"] is True
+
+
+def test_kring_failed_projective_check_is_exit_one(simplex_files, capsys,
+                                                   monkeypatch):
+    failed = {"relation": "x0^3", "reduces_to_zero": False}
+    monkeypatch.setattr(cli, "_projective_check", lambda pres, basis: failed)
+    pf, lf = simplex_files(2)
+    assert main(["kring", pf, lf]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["projective_check"] == failed
 
 
 def test_kring_text_format(simplex_files, capsys):

@@ -8,13 +8,11 @@ import pytest
 from ktoric import NonSquareError
 from ktoric.intlinalg import (
     det_bareiss,
-    mat_mul,
     rat_det,
     rat_inverse,
     rat_rank,
     rat_rref,
     rat_solve,
-    smith_normal_form,
 )
 
 
@@ -85,46 +83,24 @@ def test_rat_det_matches_cofactor_expansion():
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
         assert rat_det(a) == det_minors(a)
-
-
-def check_snf(a):
-    u, d, v = smith_normal_form(a)
-    rows, cols = len(a), len(a[0]) if a else 0
-    assert mat_mul(mat_mul(u, a), v) == d
-    assert abs(det_minors(u)) == 1
-    assert abs(det_minors(v)) == 1
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a_, b_ in zip(diag, diag[1:]):
-        if a_:
-            assert b_ % a_ == 0
-        else:
-            assert b_ == 0
-    return diag
-
-
-def test_snf_postconditions_random():
-    rng = random.Random(11)
-    for _ in range(30):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        check_snf(random_matrix(rng, rows, cols))
-
-
-def test_snf_known_divisors():
-    assert check_snf([[2, 0], [0, 3]]) == [1, 6]
-    assert check_snf([[1, 0], [0, 1]]) == [1, 1]
-    assert check_snf([[0, 0], [0, 0]]) == [0, 0]
-    assert check_snf([[2, 4], [6, 8]]) == [2, 4]
-
-
-def test_snf_rectangular():
-    assert check_snf([[4, 6, 10]]) == [2]
-    assert check_snf([[3], [6], [9]]) == [3]
+    # Fraction entries with mixed denominators, row by row
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
+             for _ in range(n)]
+        assert rat_det(a) == det_minors(a)
+    # singular: a repeated row
+    a = [[Fraction(1, 2), Fraction(2, 3), 5],
+         [Fraction(-3, 4), 1, Fraction(1, 6)],
+         [Fraction(1, 2), Fraction(2, 3), 5]]
+    assert rat_det(a) == det_minors(a) == 0
+    # a zero leading entry forces a row swap
+    a = [[0, Fraction(1, 3), Fraction(2, 5)],
+         [Fraction(3, 2), Fraction(-1, 7), 1],
+         [Fraction(5, 4), 2, Fraction(-2, 9)]]
+    assert rat_det(a) == det_minors(a) != 0
+    assert isinstance(rat_det(a), Fraction)
+    assert rat_det([]) == 1
 
 
 def test_rat_solve_recovers_known_solution():
