@@ -128,8 +128,8 @@ def cmd_kring(args):
     pres = build_presentation(p, lam, coeffs, base)
     basis = compute_basis(pres, vo, budget=args.budget)
     projective = _projective_check(pres, basis)
-    report = jsonio.kring_report(pres, basis, validate_polytope(p),
-                                 validate_charmap(p, lam), projective)
+    report = jsonio.kring_report(pres, basis, pres.polytope_report,
+                                 pres.charmap_report, projective)
     _emit(report, args.format)
     return 1 if projective is not None and not projective["reduces_to_zero"] else 0
 

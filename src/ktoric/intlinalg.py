@@ -1,13 +1,13 @@
 """Exact linear algebra on small dense matrices.
 
-Matrices are plain lists of row lists. Integer routines stay in int, the
-rational ones use fractions.Fraction, except that rat_det scales its rows
-to integers and calls det_bareiss. Nothing here is
+Matrices are plain lists of row lists. The rational routines take ints and
+fractions.Fraction entries and return Fractions, but scale each row to
+integers and eliminate without fractions inside. Nothing here is
 asymptotically clever; every matrix this library meets is tiny.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import NonSquareError
 
@@ -44,18 +44,23 @@ def det_bareiss(a):
     return sign * m[n - 1][n - 1]
 
 
-def _as_fractions(a):
-    return [[Fraction(x) for x in row] for row in a]
-
-
 def rat_rref(a):
-    """Reduced row echelon form over the rationals.
+    """Reduced row echelon form over the rationals, of a matrix of ints and
+    Fractions.
 
-    Returns (matrix, pivot_columns). Deterministic: the first nonzero entry
-    in each column is used as pivot, no magnitude heuristics are needed with
-    exact arithmetic.
+    Returns (matrix, pivot_columns), the matrix in Fractions. Deterministic:
+    the first nonzero entry in each column is used as pivot, no magnitude
+    heuristics are needed with exact arithmetic. The work is in ints: each
+    row is scaled by the lcm of its denominators, Gauss-Jordan elimination
+    scales rows instead of dividing them and divides each updated row by
+    its content, and each pivot row is divided by its pivot once, at the
+    end. The reduced form is unique, so this is the Fraction elimination's
+    result entry for entry.
     """
-    m = _as_fractions(a)
+    m = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -67,14 +72,22 @@ def rat_rref(a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                row = [x * p - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
+    zero = Fraction(0)
+    for i, c in enumerate(pivots):
+        p = m[i][c]
+        m[i] = [Fraction(x, p) if x else zero for x in m[i]]
+    for i in range(r, rows):
+        m[i] = [zero] * cols
     return m, pivots
 
 
@@ -110,7 +123,7 @@ def rat_inverse(a):
         raise NonSquareError("inverse needs a square matrix")
     if n == 0:
         return []
-    aug = [list(row) + identity_matrix(n)[i] for i, row in enumerate(a)]
+    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n))]
     m, pivots = rat_rref(aug)
     if pivots != list(range(n)):
         return None

@@ -11,6 +11,7 @@ integers, and the structure constants come out integral.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .charmap import dual_basis, reindex_to_base, validate_charmap
 from .errors import (
@@ -98,6 +99,9 @@ class KRingPresentation:
     order: DegRevLex
     nonface_gens: tuple
     covector_gens: tuple
+    # the validation reports build_presentation checked, kept for the report
+    polytope_report: object
+    charmap_report: object
 
     @property
     def nvars(self):
@@ -123,12 +127,12 @@ def build_presentation(p, lam, coeffs=None, base_vertex=None):
     the square-free monomials of the minimal empty-intersection facet sets
     followed by one relation per dual covector of the base vertex.
     """
-    report = validate_polytope(p)
-    if not report.ok:
-        raise ValidationFailedError("polytope failed validation:\n" + str(report))
-    report = validate_charmap(p, lam)
-    if not report.ok:
-        raise ValidationFailedError("facet vectors failed validation:\n" + str(report))
+    p_rep = validate_polytope(p)
+    if not p_rep.ok:
+        raise ValidationFailedError("polytope failed validation:\n" + str(p_rep))
+    l_rep = validate_charmap(p, lam)
+    if not l_rep.ok:
+        raise ValidationFailedError("facet vectors failed validation:\n" + str(l_rep))
     if base_vertex is None:
         base_vertex = lam.base_vertex
     if base_vertex is None:
@@ -149,7 +153,8 @@ def build_presentation(p, lam, coeffs=None, base_vertex=None):
     covector_gens = tuple(
         covector_relation(lam, u, coeffs, base_facets) for u in duals)
     return KRingPresentation(p, lam, coeffs, base_vertex, base_facets, duals,
-                             priority, order, nonface_gens, covector_gens)
+                             priority, order, nonface_gens, covector_gens,
+                             p_rep, l_rep)
 
 
 def quotient_basis(pres, budget=200000):
@@ -172,6 +177,37 @@ def _coords(gb, index, p):
             raise KtoricError("normal form left the standard monomial span")
         out.append((i, c))
     return out
+
+
+_ZERO = Fraction(0)
+
+
+def _scaled_columns(mat):
+    """(den, columns) for a matrix of Fractions: den is the lcm of all its
+    denominators, and column t lists (row, den * entry) for its nonzero
+    entries, each an int."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    cols = [[] for _ in range(len(mat[0]) if mat else 0)]
+    for r, row in enumerate(mat):
+        for t, x in enumerate(row):
+            if x:
+                cols[t].append((r, x.numerator * (den // x.denominator)))
+    return den, cols
+
+
+def _apply(scaled, coords, m):
+    """The matrix behind scaled (see _scaled_columns) times the sparse
+    vector coords, as m Fractions. The sums are taken in ints over the
+    common denominator; only the nonzero ones become Fractions."""
+    den, cols = scaled
+    e = lcm(*(c.denominator for _, c in coords))
+    acc = [0] * m
+    for t, c in coords:
+        c = c.numerator * (e // c.denominator)
+        for r, x in cols[t]:
+            acc[r] += x * c
+    den *= e
+    return tuple(Fraction(s, den) if s else _ZERO for s in acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +239,16 @@ class BasisResult:
     def _std_index(self):
         return {mono: i for i, mono in enumerate(self.std_monomials)}
 
+    @cached_property
+    def _scaled_inverse(self):
+        return _scaled_columns(self.change_inverse)
+
     def basis_coords(self, p):
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        v = _coords(self.groebner, self._std_index, p)
-        return tuple(sum((row[i] * c for i, c in v), Fraction(0))
-                     for row in self.change_inverse)
+        return _apply(self._scaled_inverse,
+                      _coords(self.groebner, self._std_index, p), self.m)
 
 
 def compute_basis(pres, vertex_order, budget=200000):
@@ -260,19 +299,13 @@ def compute_basis(pres, vertex_order, budget=200000):
         mat = [list(row) for row in change]
         det = rat_det(mat)
         inv = tuple(tuple(row) for row in rat_inverse(mat))
-        # the nonzero (row, entry) pairs of each column of inv
-        inv_cols = [[(r, row[t]) for r, row in enumerate(inv) if row[t]]
-                    for t in range(m)]
+        scaled = _scaled_columns(inv)
         structure = []
         for i in range(m):
             row_out = []
             for j in range(m):
                 prod = Poly(d, {basis_monos[i] * basis_monos[j]: 1})
-                acc = [Fraction(0)] * m
-                for t, c in _coords(gb, index, prod):
-                    for r, x in inv_cols[t]:
-                        acc[r] += x * c
-                vec = tuple(acc)
+                vec = _apply(scaled, _coords(gb, index, prod), m)
                 if pres.integral and any(x.denominator != 1 for x in vec):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "

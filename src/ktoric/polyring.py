@@ -461,18 +461,21 @@ class GroebnerBasis:
 
     @cached_property
     def _normal_forms(self):
-        """Monomial -> its normal form as a term dict, largest term first;
-        filled on demand by _normal_form."""
+        """Monomial -> its normal form as (den, ((m, a), ...)): int
+        numerators a over one positive denominator den, in lowest terms,
+        largest term first; filled on demand by _normal_form."""
         return {}
 
     def _normal_form(self, mono):
-        """The remainder of mono, as the division loop would leave it.
+        """The remainder of mono, as the division loop would leave it, in
+        the table's int form.
 
         The loop is linear and each monomial's fate depends on the monomial
         alone: it cancels against the first head dividing it, which leaves
-        -(c_t / lc) * t * factor for each tail term c_t * t of that head, all
+        (a / den) * t * factor for each term (t, a) of that head's rule, all
         smaller than mono. So NF(mono) is that combination of smaller normal
-        forms, computed here bottom-up with an explicit stack.
+        forms, computed here bottom-up with an explicit stack, over the lcm
+        of their denominators times the head's den.
         """
         table = self._normal_forms
         key = self.order.key
@@ -484,22 +487,28 @@ class GroebnerBasis:
                 continue
             head = next((h for h in self._heads if h[0].divides(m)), None)
             if head is None:
-                table[m] = {m: Fraction(1)}
+                table[m] = (1, ((m, 1),))
                 stack.pop()
                 continue
             lm, den, rule, _ = head
             factor = m.divide(lm)
-            tail = [(m2 * factor, Fraction(a, den)) for m2, a in rule]
+            tail = [(m2 * factor, a) for m2, a in rule]
             missing = [t for t, _ in tail if t not in table]
             if missing:
                 stack.extend(missing)
                 continue
+            entries = [(a, table[t]) for t, a in tail]
+            common = lcm(*(d for _, (d, _) in entries))
             acc = {}
-            for t, r in tail:
-                for m3, c3 in table[t].items():
-                    acc[m3] = acc.get(m3, 0) + r * c3
-            table[m] = {m3: acc[m3] for m3 in sorted(acc, key=key, reverse=True)
-                        if acc[m3]}
+            for a, (d, terms) in entries:
+                a *= common // d
+                for m3, c3 in terms:
+                    acc[m3] = acc.get(m3, 0) + a * c3
+            g = gcd(den * common, *acc.values())
+            table[m] = (den * common // g,
+                        tuple((m3, acc[m3] // g)
+                              for m3 in sorted(acc, key=key, reverse=True)
+                              if acc[m3]))
             stack.pop()
         return table[mono]
 
@@ -509,8 +518,9 @@ class GroebnerBasis:
         if len(p.terms) != 1:
             return _reduce(p, self._heads, self.order, divisors=self._divisors)
         (mono, c), = p.terms.items()
-        return Poly._raw(p.nvars,
-                         {m: c * c2 for m, c2 in self._normal_form(mono).items()})
+        den, terms = self._normal_form(mono)
+        num, den = c.numerator, c.denominator * den
+        return Poly._raw(p.nvars, {m: Fraction(num * a, den) for m, a in terms})
 
 
 def buchberger(gens, order, budget=200000):

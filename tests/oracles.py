@@ -1,7 +1,9 @@
 """Test-side stand-ins the library does not need: a bare presentation built
-from polynomials, and a Groebner-basis check by S-polynomials."""
+from polynomials, a Groebner-basis check by S-polynomials, and Gauss-Jordan
+elimination in Fraction arithmetic."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ktoric import DegRevLex, reduce, s_polynomial
 
@@ -31,3 +33,29 @@ def is_groebner(gens, order):
     gens = [g for g in gens if not g.is_zero]
     return all(reduce(s_polynomial(f, g, order), gens, order).is_zero
                for i, f in enumerate(gens) for g in gens[i + 1:])
+
+
+def fraction_rref(a):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination
+    in Fraction arithmetic, the first nonzero entry of each column as pivot."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from ktoric import NonSquareError
+from ktoric import NonSquareError, intlinalg
 from ktoric.intlinalg import (
     det_bareiss,
     rat_det,
@@ -14,6 +15,8 @@ from ktoric.intlinalg import (
     rat_rref,
     rat_solve,
 )
+
+from oracles import fraction_rref
 
 
 def det_minors(a):
@@ -149,3 +152,146 @@ def test_transpose_and_integrality():
     assert transpose([[1, 2, 3], [4, 5, 6]]) == [[1, 4], [2, 5], [3, 6]]
     assert is_integer_matrix([[Fraction(2, 1), 3]])
     assert not is_integer_matrix([[Fraction(1, 2)]])
+
+
+def mixed_matrix(rng, rows, cols):
+    """Ints and Fractions of unlike denominators, about a third of them 0."""
+    def entry():
+        k = rng.randrange(6)
+        if k < 2:
+            return 0
+        if k < 4:
+            return rng.randint(-5, 5)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def low_rank_matrix(rng, rows, cols, k):
+    """A product of rows x k and k x cols mixed matrices: rank at most k."""
+    b, c = mixed_matrix(rng, rows, k), mixed_matrix(rng, k, cols)
+    return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def elimination_cases():
+    """Seeded random rectangular and rank-deficient matrices, then shapes a
+    random draw may miss."""
+    rng = random.Random(2024)
+    for _ in range(60):
+        yield mixed_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+    for _ in range(30):
+        rows, cols = rng.randint(2, 5), rng.randint(2, 6)
+        yield low_rank_matrix(rng, rows, cols, rng.randint(1, min(rows, cols) - 1))
+    # the third row is the sum of the first two
+    yield [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), 2],
+           [Fraction(3, 2), 1, 3]]
+    # a zero row
+    yield [[1, 2, 3], [0, 0, 0], [Fraction(1, 4), 5, Fraction(-2, 7)]]
+    # a zero column
+    yield [[0, Fraction(1, 3), 2], [0, 5, Fraction(-1, 6)], [0, 1, 1]]
+    # column 0's pivot lies below a zero entry, and so does column 1's
+    yield [[0, 1, Fraction(2, 5)], [0, Fraction(3, 7), 1], [Fraction(5, 3), 2, 1]]
+    yield [[1, 2, 0, 1], [2, 4, Fraction(1, 2), 0], [Fraction(1, 3), 1, 1, 1]]
+    # all zero, one row, one column, a column taller than wide
+    yield [[0, 0], [0, 0]]
+    yield [[Fraction(-4, 6), 0, Fraction(9, 12)]]
+    yield [[0], [Fraction(2, 3)], [5]]
+
+
+def fraction_solve(a, b):
+    m, pivots = fraction_rref([list(row) + [x] for row, x in zip(a, b)])
+    cols = len(a[0])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][cols]
+    return x
+
+
+def fraction_inverse(a):
+    n = len(a)
+    m, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
+    return [row[n:] for row in m] if pivots == list(range(n)) else None
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rat_rref_matches_fraction_elimination():
+    deficient = 0
+    for a in elimination_cases():
+        before = [list(row) for row in a]
+        m, pivots = rat_rref(a)
+        assert (m, pivots) == fraction_rref(a)
+        assert all_fractions(m)
+        assert a == before
+        assert rat_rank(a) == len(pivots)
+        deficient += len(pivots) < min(len(a), len(a[0]))
+    assert deficient > 30
+
+
+def test_rat_rref_integers_stay_within_hadamard_bound(monkeypatch):
+    # a pivot row the elimination updated ends primitive and proportional
+    # to its reduced row, so its ints are at most a minor of the row-scaled
+    # matrix; an untouched row keeps its scaled entries. Neither exceeds the
+    # product of the scaled rows' lengths (Hadamard), which the ints of an
+    # elimination without the content division soon do
+    seen = []
+
+    def spy(num=0, den=1):
+        seen.append(max(abs(num), abs(den)))
+        return Fraction(num, den)
+
+    monkeypatch.setattr(intlinalg, "Fraction", spy)
+    rng = random.Random(11)
+    for _ in range(20):
+        a = mixed_matrix(rng, 6, 8)
+        seen.clear()
+        rat_rref(a)
+        bound_sq = 1
+        for row in a:
+            den = lcm(*(x.denominator for x in row))
+            norm_sq = sum((x * den) ** 2 for x in row)
+            bound_sq *= max(norm_sq, 1)
+        assert max(seen) ** 2 <= bound_sq
+
+
+def test_rat_solve_matches_fraction_elimination():
+    rng = random.Random(99)
+    inconsistent = 0
+    for a in elimination_cases():
+        cols = len(a[0])
+        x = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(cols)]
+        consistent = [sum(row[j] * x[j] for j in range(cols)) for row in a]
+        arbitrary = [rng.choice((0, 1, Fraction(-2, 3))) for _ in a]
+        for b in (consistent, arbitrary):
+            got = rat_solve(a, b)
+            assert got == fraction_solve(a, b)
+            if got is None:
+                inconsistent += 1
+            else:
+                assert all(type(v) is Fraction for v in got)
+                assert all(sum(row[j] * got[j] for j in range(cols)) == rhs
+                           for row, rhs in zip(a, b))
+    assert inconsistent > 10
+    # inconsistent [A | b]: the rows of A are proportional, those of b not
+    a = [[Fraction(1, 2), Fraction(1, 3)], [3, 2]]
+    assert rat_solve(a, [1, 6]) is not None
+    assert rat_solve(a, [1, 5]) is fraction_solve(a, [1, 5]) is None
+
+
+def test_rat_inverse_matches_fraction_elimination():
+    singular = 0
+    for a in elimination_cases():
+        if len(a) != len(a[0]):
+            continue
+        got = rat_inverse(a)
+        assert got == fraction_inverse(a)
+        if got is None:
+            singular += 1
+        else:
+            assert all_fractions(got)
+    assert singular > 3

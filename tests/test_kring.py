@@ -421,6 +421,45 @@ def test_basis_coords_frozen():
     assert b.basis_coords(2 + 3 * x0) == (Fraction(2), Fraction(3), Fraction(0))
 
 
+def fraction_coords(b, p):
+    """Coordinates of p in the face basis, accumulated in Fraction arithmetic
+    from its normal form and the inverse change matrix."""
+    index = {mono: i for i, mono in enumerate(b.std_monomials)}
+    out = [Fraction(0)] * b.m
+    for mono, c in b.normal_form(p).terms.items():
+        for r, row in enumerate(b.change_inverse):
+            out[r] += row[index[mono]] * c
+    return tuple(out)
+
+
+def deformed_simplices():
+    for n, r in ((2, (2, 3)), (3, (2, Fraction(1, 3), 5)), (4, (3, 7, 2, 9))):
+        yield pytest.param(simplex(n), simplex_charmap(n), CoefficientSpec.of(r),
+                           id=f"deformed{n}")
+
+
+@pytest.mark.parametrize(
+    "p, lam, coeffs",
+    [pytest.param(*rung.values, None, id=rung.id) for rung in face_rungs()]
+    + list(deformed_simplices()))
+def test_structure_constants_and_coords_match_fraction_accumulation(p, lam, coeffs):
+    pres = build_presentation(p, lam, coeffs)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    if coeffs is not None:
+        assert any(x.denominator != 1 for row in b.change_inverse for x in row)
+    d, monos = pres.nvars, b.basis_monomials
+    for i, mi in enumerate(monos):
+        for j, mj in enumerate(monos):
+            prod = Poly(d, {mi * mj: 1})
+            assert b.structure[i][j] == fraction_coords(b, prod)
+            assert all(type(x) is Fraction for x in b.structure[i][j])
+            # coordinates with denominators of their own
+            q = Fraction(2, 3) * prod - Fraction(5, 7) * Poly(d, {mi: 1}) + Fraction(1, 4)
+            got = b.basis_coords(q)
+            assert got == fraction_coords(b, q)
+            assert all(type(x) is Fraction for x in got)
+
+
 def test_basis_coords_need_invertible_change():
     _, b = triangle_basis()
     crippled = dataclasses.replace(b, change_inverse=None)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
@@ -357,6 +358,29 @@ def test_buchberger_budget_boundary():
         buchberger(gens, pres.order, budget=steps - 1)
 
 
+def test_reduced_basis_is_invariant_under_permuting_generators():
+    # the reduced Groebner basis of an ideal under a fixed order is unique,
+    # so the order in which its generators arrive must not show
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cases = [build_presentation(*rung.values) for rung in face_rungs()]
+    for seed in (5, 17):
+        rng = random.Random(seed)
+        cases += [bott_presentation(random_tower(n, rng)) for n in (1, 2, 3)]
+    reference = [buchberger(list(pres.ideal_gens), pres.order).generators
+                 for pres in cases]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(0, len(cases) - 1).flatmap(
+        lambda k: st.tuples(st.just(k), st.permutations(cases[k].ideal_gens))))
+    def check(case):
+        k, gens = case
+        assert buchberger(list(gens), cases[k].order).generators == reference[k]
+
+    check()
+
+
 def sympy_oracle_cases():
     for n in (2, 3, 4):
         yield pytest.param(build_presentation(simplex(n), simplex_charmap(n)),
@@ -426,13 +450,21 @@ def test_tabled_normal_forms_match_division_loop(p, lam):
 
 def test_tabled_normal_forms_of_non_groebner_generators():
     # heads that are neither monic nor a Groebner basis: the table must still
-    # follow the division loop's first-divisor rule, not the ideal
+    # follow the division loop's first-divisor rule, not the ideal; with the
+    # lead 2/5 of test_division_loop_matches_reference_with_fractional_heads
+    # a head's ratios are not all integers or inverses of integers
     o = DegRevLex((2, 0, 1))
     x, y, z = variables(3)
-    gb = GroebnerBasis((2 * x * y + 3 * z, 3 * y ** 2 - x + 1, x * z - y), o)
-    assert not is_groebner(list(gb.generators), o)
-    for exps in iter_product(range(4), repeat=3):
-        assert_same_as_division_loop(gb, Poly(3, {exps: 1}))
+    for lead in (1, Fraction(2, 5)):
+        gb = GroebnerBasis((2 * x * y + 3 * z, 3 * y ** 2 - x + 1,
+                            lead * x * z - y), o)
+        assert not is_groebner(list(gb.generators), o)
+        for exps in iter_product(range(4), repeat=3):
+            assert_same_as_division_loop(gb, Poly(3, {exps: 1}))
+        # entries are int numerators over one denominator, in lowest terms
+        entries = gb._normal_forms.values()
+        assert any(den != 1 for den, _ in entries)
+        assert all(gcd(den, *(a for _, a in terms)) == 1 for den, terms in entries)
 
 
 def test_tabled_normal_form_of_a_scaled_term():
