@@ -39,7 +39,7 @@ class Covector(tuple):
     __slots__ = ()
 
     def __new__(cls, entries):
-        return super().__new__(cls, (int(x) for x in entries))
+        return super().__new__(cls, map(strict_int, entries))
 
     def __call__(self, vector):
         if len(vector) != len(self):

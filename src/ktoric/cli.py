@@ -20,7 +20,7 @@ from .bott import (
 from .charmap import validate_charmap
 from .errors import KtoricError
 from .kring import CoefficientSpec, build_presentation, compute_basis
-from .polyring import Poly, render_poly
+from .polyring import DEFAULT_BUDGET, Poly, render_poly
 from .polytope import order_vertices, validate_polytope
 
 
@@ -169,8 +169,8 @@ def build_parser():
         sp.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
         if budget:
-            sp.add_argument("--budget", type=_budget, default=200000,
-                            help="cap on basis-computation work (default 200000)")
+            sp.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                            help="cap on basis-computation work (default %(default)s)")
 
     v = sub.add_parser("validate", help="check a polytope and its facet vectors")
     v.add_argument("polytope", help="polytope JSON file")

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .intlinalg import rat_det, rat_inverse, rat_rank, rat_solve
 from .polyring import (
+    DEFAULT_BUDGET,
     DegRevLex,
     Monomial,
     Poly,
@@ -95,7 +96,6 @@ class KRingPresentation:
     base_vertex: int
     base_facets: tuple
     dual_covectors: tuple
-    priority: tuple
     order: DegRevLex
     nonface_gens: tuple
     covector_gens: tuple
@@ -146,18 +146,16 @@ def build_presentation(p, lam, coeffs=None, base_vertex=None):
     base_facets = tuple(sorted(p.vertices[base_vertex]))
     duals = dual_basis(p, lam)
     rest = tuple(j for j in range(p.facet_count) if j not in p.vertices[base_vertex])
-    priority = base_facets + rest
-    order = DegRevLex(priority)
+    order = DegRevLex(base_facets + rest)
     d = p.facet_count
     nonface_gens = tuple(_square_free(d, nf) for nf in minimal_nonfaces(p))
     covector_gens = tuple(
         covector_relation(lam, u, coeffs, base_facets) for u in duals)
     return KRingPresentation(p, lam, coeffs, base_vertex, base_facets, duals,
-                             priority, order, nonface_gens, covector_gens,
-                             p_rep, l_rep)
+                             order, nonface_gens, covector_gens, p_rep, l_rep)
 
 
-def quotient_basis(pres, budget=200000):
+def quotient_basis(pres, budget=DEFAULT_BUDGET):
     """Groebner basis of the ideal and the monomials spanning the quotient."""
     gb = buchberger(pres.ideal_gens, pres.order, budget)
     std = standard_monomials(gb)
@@ -251,7 +249,7 @@ class BasisResult:
                       _coords(self.groebner, self._std_index, p), self.m)
 
 
-def compute_basis(pres, vertex_order, budget=200000):
+def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     """Quotient data plus the ascending-face module basis.
 
     The face classes must span; in the integral case they must be a basis,
@@ -281,11 +279,12 @@ def compute_basis(pres, vertex_order, budget=200000):
         for i, c in _coords(gb, index, Poly(d, {mono: 1})):
             change[i][k] = c
     change = tuple(map(tuple, change))
-    rank = rat_rank([list(row) for row in change])
+    rank = rat_rank(change)
+    integral = pres.integral
 
     warnings = []
     if rank < m:
-        if pres.integral:
+        if integral:
             raise RankDeficientError(
                 f"face classes have rank {rank}, below the vertex count {m}, "
                 "with all coefficients 1")
@@ -296,9 +295,8 @@ def compute_basis(pres, vertex_order, budget=200000):
     det = None
     structure = None
     if rank == m:
-        mat = [list(row) for row in change]
-        det = rat_det(mat)
-        inv = tuple(tuple(row) for row in rat_inverse(mat))
+        det = rat_det(change)
+        inv = tuple(tuple(row) for row in rat_inverse(change))
         scaled = _scaled_columns(inv)
         structure = []
         for i in range(m):
@@ -306,7 +304,7 @@ def compute_basis(pres, vertex_order, budget=200000):
             for j in range(m):
                 prod = Poly(d, {basis_monos[i] * basis_monos[j]: 1})
                 vec = _apply(scaled, _coords(gb, index, prod), m)
-                if pres.integral and any(x.denominator != 1 for x in vec):
+                if integral and any(x.denominator != 1 for x in vec):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
                         f"pair ({i},{j}) gave {vec}")
@@ -393,7 +391,8 @@ class IsoReport:
         return True
 
 
-def ring_map_check(src, images, dst_basis, src_basis, budget=200000):
+def ring_map_check(src, images, dst_basis, src_basis,
+                   budget=DEFAULT_BUDGET):
     """Does sending the i-th source variable to images[i] give an
     isomorphism onto the quotient behind dst_basis?
 
@@ -405,8 +404,6 @@ def ring_map_check(src, images, dst_basis, src_basis, budget=200000):
     finer lattice.
     """
     images = tuple(images)
-    if len(images) != src.nvars:
-        raise ValueError("one image per source variable required")
     gb = dst_basis.groebner
     failed = []
     for idx, g in enumerate(src.ideal_gens):

@@ -10,15 +10,16 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iter_product
 from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import BudgetExceededError
 from .validation import strict_int
 
-# most candidate monomials standard_monomials will enumerate
-BOX_CAP = 100000
+# most standard monomials standard_monomials will collect
+RANK_CAP = 100000
+# default cap on the cancellation steps of one basis computation
+DEFAULT_BUDGET = 200000
 
 
 class Monomial(tuple):
@@ -108,7 +109,7 @@ class DegRevLex:
     __slots__ = ("priority", "_rev", "_cache")
 
     def __init__(self, priority):
-        priority = tuple(int(i) for i in priority)
+        priority = tuple(map(strict_int, priority))
         if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of the variables")
         self.priority = priority
@@ -146,7 +147,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=()):
-        self.nvars = int(nvars)
+        self.nvars = strict_int(nvars)
         clean = {}
         for mono, coeff in dict(terms).items():
             if not isinstance(mono, Monomial):
@@ -244,7 +245,7 @@ class Poly:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        n = int(n)
+        n = strict_int(n)
         if n < 0:
             raise ValueError("negative powers are not defined here")
         out = Poly.one(self.nvars)
@@ -523,7 +524,7 @@ class GroebnerBasis:
         return Poly._raw(p.nvars, {m: Fraction(num * a, den) for m, a in terms})
 
 
-def buchberger(gens, order, budget=200000):
+def buchberger(gens, order, budget=DEFAULT_BUDGET):
     """Groebner basis by critical pairs, normal selection strategy.
 
     Each pair enters a heap once, when its second generator joins the basis,
@@ -536,14 +537,14 @@ def buchberger(gens, order, budget=200000):
     cap was hit, not that the computation would diverge.
     """
     counter = _Budget(budget, "buchberger")
-    basis = [g.monic(order) for g in gens if not g.is_zero]
-    if not basis:
+    gens = [g.monic(order) for g in gens if not g.is_zero]
+    if not gens:
         raise ValueError("no nonzero generators")
-    nvars = basis[0].nvars
-    if any(g.nvars != nvars for g in basis):
+    nvars = gens[0].nvars
+    if any(g.nvars != nvars for g in gens):
         raise ValueError("generators live over different variable sets")
 
-    heads = _heads_of(basis, order)
+    heads = _heads_of(gens, order)
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
     divisors = {}      # the division loop's memo; heads only grows
@@ -555,7 +556,7 @@ def buchberger(gens, order, budget=200000):
             heapq.heappush(queue, (order.key(l), i, j, l))
             pending.add((i, j))
 
-    for j in range(1, len(basis)):
+    for j in range(1, len(heads)):
         add_pairs(j)
 
     while queue:
@@ -575,14 +576,12 @@ def buchberger(gens, order, budget=200000):
                     break
         if subsumed:
             continue
-        r = _reduce(s_polynomial(basis[i], basis[j], order), heads, order,
-                    counter, divisors)
+        r = _reduce(s_polynomial(heads[i][3], heads[j][3], order), heads,
+                    order, counter, divisors)
         if r.is_zero:
             continue
-        r = r.monic(order)
-        basis.append(r)
-        heads.extend(_heads_of([r], order))
-        add_pairs(len(basis) - 1)
+        heads.extend(_heads_of([r.monic(order)], order))
+        add_pairs(len(heads) - 1)
 
     return GroebnerBasis(tuple(_interreduce(heads, order)), order)
 
@@ -592,33 +591,38 @@ def standard_monomials(gb):
 
     Returns () when the ideal is the whole ring, None when the quotient is
     infinite dimensional (some variable has no pure power among the leading
-    monomials), and raises BudgetExceededError when the bounding box holds
-    more than BOX_CAP candidates.
+    monomials), and raises BudgetExceededError once more than RANK_CAP
+    standard monomials are found.
+
+    The standard monomials are closed under division, so they grow from 1
+    one variable at a time: each one found so far is multiplied by the
+    variable until the product has a leading monomial as divisor. Only a
+    leading monomial whose last variable is that one can divide such a
+    product, since the monomial multiplied is standard and free of the
+    later variables.
     """
     lms = gb.leading_monomials()
     nvars = gb.nvars
     if any(lm.degree == 0 for lm in lms):
         return ()
-    bound = [None] * nvars
-    for lm in lms:
-        pp = lm.pure_power()
-        if pp is not None:
-            i, e = pp
-            if bound[i] is None or e < bound[i]:
-                bound[i] = e
-    if any(b is None for b in bound):
+    if len({pp[0] for pp in map(Monomial.pure_power, lms) if pp}) < nvars:
         return None
-    box = 1
-    for b in bound:
-        box *= b
-        if box > BOX_CAP:
-            raise BudgetExceededError(
-                f"candidate box holds more than {BOX_CAP} monomials")
-    out = []
-    for exps in iter_product(*(range(b) for b in bound)):
-        mono = Monomial._raw(exps)
-        if not any(lm.divides(mono) for lm in lms):
-            out.append(mono)
+    walls = [[] for _ in range(nvars)]
+    for lm in lms:
+        walls[max(i for i, e in enumerate(lm) if e)].append(lm)
+    out = [Monomial.one(nvars)]
+    for i in range(nvars):
+        step = Monomial.variable(nvars, i)
+        if step in walls[i]:
+            continue
+        for mono in out[:]:
+            mono = mono * step
+            while not any(lm.divides(mono) for lm in walls[i]):
+                out.append(mono)
+                if len(out) > RANK_CAP:
+                    raise BudgetExceededError(
+                        f"quotient basis holds more than {RANK_CAP} monomials")
+                mono = mono * step
     out.sort(key=gb.order.key)
     return tuple(out)
 

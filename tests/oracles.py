@@ -1,11 +1,14 @@
 """Test-side stand-ins the library does not need: a bare presentation built
-from polynomials, a Groebner-basis check by S-polynomials, and Gauss-Jordan
-elimination in Fraction arithmetic."""
+from polynomials, a Groebner-basis check by S-polynomials, standard
+monomials by enumerating a box, and Gauss-Jordan elimination in Fraction
+arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import le
 
-from ktoric import DegRevLex, reduce, s_polynomial
+from ktoric import DegRevLex, Monomial, reduce, s_polynomial
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +36,27 @@ def is_groebner(gens, order):
     gens = [g for g in gens if not g.is_zero]
     return all(reduce(s_polynomial(f, g, order), gens, order).is_zero
                for i, f in enumerate(gens) for g in gens[i + 1:])
+
+
+def box_standard_monomials(gb):
+    """Standard monomials of gb by testing every monomial of the box whose
+    side in each variable is the least pure power among the leading
+    monomials; () for the unit ideal, None when some variable has no pure
+    power. Sorted small to large."""
+    lms = gb.leading_monomials()
+    if any(lm.degree == 0 for lm in lms):
+        return ()
+    bound = [None] * gb.nvars
+    for lm in lms:
+        occurs = [(i, e) for i, e in enumerate(lm) if e]
+        if len(occurs) == 1:
+            i, e = occurs[0]
+            bound[i] = e if bound[i] is None else min(bound[i], e)
+    if None in bound:
+        return None
+    out = [Monomial(exps) for exps in product(*(range(b) for b in bound))
+           if not any(all(map(le, lm, exps)) for lm in lms)]
+    return tuple(sorted(out, key=gb.order.key))
 
 
 def fraction_rref(a):

@@ -74,7 +74,7 @@ def test_charmap_frozen():
 
 def test_charmap_validates_random_towers():
     rng = random.Random(3)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         for _ in range(5):
             triples = [(i, j, rng.randint(-2, 2))
                        for i in range(1, n + 1) for j in range(i + 1, n + 1)]

@@ -115,7 +115,7 @@ def test_coefficient_spec_rejects_zero():
 def test_triangle_presentation_generators():
     pres, _ = triangle_basis()
     assert pres.base_facets == (1, 2)
-    assert pres.priority == (1, 2, 0)
+    assert pres.order.priority == (1, 2, 0)
     assert [rendered(pres, g) for g in pres.nonface_gens] == ["x0*x1*x2"]
     assert [rendered(pres, g) for g in pres.covector_gens] == [
         "-x1 + x0",
@@ -269,6 +269,8 @@ def test_ring_map_check_identity():
     rep = ring_map_check(pres, images, b, b.std_monomials)
     assert rep.ok and rep.relations_zero and rep.spans
     assert rep.change_det == 1 and rep.unimodular
+    with pytest.raises(ValueError, match="one image per source variable"):
+        ring_map_check(pres, images[:2], b, b.std_monomials)
 
 
 def test_ring_map_check_truncated_polynomial_ring():
@@ -476,7 +478,8 @@ def test_budget_propagates_through_compute_basis():
 
 def test_cap_propagates_through_quotient_basis():
     x, y = var(2, 0), var(2, 1)
-    with pytest.raises(BudgetExceededError, match="candidate box"):
+    with pytest.raises(BudgetExceededError,
+                       match="quotient basis holds more than 100000 monomials"):
         quotient_basis(polynomial_presentation([x ** 400, y ** 400]))
 
 

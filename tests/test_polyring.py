@@ -11,6 +11,7 @@ from ktoric import (
     BudgetExceededError,
     CartanWord,
     CharacteristicMap,
+    Covector,
     DegRevLex,
     GroebnerBasis,
     Monomial,
@@ -36,7 +37,7 @@ from ktoric import (
 from ktoric.bott import BottMatrix, bott_charmap
 
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
-from oracles import is_groebner
+from oracles import box_standard_monomials, is_groebner
 
 
 def variables(n):
@@ -235,9 +236,65 @@ def test_standard_monomials_unit_ideal():
 def test_standard_monomials_cap():
     o = DegRevLex.standard(2)
     x, y = variables(2)
+    gb = buchberger([x ** 400, y ** 250], o)
+    assert len(standard_monomials(gb)) == polyring.RANK_CAP
     gb = buchberger([x ** 400, y ** 400], o)
     with pytest.raises(BudgetExceededError, match="more than 100000 monomials"):
         standard_monomials(gb)
+
+
+def test_standard_monomials_few_in_a_large_box():
+    # the pure powers x_i^10 bound a box of 10**6 monomials, but every
+    # product of two distinct variables is a leading monomial: only 1 and
+    # the powers x_i^k with 0 < k < 10 are standard
+    o = DegRevLex.standard(6)
+    xs = variables(6)
+    gens = [x ** 10 for x in xs]
+    gens += [xs[i] * xs[j] for i in range(6) for j in range(i + 1, 6)]
+    std = standard_monomials(buchberger(gens, o))
+    assert len(std) == 55
+    assert set(std) == {Monomial.one(6)} | {
+        Monomial.variable(6, i, k) for i in range(6) for k in range(1, 10)}
+
+
+def staircase_cases():
+    """(generators, order) of the face rungs' presentations, of Laurent
+    presentations of seeded towers of height 1-4 and of the words 121 in
+    A2, 1212 in B2 and 1212 in G2."""
+    for case in face_rungs():
+        pres = build_presentation(*case.values)
+        yield pytest.param(pres.ideal_gens, pres.order, id=case.id)
+    for seed in (5, 17):
+        rng = random.Random(seed)
+        for n in (1, 2, 3, 4):
+            lp = bott_presentation(random_tower(n, rng))
+            yield pytest.param(lp.ideal_gens, lp.order,
+                               id=f"seed{seed}-laurent{n}")
+    for kind, word in (("A", (1, 2, 1)), ("B", (1, 2, 1, 2)),
+                       ("G", (1, 2, 1, 2))):
+        lp = bott_samelson_presentation(
+            CartanWord(cartan_matrix(kind, 2), word))
+        yield pytest.param(lp.ideal_gens, lp.order,
+                           id=f"{kind}2-word{''.join(map(str, word))}")
+
+
+@pytest.mark.parametrize("gens, order", staircase_cases())
+def test_standard_monomials_match_box_enumeration(gens, order):
+    gb = buchberger(gens, order)
+    assert standard_monomials(gb) == box_standard_monomials(gb)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda v: cartan_matrix("A", v), id="cartan_matrix"),
+    pytest.param(lambda v: Covector((v, -2)), id="Covector"),
+    pytest.param(lambda v: DegRevLex((0, v)), id="DegRevLex"),
+    pytest.param(lambda v: Poly.variable(2, 0) ** v, id="Poly.__pow__"),
+    pytest.param(lambda v: Poly(v, {}), id="Poly"),
+])
+@pytest.mark.parametrize("value", [2.9, True])
+def test_entry_points_reject_non_integers(make, value):
+    with pytest.raises(TypeError):
+        make(value)
 
 
 def test_reduce_idempotent_and_multiplicative():
