@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NonSquareError
+from .validation import strict_int
 
 
 def identity_matrix(k):
@@ -23,7 +24,7 @@ def det_bareiss(a):
         raise NonSquareError(f"matrix is {n}x{len(a[0]) if a else 0}, need square")
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in a]
+    m = [[strict_int(x) for x in row] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):

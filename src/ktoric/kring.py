@@ -32,6 +32,7 @@ from .polyring import (
     standard_monomials,
 )
 from .polytope import ascending_faces, minimal_nonfaces, validate_polytope
+from .validation import strict_rational
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class CoefficientSpec:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(map(strict_rational, self.values))
         if not vals:
             raise ValueError("at least one coefficient required")
         if any(v == 0 for v in vals):
@@ -60,7 +61,7 @@ class CoefficientSpec:
 
     @classmethod
     def of(cls, seq):
-        return cls(tuple(Fraction(v) for v in seq))
+        return cls(tuple(seq))
 
 
 def _square_free(nvars, facets):

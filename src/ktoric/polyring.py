@@ -14,12 +14,13 @@ from math import gcd, lcm
 from operator import add, le, sub
 
 from .errors import BudgetExceededError
-from .validation import strict_int
+from .validation import strict_int, strict_rational
 
 # most standard monomials standard_monomials will collect
 RANK_CAP = 100000
-# default cap on the cancellation steps of one basis computation
-DEFAULT_BUDGET = 200000
+# default cap on the cancellation steps of one basis computation: about 1.9
+# times the 3678 of the largest run measured (seed-17 height-6 cube)
+DEFAULT_BUDGET = 7000
 
 
 class Monomial(tuple):
@@ -154,7 +155,7 @@ class Poly:
                 mono = Monomial(mono)
             if mono.nvars != self.nvars:
                 raise ValueError("monomial has the wrong number of variables")
-            coeff = Fraction(coeff)
+            coeff = strict_rational(coeff)
             if coeff:
                 clean[mono] = coeff
         self.terms = clean
@@ -176,7 +177,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars, c):
-        c = Fraction(c)
+        c = strict_rational(c)
         return cls._raw(nvars, {Monomial.one(nvars): c} if c else {})
 
     @classmethod
@@ -224,7 +225,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = strict_rational(other)
             if not c:
                 return Poly.zero(self.nvars)
             return Poly._raw(self.nvars, {m: co * c for m, co in self.terms.items()})
@@ -285,8 +286,8 @@ class Poly:
 
 
 class _Budget:
-    """Counts the cancellation steps of one stage; raises once the allowance
-    is spent."""
+    """Counts the cancellation steps of one stage, one per reducible monomial
+    whose normal form is worked out; raises once the allowance is spent."""
 
     __slots__ = ("stage", "limit", "left")
 
@@ -319,71 +320,74 @@ def _heads_of(gens, order):
     return heads
 
 
-def _reduce(p, heads, order, budget=None, divisors=None):
-    """Normal form of p by heads, as built by _heads_of.
+def _combine(pairs, table, key):
+    """The sum of a * table[t] over the pairs (t, a), each a an int, as
+    (den, terms): nonzero int numerators over the lcm den of the entries'
+    denominators, largest term first."""
+    entries = [(a, table[t]) for t, a in pairs]
+    den = lcm(*[d for _, (d, _) in entries])
+    acc = {}
+    for a, (d, terms) in entries:
+        a *= den // d
+        for m, c in terms:
+            acc[m] = acc.get(m, 0) + a * c
+    return den, [(m, acc[m]) for m in sorted(acc, key=key, reverse=True)
+                 if acc[m]]
 
-    Each step cancels the largest remaining monomial against the first head
-    whose leading monomial divides it. Monomials wait in a heap under their
-    negated order keys; one that cancels to zero stays there and is skipped
-    when popped. divisors maps a monomial to the number of leading heads
-    known not to divide it, so a monomial met again resumes its scan there;
-    share one map across calls only while heads grows by appending.
 
-    Coefficients are int numerators over one common denominator den, since
-    int arithmetic is far cheaper than Fraction arithmetic; den stays 1
-    while every coefficient is integral. A step whose head's denominator
-    does not divide the popped numerator first divides out the content of
-    den and all numerators, then scales them so that it does. The remainder
-    has Fraction coefficients.
+def _fill(table, monos, heads, key, budget):
+    """Give each of monos an entry in table: its normal form by heads, as
+    (den, ((m, a), ...)), int numerators a over one positive denominator den
+    in lowest terms, largest term first.
+
+    Division that cancels the largest monomial against the first head
+    dividing it is linear, and each monomial's remainder depends on the
+    monomial and the heads alone (Cox-Little-O'Shea, ch. 2 section 3): the
+    first head dividing it leaves (a / den) * t * factor for each term (t, a)
+    of its rule, all smaller than it. So an entry is that combination of
+    smaller entries, made here bottom-up with an explicit stack. budget,
+    when given, is spent once for each entry made for a reducible monomial.
     """
-    if divisors is None:
-        divisors = {}
-    key = order.key
-    n = len(heads)
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    work = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    queue = [(-key(m), m) for m in work]
-    heapq.heapify(queue)
-    remainder = {}
-    while queue:
-        mono = heapq.heappop(queue)[1]
-        coeff = work.pop(mono, None)
-        if coeff is None:
-            continue  # cancelled after it was queued
-        i = divisors.get(mono, 0)
-        while i < n and not heads[i][0].divides(mono):
-            i += 1
-        divisors[mono] = i
-        if i == n:
-            remainder[mono] = Fraction(coeff, den)
+    stack = list(monos)
+    while stack:
+        m = stack[-1]
+        if m in table:
+            stack.pop()
+            continue
+        head = next((h for h in heads if h[0].divides(m)), None)
+        if head is None:
+            table[m] = (1, ((m, 1),))
+            stack.pop()
+            continue
+        lm, den, rule, _ = head
+        factor = m.divide(lm)
+        tail = [(t * factor, a) for t, a in rule]
+        missing = [t for t, _ in tail if t not in table]
+        if missing:
+            stack.extend(missing)
             continue
         if budget is not None:
             budget.spend()
-        lm, b, rule, _ = heads[i]
-        factor = mono.divide(lm)
-        if coeff % b:
-            g = gcd(den, coeff, *work.values())
-            k = b // gcd(coeff // g, b)
-            den = den // g * k
-            coeff = coeff // g * k
-            for m in work:
-                work[m] = work[m] // g * k
-        coeff //= b
-        for m2, a in rule:
-            m = m2 * factor
-            c = work.get(m)
-            if c is None:
-                # every term a step leaves is smaller than mono, so m was
-                # never popped: it is new, or it cancelled and is queued stale
-                work[m] = coeff * a
-                heapq.heappush(queue, (-key(m), m))
-            else:
-                c += coeff * a
-                if c:
-                    work[m] = c
-                else:
-                    del work[m]
-    return Poly._raw(p.nvars, remainder)
+        common, terms = _combine(tail, table, key)
+        den *= common
+        g = gcd(den, *[a for _, a in terms])
+        table[m] = (den // g, tuple((t, a // g) for t, a in terms))
+        stack.pop()
+
+
+def _reduce(p, heads, order, budget, table):
+    """Normal form of p by heads, as built by _heads_of: the sum of c times
+    the entry of m in table over the terms c*m of p, entries made by _fill
+    as needed and kept in table. A table serves one head sequence, or one
+    that has grown by appending once the entries it made stale are dropped.
+    The remainder has Fraction coefficients, largest term first."""
+    _fill(table, p.terms, heads, order.key, budget)
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    common, terms = _combine(
+        [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()],
+        table, order.key)
+    den *= common
+    return Poly._raw(p.nvars, {m: Fraction(a, den) for m, a in terms})
 
 
 def reduce(p, gens, order, budget=None):
@@ -392,14 +396,15 @@ def reduce(p, gens, order, budget=None):
     Always cancels the current largest reducible monomial against the first
     generator whose leading monomial divides it, so the result is a function
     of the sequence, not of iteration luck. budget, when given, bounds the
-    number of cancellation steps.
+    cancellation steps, one per reducible monomial whose normal form is
+    worked out.
     """
     gens = [g for g in gens if not g.is_zero]
     for g in gens:
         if g.nvars != p.nvars:
             raise ValueError("generators live over a different variable set")
     return _reduce(p, _heads_of(gens, order), order,
-                   _Budget(budget, "reduce") if budget is not None else None)
+                   _Budget(budget, "reduce") if budget is not None else None, {})
 
 
 def _over(p, lc):
@@ -425,16 +430,23 @@ def s_polynomial(f, g, order):
     return Poly._raw(f.nvars, out)
 
 
-def _interreduce(heads, order):
-    """Reduced basis from the heads of a monic Groebner basis."""
+def _interreduce(heads, order, table):
+    """Reduced basis from the heads of a monic Groebner basis and a table of
+    normal forms by them."""
     kept = []
     for head in sorted(heads, key=lambda h: order.key(h[0])):
         if not any(k[0].divides(head[0]) for k in kept):
             kept.append(head)
-    # no leading monomial divides another, so reducing each element by the
-    # rest rewrites only its tail: one pass leaves it monic and reduced
-    return [_reduce(g, kept[:i] + kept[i + 1:], order)
-            for i, (_, _, _, g) in enumerate(kept)]
+    # no element of kept divides a monomial below its own leading monomial,
+    # so the rest of kept reduces its tail as all of kept does, and a
+    # Groebner basis leaves one remainder whatever order its elements are
+    # in: all heads reduce the tail the same way, through the run's table
+    out = []
+    for lm, _, _, g in kept:
+        tail = Poly._raw(g.nvars, {m: c for m, c in g.terms.items() if m != lm})
+        rest = _reduce(tail, heads, order, None, table).terms
+        out.append(Poly._raw(g.nvars, {lm: g.terms[lm], **rest}))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,72 +468,14 @@ class GroebnerBasis:
         return tuple(h[0] for h in self._heads)
 
     @cached_property
-    def _divisors(self):
-        """The division loop's first-divisor memo for these fixed heads."""
-        return {}
-
-    @cached_property
     def _normal_forms(self):
-        """Monomial -> its normal form as (den, ((m, a), ...)): int
-        numerators a over one positive denominator den, in lowest terms,
-        largest term first; filled on demand by _normal_form."""
+        """The monomial normal forms of this basis, filled on demand; see
+        _fill."""
         return {}
-
-    def _normal_form(self, mono):
-        """The remainder of mono, as the division loop would leave it, in
-        the table's int form.
-
-        The loop is linear and each monomial's fate depends on the monomial
-        alone: it cancels against the first head dividing it, which leaves
-        (a / den) * t * factor for each term (t, a) of that head's rule, all
-        smaller than mono. So NF(mono) is that combination of smaller normal
-        forms, computed here bottom-up with an explicit stack, over the lcm
-        of their denominators times the head's den.
-        """
-        table = self._normal_forms
-        key = self.order.key
-        stack = [mono]
-        while stack:
-            m = stack[-1]
-            if m in table:
-                stack.pop()
-                continue
-            head = next((h for h in self._heads if h[0].divides(m)), None)
-            if head is None:
-                table[m] = (1, ((m, 1),))
-                stack.pop()
-                continue
-            lm, den, rule, _ = head
-            factor = m.divide(lm)
-            tail = [(m2 * factor, a) for m2, a in rule]
-            missing = [t for t, _ in tail if t not in table]
-            if missing:
-                stack.extend(missing)
-                continue
-            entries = [(a, table[t]) for t, a in tail]
-            common = lcm(*(d for _, (d, _) in entries))
-            acc = {}
-            for a, (d, terms) in entries:
-                a *= common // d
-                for m3, c3 in terms:
-                    acc[m3] = acc.get(m3, 0) + a * c3
-            g = gcd(den * common, *acc.values())
-            table[m] = (den * common // g,
-                        tuple((m3, acc[m3] // g)
-                              for m3 in sorted(acc, key=key, reverse=True)
-                              if acc[m3]))
-            stack.pop()
-        return table[mono]
 
     def reduce(self, p):
-        """Normal form of p. A single term c*m is c times the tabled normal
-        form of m; longer polynomials go through the division loop."""
-        if len(p.terms) != 1:
-            return _reduce(p, self._heads, self.order, divisors=self._divisors)
-        (mono, c), = p.terms.items()
-        den, terms = self._normal_form(mono)
-        num, den = c.numerator, c.denominator * den
-        return Poly._raw(p.nvars, {m: Fraction(num * a, den) for m, a in terms})
+        """Normal form of p."""
+        return _reduce(p, self._heads, self.order, None, self._normal_forms)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -532,9 +486,10 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     monomials (degree first) and then by the generator indices; pairs are
     popped smallest key first. A popped pair with coprime leading monomials
     is dropped, as is one subsumed by a third generator whose pairs with
-    both have already been popped. budget caps the total number of
-    cancellation steps across all reductions; BudgetExceededError means the
-    cap was hit, not that the computation would diverge.
+    both have already been popped. budget caps the cancellation steps of
+    the run, one per table entry made for a reducible monomial, including
+    one made again after a new head left it stale; BudgetExceededError means
+    the cap was hit, not that the computation would diverge.
     """
     counter = _Budget(budget, "buchberger")
     gens = [g.monic(order) for g in gens if not g.is_zero]
@@ -547,7 +502,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     heads = _heads_of(gens, order)
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
-    divisors = {}      # the division loop's memo; heads only grows
+    table = {}         # normal forms by heads; see _fill
 
     def add_pairs(j):
         lm = heads[j][0]
@@ -577,13 +532,21 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
         if subsumed:
             continue
         r = _reduce(s_polynomial(heads[i][3], heads[j][3], order), heads,
-                    order, counter, divisors)
+                    order, counter, table)
         if r.is_zero:
             continue
         heads.extend(_heads_of([r.monic(order)], order))
+        # an appended head is no monomial's first divisor where an earlier
+        # head divides, so only entries holding a multiple of its leading
+        # monomial are stale; every monomial an entry holds has an entry
+        lm = heads[-1][0]
+        dead = {t for t in table if lm.divides(t)}
+        for m in [m for m, (_, terms) in table.items()
+                  if any(t in dead for t, _ in terms)]:
+            del table[m]
         add_pairs(len(heads) - 1)
 
-    return GroebnerBasis(tuple(_interreduce(heads, order)), order)
+    return GroebnerBasis(tuple(_interreduce(heads, order, table)), order)
 
 
 def standard_monomials(gb):

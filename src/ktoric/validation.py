@@ -1,7 +1,8 @@
 """Tiny check-report containers used by the validators, and the integer
-check shared by the constructors."""
+and rational checks shared by the constructors."""
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import index
 
 
@@ -12,6 +13,17 @@ def strict_int(value):
     if isinstance(value, bool):
         raise TypeError(f"an integer is required, not {value!r}")
     return index(value)
+
+
+def strict_rational(value):
+    """value as a Fraction. Raises TypeError on anything but an int or a
+    Fraction: a float would bring in its binary expansion, a bool would count
+    as 0 or 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    raise TypeError(f"an int or a Fraction is required, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from ktoric import (
     covector_relation,
     cube,
     invert_unit,
+    involution_check,
+    laurent_rank,
     order_vertices,
     product,
     product_charmap,
@@ -224,6 +226,17 @@ def test_criterion_6_invariants():
             "functional independence, involution, linear algebra oracles")
 
 
+def test_criterion_7_frontier_inside_the_default_budget():
+    lp = bott_samelson_presentation(
+        CartanWord(cartan_matrix("A", 3), (1, 2, 1, 3, 2, 1)))
+    rank = laurent_rank(lp)
+    ok = rank == 64 and involution_check(lp)
+    ok = ok and bott_equivalence(random_tower(5, random.Random(17))).ok
+    verdict("ACCEPTANCE 7", ok,
+            f"A3 longest word rank {rank} of 64 with the involution, and the "
+            "seed-17 height-5 tower cross-check, under the default budget")
+
+
 def buchberger_of(pres):
     from ktoric.polyring import buchberger
     return buchberger(pres.nonface_gens + pres.covector_gens, pres.order)
@@ -237,7 +250,8 @@ if __name__ == "__main__":
                test_criterion_3_rank_equals_vertex_count,
                test_criterion_4_tower_equivalence,
                test_criterion_5_word_towers,
-               test_criterion_6_invariants):
+               test_criterion_6_invariants,
+               test_criterion_7_frontier_inside_the_default_budget):
         try:
             fn()
         except AssertionError:
