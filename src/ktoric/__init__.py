@@ -43,7 +43,6 @@ from .polyring import (
     buchberger,
     reduce,
     render_poly,
-    s_polynomial,
     standard_monomials,
 )
 from .kring import (

@@ -263,15 +263,6 @@ class Poly:
             raise ValueError("the zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coefficient(self, order):
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order):
-        lc = self.leading_coefficient(order)
-        if lc == 1:
-            return self
-        return Poly._raw(self.nvars, {m: c / lc for m, c in self.terms.items()})
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -305,10 +296,10 @@ class _Budget:
 
 
 def _heads_of(gens, order):
-    """One (leading monomial, den, rule, generator) head per generator. The
-    rule lists (t, a) for each tail term c*t of the generator, where a/den
-    is -c/lc over the least common denominator den of those ratios: modulo
-    the generator, the leading monomial is the sum of the (a/den)*t."""
+    """One (leading monomial, den, rule) head per generator. The rule lists
+    (t, a) for each tail term c*t of the generator, where a/den is -c/lc
+    over the least common denominator den of those ratios: modulo the
+    generator, the leading monomial is the sum of the (a/den)*t."""
     heads = []
     for g in gens:
         lm = g.leading_monomial(order)
@@ -316,14 +307,29 @@ def _heads_of(gens, order):
         ratios = [(m, -c / lc) for m, c in g.terms.items() if m != lm]
         den = lcm(*(r.denominator for _, r in ratios))
         rule = tuple((m, r.numerator * (den // r.denominator)) for m, r in ratios)
-        heads.append((lm, den, rule, g))
+        heads.append((lm, den, rule))
     return heads
 
 
+def _head(terms):
+    """The head _heads_of makes of the polynomial with nonzero int
+    numerators terms, largest term first: the gcd of the numerators, with
+    the sign of the leading one, brings its ratios to lowest terms."""
+    (lm, a), *tail = terms
+    g = gcd(a, *[c for _, c in tail])
+    if a < 0:
+        g = -g
+    return lm, a // g, tuple((t, -c // g) for t, c in tail)
+
+
 def _combine(pairs, table, key):
-    """The sum of a * table[t] over the pairs (t, a), each a an int, as
-    (den, terms): nonzero int numerators over the lcm den of the entries'
+    """The sum of a * table[t] over the pairs (t, a), each a a nonzero int,
+    as (den, terms): nonzero int numerators over the lcm den of the entries'
     denominators, largest term first."""
+    if len(pairs) == 1:
+        (t, a), = pairs
+        den, terms = table[t]
+        return den, [(m, a * c) for m, c in terms]
     entries = [(a, table[t]) for t, a in pairs]
     den = lcm(*[d for _, (d, _) in entries])
     acc = {}
@@ -338,7 +344,8 @@ def _combine(pairs, table, key):
 def _fill(table, monos, heads, key, budget):
     """Give each of monos an entry in table: its normal form by heads, as
     (den, ((m, a), ...)), int numerators a over one positive denominator den
-    in lowest terms, largest term first.
+    in lowest terms, largest term first; modulo heads the monomial is the
+    sum of the (a/den)*m, as a head's leading monomial is.
 
     Division that cancels the largest monomial against the first head
     dividing it is linear, and each monomial's remainder depends on the
@@ -359,7 +366,7 @@ def _fill(table, monos, heads, key, budget):
             table[m] = (1, ((m, 1),))
             stack.pop()
             continue
-        lm, den, rule, _ = head
+        lm, den, rule = head
         factor = m.divide(lm)
         tail = [(t * factor, a) for t, a in rule]
         missing = [t for t, _ in tail if t not in table]
@@ -375,17 +382,24 @@ def _fill(table, monos, heads, key, budget):
         stack.pop()
 
 
-def _reduce(p, heads, order, budget, table):
-    """Normal form of p by heads, as built by _heads_of: the sum of c times
-    the entry of m in table over the terms c*m of p, entries made by _fill
-    as needed and kept in table. A table serves one head sequence, or one
-    that has grown by appending once the entries it made stale are dropped.
-    The remainder has Fraction coefficients, largest term first."""
-    _fill(table, p.terms, heads, order.key, budget)
+def _reduce(pairs, heads, order, budget, table):
+    """Normal form by heads, as built by _heads_of, of the sum of the a*t
+    over pairs (t, a), each a a nonzero int, as (den, terms) from _combine:
+    the entries of the t combined, made by _fill as needed and kept in
+    table. A table serves one head sequence, or one that has grown by
+    appending once the entries it made stale are dropped."""
+    key = order.key
+    _fill(table, [t for t, _ in pairs], heads, key, budget)
+    return _combine(pairs, table, key)
+
+
+def _reduce_poly(p, heads, order, budget, table):
+    """Normal form of p by heads with _reduce, in Fraction coefficients,
+    largest term first."""
     den = lcm(*[c.denominator for c in p.terms.values()])
-    common, terms = _combine(
+    common, terms = _reduce(
         [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()],
-        table, order.key)
+        heads, order, budget, table)
     den *= common
     return Poly._raw(p.nvars, {m: Fraction(a, den) for m, a in terms})
 
@@ -403,49 +417,47 @@ def reduce(p, gens, order, budget=None):
     for g in gens:
         if g.nvars != p.nvars:
             raise ValueError("generators live over a different variable set")
-    return _reduce(p, _heads_of(gens, order), order,
-                   _Budget(budget, "reduce") if budget is not None else None, {})
+    return _reduce_poly(p, _heads_of(gens, order), order,
+                        _Budget(budget, "reduce") if budget is not None else None,
+                        {})
 
 
-def _over(p, lc):
-    """The terms of p divided by lc; no division when lc is 1."""
-    items = p.terms.items()
-    return items if lc == 1 else [(m, c / lc) for m, c in items]
-
-
-def s_polynomial(f, g, order):
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
-    l = lf.lcm(lg)
-    uf, ug = l.divide(lf), l.divide(lg)
-    out = {m * uf: c for m, c in _over(f, f.terms[lf])}
-    for m, c in _over(g, g.terms[lg]):
-        m = m * ug
-        s = out.get(m)
-        s = -c if s is None else s - c
-        if s:
-            out[m] = s
+def s_polynomial(hi, hj):
+    """The S-polynomial of the monic generators of two heads, as pairs
+    (m, a) of nonzero int numerators over the lcm of the heads'
+    denominators. The leading monomials cancel, which leaves each head's
+    rule, negated for hi, times the cofactor of its leading monomial in
+    their lcm."""
+    (li, di, ri), (lj, dj, rj) = hi, hj
+    l = li.lcm(lj)
+    ui, uj = l.divide(li), l.divide(lj)
+    den = lcm(di, dj)
+    si, sj = den // di, den // dj
+    out = {t * ui: -a * si for t, a in ri}
+    for t, a in rj:
+        m = t * uj
+        c = out.get(m, 0) + a * sj
+        if c:
+            out[m] = c
         else:
             del out[m]
-    return Poly._raw(f.nvars, out)
+    return list(out.items())
 
 
 def _interreduce(heads, order, table):
-    """Reduced basis from the heads of a monic Groebner basis and a table of
-    normal forms by them."""
+    """Heads of the reduced basis, from the heads of a Groebner basis and a
+    table of normal forms by them: each leading monomial that no other
+    divides, smallest first, with its normal form as rule. Modulo a
+    Groebner basis the normal form is unique, so it is the same through
+    every head and free of every leading monomial."""
     kept = []
-    for head in sorted(heads, key=lambda h: order.key(h[0])):
-        if not any(k[0].divides(head[0]) for k in kept):
-            kept.append(head)
-    # no element of kept divides a monomial below its own leading monomial,
-    # so the rest of kept reduces its tail as all of kept does, and a
-    # Groebner basis leaves one remainder whatever order its elements are
-    # in: all heads reduce the tail the same way, through the run's table
+    for lm, _, _ in sorted(heads, key=lambda h: order.key(h[0])):
+        if not any(k.divides(lm) for k in kept):
+            kept.append(lm)
     out = []
-    for lm, _, _, g in kept:
-        tail = Poly._raw(g.nvars, {m: c for m, c in g.terms.items() if m != lm})
-        rest = _reduce(tail, heads, order, None, table).terms
-        out.append(Poly._raw(g.nvars, {lm: g.terms[lm], **rest}))
+    for lm in kept:
+        den, terms = _reduce([(lm, 1)], heads, order, None, table)
+        out.append((lm, den, tuple(terms)))
     return out
 
 
@@ -470,12 +482,12 @@ class GroebnerBasis:
     @cached_property
     def _normal_forms(self):
         """The monomial normal forms of this basis, filled on demand; see
-        _fill."""
+        _fill. A basis from buchberger starts with the run's table."""
         return {}
 
     def reduce(self, p):
         """Normal form of p."""
-        return _reduce(p, self._heads, self.order, None, self._normal_forms)
+        return _reduce_poly(p, self._heads, self.order, None, self._normal_forms)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -490,9 +502,12 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     the run, one per table entry made for a reducible monomial, including
     one made again after a new head left it stale; BudgetExceededError means
     the cap was hit, not that the computation would diverge.
+
+    The run works on heads in int numerators from the input's heads to the
+    reduced basis's, and the basis keeps the run's table of normal forms.
     """
     counter = _Budget(budget, "buchberger")
-    gens = [g.monic(order) for g in gens if not g.is_zero]
+    gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("no nonzero generators")
     nvars = gens[0].nvars
@@ -520,7 +535,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
         if l.degree == heads[i][0].degree + heads[j][0].degree:
             continue  # coprime leading monomials reduce to zero for free
         subsumed = False
-        for k, (lm, _, _, _) in enumerate(heads):
+        for k, (lm, _, _) in enumerate(heads):
             if k in (i, j):
                 continue
             if lm.divides(l):
@@ -531,11 +546,11 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
                     break
         if subsumed:
             continue
-        r = _reduce(s_polynomial(heads[i][3], heads[j][3], order), heads,
-                    order, counter, table)
-        if r.is_zero:
+        _, r = _reduce(s_polynomial(heads[i], heads[j]), heads, order,
+                       counter, table)
+        if not r:
             continue
-        heads.extend(_heads_of([r.monic(order)], order))
+        heads.append(_head(r))
         # an appended head is no monomial's first divisor where an earlier
         # head divides, so only entries holding a multiple of its leading
         # monomial are stale; every monomial an entry holds has an entry
@@ -546,7 +561,14 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
             del table[m]
         add_pairs(len(heads) - 1)
 
-    return GroebnerBasis(tuple(_interreduce(heads, order, table)), order)
+    heads = _interreduce(heads, order, table)
+    gb = GroebnerBasis(tuple(
+        Poly._raw(nvars, {lm: Fraction(1), **{t: Fraction(-a, den) for t, a in rule}})
+        for lm, den, rule in heads), order)
+    # every entry left in the table is a remainder modulo a Groebner basis,
+    # so the unique normal form, which the basis's own heads give as well
+    vars(gb).update(_heads=tuple(heads), _normal_forms=table)
+    return gb
 
 
 def standard_monomials(gb):

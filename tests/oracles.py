@@ -1,14 +1,14 @@
 """Test-side stand-ins the library does not need: a bare presentation built
-from polynomials, a Groebner-basis check by S-polynomials, standard
-monomials by enumerating a box, and Gauss-Jordan elimination in Fraction
-arithmetic."""
+from polynomials, monic polynomials and S-polynomials in Fraction
+arithmetic, a Groebner-basis check by S-polynomials, standard monomials by
+enumerating a box, and Gauss-Jordan elimination in Fraction arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import le
 
-from ktoric import DegRevLex, Monomial, reduce, s_polynomial
+from ktoric import DegRevLex, Monomial, Poly, reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,6 +29,36 @@ def polynomial_presentation(ideal_gens, var_names=None):
         var_names = tuple(f"t{i}" for i in range(nvars))
     return SimplePresentation(nvars, gens, DegRevLex.standard(nvars),
                               tuple(var_names))
+
+
+def monic(p, order):
+    """p divided by its leading coefficient."""
+    lc = p.terms[p.leading_monomial(order)]
+    return Poly._raw(p.nvars, dict(_over(p, lc)))
+
+
+def _over(p, lc):
+    """The terms of p divided by lc; no division when lc is 1."""
+    items = p.terms.items()
+    return items if lc == 1 else [(m, c / lc) for m, c in items]
+
+
+def s_polynomial(f, g, order):
+    """The S-polynomial of f and g, both made monic, in Fraction arithmetic."""
+    lf = f.leading_monomial(order)
+    lg = g.leading_monomial(order)
+    l = lf.lcm(lg)
+    uf, ug = l.divide(lf), l.divide(lg)
+    out = {m * uf: c for m, c in _over(f, f.terms[lf])}
+    for m, c in _over(g, g.terms[lg]):
+        m = m * ug
+        s = out.get(m)
+        s = -c if s is None else s - c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return Poly._raw(f.nvars, out)
 
 
 def is_groebner(gens, order):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -30,7 +30,6 @@ from ktoric import (
     product_charmap,
     reduce,
     render_poly,
-    s_polynomial,
     simplex,
     simplex_charmap,
     standard_monomials,
@@ -39,7 +38,7 @@ from ktoric.bott import BottMatrix, bott_charmap
 from ktoric.intlinalg import det_bareiss
 
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
-from oracles import box_standard_monomials, is_groebner
+from oracles import box_standard_monomials, is_groebner, monic, s_polynomial
 
 
 def variables(n):
@@ -379,7 +378,7 @@ def rescan_buchberger(gens, order):
     """Reference Buchberger that picks each pair by rescanning every pending
     pair with min(), as the library did before its pair heap. Returns the
     reduced basis and the number of S-polynomials reduced."""
-    basis = [g.monic(order) for g in gens if not g.is_zero]
+    basis = [monic(g, order) for g in gens if not g.is_zero]
     lms = [g.leading_monomial(order) for g in basis]
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
 
@@ -404,7 +403,7 @@ def rescan_buchberger(gens, order):
         if r.is_zero:
             continue
         pending.update((k, len(basis)) for k in range(len(basis)))
-        basis.append(r.monic(order))
+        basis.append(monic(r, order))
         lms.append(basis[-1].leading_monomial(order))
     basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
     kept = []
@@ -432,10 +431,11 @@ def selection_cases():
 @pytest.mark.parametrize("pres", list(selection_cases()))
 def test_heap_selection_matches_rescan(pres, monkeypatch):
     calls = []
+    of_heads = polyring.s_polynomial
 
-    def counted(f, g, order):
+    def counted(hi, hj):
         calls.append(None)
-        return s_polynomial(f, g, order)
+        return of_heads(hi, hj)
 
     monkeypatch.setattr(polyring, "s_polynomial", counted)
     gb = buchberger(list(pres.ideal_gens), pres.order)
@@ -517,22 +517,23 @@ def test_buchberger_matches_sympy(pres):
             for var, e in zip(order.priority, exps):
                 mono[var] = e
             terms[tuple(mono)] = Fraction(int(c.p), int(c.q))
-        return Poly(pres.nvars, terms).monic(order)
+        return monic(Poly(pres.nvars, terms), order)
 
     theirs = sympy.groebner([to_sympy(g) for g in pres.ideal_gens], *gens,
                             order="grevlex", domain=sympy.QQ)
     theirs = sorted((from_sympy(g) for g in theirs.exprs),
                     key=lambda p: order.key(p.leading_monomial(order)))
-    ours = [g.monic(order) for g in buchberger(list(pres.ideal_gens), order).generators]
+    ours = [monic(g, order)
+            for g in buchberger(list(pres.ideal_gens), order).generators]
     assert ours == theirs
 
 
 def assert_same_as_division_loop(gb, p):
     got = gb.reduce(p)
-    want = reference_division(p, [(h[0], h[3]) for h in gb._heads], gb.order,
+    want = reference_division(p.terms, reference_heads(gb._heads), gb.order,
                               Steps())
-    assert list(got.terms.items()) == list(want.terms.items())
-    assert got.nvars == want.nvars
+    assert list(got.terms.items()) == list(want.items())
+    assert got.nvars == p.nvars
 
 
 @pytest.mark.parametrize("p, lam", list(face_rungs()))
@@ -591,18 +592,19 @@ def test_bases_never_share_a_table():
     assert same.reduce(cube_x) == x * y
 
 
-def reference_division(p, heads, order, budget):
+def reference_division(terms, heads, order, budget):
     """Division as the library did it before its heap, memo and table: every
-    step rescans the working polynomial for its largest monomial under a
-    separately built order key and scans the (leading monomial, generator)
-    heads from the first, in Fraction arithmetic throughout."""
+    step rescans the working polynomial, the terms map, for its largest
+    monomial under a separately built order key and scans the (leading
+    monomial, generator) heads from the first, in Fraction arithmetic
+    throughout. Returns the remainder's terms."""
     rev = tuple(reversed(order.priority))
 
     def key(m):
         return (sum(m), tuple(-m[v] for v in rev))
 
     remainder = {}
-    work = dict(p.terms)
+    work = dict(terms)
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
@@ -623,7 +625,15 @@ def reference_division(p, heads, order, budget):
                 break
         else:
             remainder[mono] = coeff
-    return Poly._raw(p.nvars, remainder)
+    return remainder
+
+
+def reference_heads(heads):
+    """(leading monomial, generator) for each (lm, den, rule) head, the
+    generator rebuilt as den*lm minus the a*t of the rule: a multiple of the
+    generator the head was read from, which divides alike."""
+    return [(lm, Poly(len(lm), {lm: den, **{t: -a for t, a in rule}}))
+            for lm, den, rule in heads]
 
 
 class Steps:
@@ -640,11 +650,14 @@ class Steps:
 
 
 class CheckedDivision:
-    """Stands in for polyring._reduce: runs the library's reduction and the
-    reference on the same input and requires the same terms in the same
-    order, Fraction coefficients, and one budget step for each entry the
-    call adds to the table for a reducible monomial, none for a lookup.
-    Counts the entries that leave a table between two calls sharing it."""
+    """Stands in for polyring._reduce, the int routine behind every S-pair
+    reduction, interreduction and reduction by a finished basis: requires
+    nonzero int numerators in and out over a positive int denominator, the
+    reference's remainder on the same input by the Polys rebuilt from the
+    heads, with the same terms in the same order, and one budget step for
+    each entry the call adds to the table for a reducible monomial, none
+    for a lookup. Counts the entries that leave a table between two calls
+    sharing it."""
 
     def __init__(self, loop):
         self.loop = loop
@@ -652,15 +665,19 @@ class CheckedDivision:
         self.tables = {}  # id of a table -> (that table, its keys after a call)
         self.dropped = 0
 
-    def __call__(self, p, heads, order, budget, table):
+    def __call__(self, pairs, heads, order, budget, table):
         before = self.tables.get(id(table), (table, set()))[1]
         self.dropped += len(before - table.keys())
         before = set(table)
+        assert all(type(a) is int and a for _, a in pairs)
         steps = Steps(budget)
-        got = self.loop(p, heads, order, steps, table)
-        want = reference_division(p, [(h[0], h[3]) for h in heads], order, Steps())
-        assert list(got.terms.items()) == list(want.terms.items())
-        assert all(type(c) is Fraction for c in got.terms.values())
+        got = self.loop(pairs, heads, order, steps, table)
+        den, terms = got
+        assert type(den) is int and den > 0
+        assert all(type(a) is int and a for _, a in terms)
+        want = reference_division({t: Fraction(a) for t, a in pairs},
+                                  reference_heads(heads), order, Steps())
+        assert [(m, Fraction(a, den)) for m, a in terms] == list(want.items())
         made = [m for m in table.keys() - before
                 if any(h[0].divides(m) for h in heads)]
         assert steps.spent == len(made)
@@ -735,3 +752,57 @@ def test_buchberger_drops_stale_entries(checked_division):
     pres = build_presentation(*twisted_square(1))
     buchberger(list(pres.ideal_gens), pres.order)
     assert checked_division.dropped > 0
+
+
+def handoff_cases():
+    yield from division_rungs()
+    for seed in (5, 17):
+        rng = random.Random(seed)
+        for n in (1, 2, 3):
+            yield pytest.param(bott_presentation(random_tower(n, rng)),
+                               id=f"seed{seed}-laurent{n}")
+
+
+@pytest.mark.parametrize("pres", list(handoff_cases()))
+def test_buchberger_hands_its_heads_and_table_to_the_basis(pres):
+    # the basis keeps the run's reduced heads and its table of normal forms,
+    # so both must be what the basis makes from its generators and an empty
+    # table; an entry a new head left stale would differ
+    gb = buchberger(list(pres.ideal_gens), pres.order)
+    assert gb._heads == tuple(polyring._heads_of(gb.generators, gb.order))
+    table = gb._normal_forms
+    assert table
+    fresh = {}
+    polyring._fill(fresh, list(table), gb._heads, gb.order.key, None)
+    assert {m: fresh[m] for m in table} == table
+
+
+def test_s_polynomial_of_heads_matches_fraction_oracle():
+    # the fractional heads of
+    # test_division_loop_matches_reference_with_fractional_heads, one more
+    # made from a remainder whose leading numerator is negative, and the
+    # bases of reduction_bases, whose Groebner bases hold a run's heads
+    o = DegRevLex((2, 0, 1))
+    x, y, z = variables(3)
+    remainder = [(Monomial((1, 1, 1)), -6), (Monomial((0, 2, 0)), 4),
+                 (Monomial((0, 0, 0)), -10)]
+    gens = [2 * x * y + 3 * z, 3 * y ** 2 - x + 1, Fraction(2, 5) * x * z - y,
+            Poly(3, dict(remainder))]
+    heads = polyring._heads_of(gens, o)
+    assert polyring._head(remainder) == heads[-1] == (
+        Monomial((1, 1, 1)), 3, ((Monomial((0, 2, 0)), 2),
+                                 (Monomial((0, 0, 0)), -5)))
+    cases = [(gens, heads, o)]
+    cases += [(gb.generators, gb._heads, gb.order) for gb, _ in reduction_bases()]
+    pairs = 0
+    for gens, heads, order in cases:
+        for i, j in iter_product(range(len(heads)), repeat=2):
+            if i == j:
+                continue
+            terms = polyring.s_polynomial(heads[i], heads[j])
+            den = lcm(heads[i][1], heads[j][1])
+            assert all(type(a) is int and a for _, a in terms)
+            assert ({m: Fraction(a, den) for m, a in terms}
+                    == s_polynomial(gens[i], gens[j], order).terms)
+            pairs += 1
+    assert pairs > 100
