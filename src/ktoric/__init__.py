@@ -41,7 +41,6 @@ from .polyring import (
     Monomial,
     Poly,
     buchberger,
-    reduce,
     render_poly,
     standard_monomials,
 )

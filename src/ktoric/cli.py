@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 everything passed, 1 a mathematical check failed or a budget
-ran out, 2 the input could not be parsed or had the wrong shape.
+Exit codes: 0 everything passed, 1 a mathematical check failed, a budget
+ran out or a monomial passed the Groebner engine's degree limit, 2 the input
+could not be parsed or had the wrong shape.
 """
 
 import argparse

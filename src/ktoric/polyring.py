@@ -1,8 +1,9 @@
 """Exact multivariate polynomials, division, and Groebner bases.
 
 Coefficients are rational, monomials are dense exponent tuples over a fixed
-number of variables. Everything here is deterministic: ties are broken by the
-monomial order and then by generator position, so repeated runs produce
+number of variables. Inside the Groebner engine a monomial is one int, packed
+by its DegRevLex order. Everything here is deterministic: ties are broken by
+the monomial order and then by generator position, so repeated runs produce
 identical bases.
 """
 
@@ -13,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, le, sub
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, KtoricError
 from .validation import strict_int, strict_rational
 
 # most standard monomials standard_monomials will collect
@@ -21,6 +22,12 @@ RANK_CAP = 100000
 # default cap on the cancellation steps of one basis computation: about 1.9
 # times the 3678 of the largest run measured (seed-17 height-6 cube)
 DEFAULT_BUDGET = 7000
+# bits per field of a packed monomial, the top one a guard bit
+FIELD_BITS = 16
+# largest degree a packed monomial may have: every exponent and the degree
+# then fit below the guard bit of their field; also the mask of the bits
+# below it
+DEGREE_LIMIT = (1 << FIELD_BITS - 1) - 1
 
 
 class Monomial(tuple):
@@ -91,6 +98,19 @@ class Monomial(tuple):
         return Monomial._raw(out)
 
 
+class _Memo(dict):
+    """The values of fn, each computed on its key's first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class DegRevLex:
     """Degree order refined reverse-lexicographically.
 
@@ -105,9 +125,21 @@ class DegRevLex:
     degree d reverse-lexicographically; with d in front the keys of degree
     d lie in [d*(d + 1)**n, (d + 1)**(n + 1)), below every key of degree
     d + 1.
+
+    The order also packs monomials into the ints the Groebner engine works
+    on (Bachmann-Schoenemann, ISSAC 1998). Field k, FIELD_BITS wide from bit
+    k*FIELD_BITS, holds the exponent of variable priority[k], and the field
+    above the last holds the degree. The top bit of each field is a guard,
+    clear while the degree is at most DEGREE_LIMIT. So a product is a + b
+    and a quotient a - b; a divides b when ((b | guards) - a) & guards ==
+    guards, since no exponent field borrows from the next and a guard
+    survives where b's exponent is at least a's. packed_key complements the
+    exponent fields, so that comparing keys compares degrees first, then
+    the exponents of the last variable in priority, reversed, and so on.
     """
 
-    __slots__ = ("priority", "_rev", "_cache")
+    __slots__ = ("priority", "_rev", "_cache", "pack", "unpack", "guards",
+                 "_low", "_spread", "_degree_field", "packed_key")
 
     def __init__(self, priority):
         priority = tuple(map(strict_int, priority))
@@ -116,6 +148,19 @@ class DegRevLex:
         self.priority = priority
         self._rev = tuple(reversed(priority))
         self._cache = {}
+        # pack(mono): the packed int of an exponent tuple, KtoricError past
+        # DEGREE_LIMIT; unpack(p): the Monomial of a packed int
+        self.pack = _Memo(self._pack).__getitem__
+        self.unpack = _Memo(self._unpack).__getitem__
+        top = len(priority) * FIELD_BITS
+        ones = sum(1 << k for k in range(0, top, FIELD_BITS))
+        self.guards = ones << FIELD_BITS - 1
+        self._low = self.guards - ones  # every value bit of an exponent field
+        # the product of the exponent fields with _spread holds their sum in
+        # the degree field: no partial sum reaches a guard bit
+        self._spread = ones << FIELD_BITS
+        self._degree_field = ((1 << FIELD_BITS) - 1) << top
+        self.packed_key = self._low.__xor__
 
     @classmethod
     def standard(cls, nvars):
@@ -131,6 +176,34 @@ class DegRevLex:
             self._cache[mono] = k
         return k
 
+    def _pack(self, mono):
+        p = _within_limit(sum(mono))
+        for v in self._rev:
+            p = p << FIELD_BITS | mono[v]
+        return p
+
+    def _unpack(self, p):
+        exps = [0] * len(self.priority)
+        for v in self.priority:
+            exps[v] = p & DEGREE_LIMIT
+            p >>= FIELD_BITS
+        return Monomial._raw(exps)
+
+    def degree(self, p):
+        return p >> len(self.priority) * FIELD_BITS
+
+    def divides(self, a, b):
+        g = self.guards
+        return ((b | g) - a) & g == g
+
+    def lcm(self, a, b):
+        """The packed lcm of two packed monomials. Its degree may pass
+        DEGREE_LIMIT, up to twice that, as long as it forms no product."""
+        g = ((a | self.guards) - b) & self.guards  # where a's exponent wins
+        wins = g - (g >> FIELD_BITS - 1)
+        e = a & wins | b & (self._low ^ wins)
+        return e | e * self._spread & self._degree_field
+
     def __eq__(self, other):
         return isinstance(other, DegRevLex) and self.priority == other.priority
 
@@ -139,6 +212,14 @@ class DegRevLex:
 
     def __repr__(self):
         return f"DegRevLex({self.priority})"
+
+
+def _within_limit(degree):
+    if degree > DEGREE_LIMIT:
+        raise KtoricError(
+            f"a monomial of degree {degree} is past the packed-monomial "
+            f"degree limit {DEGREE_LIMIT}")
+    return degree
 
 
 class Poly:
@@ -296,18 +377,21 @@ class _Budget:
 
 
 def _heads_of(gens, order):
-    """One (leading monomial, den, rule) head per generator. The rule lists
-    (t, a) for each tail term c*t of the generator, where a/den is -c/lc
-    over the least common denominator den of those ratios: modulo the
-    generator, the leading monomial is the sum of the (a/den)*t."""
+    """One (leading monomial, den, rule) head per generator, its monomials
+    packed by order. The rule lists (t, a) for each tail term c*t of the
+    generator, where a/den is -c/lc over the least common denominator den of
+    those ratios: modulo the generator, the leading monomial is the sum of
+    the (a/den)*t."""
+    pack = order.pack
     heads = []
     for g in gens:
         lm = g.leading_monomial(order)
         lc = g.terms[lm]
         ratios = [(m, -c / lc) for m, c in g.terms.items() if m != lm]
         den = lcm(*(r.denominator for _, r in ratios))
-        rule = tuple((m, r.numerator * (den // r.denominator)) for m, r in ratios)
-        heads.append((lm, den, rule))
+        rule = tuple((pack(m), r.numerator * (den // r.denominator))
+                     for m, r in ratios)
+        heads.append((pack(lm), den, rule))
     return heads
 
 
@@ -341,11 +425,12 @@ def _combine(pairs, table, key):
                  if acc[m]]
 
 
-def _fill(table, monos, heads, key, budget):
-    """Give each of monos an entry in table: its normal form by heads, as
-    (den, ((m, a), ...)), int numerators a over one positive denominator den
-    in lowest terms, largest term first; modulo heads the monomial is the
-    sum of the (a/den)*m, as a head's leading monomial is.
+def _fill(table, monos, heads, order, budget):
+    """Give each of monos, packed by order, an entry in table: its normal
+    form by heads, as (den, ((m, a), ...)), int numerators a over one
+    positive denominator den in lowest terms, largest term first; modulo
+    heads the monomial is the sum of the (a/den)*m, as a head's leading
+    monomial is.
 
     Division that cancels the largest monomial against the first head
     dividing it is linear, and each monomial's remainder depends on the
@@ -355,20 +440,23 @@ def _fill(table, monos, heads, key, budget):
     smaller entries, made here bottom-up with an explicit stack. budget,
     when given, is spent once for each entry made for a reducible monomial.
     """
+    key, g = order.packed_key, order.guards
     stack = list(monos)
     while stack:
         m = stack[-1]
         if m in table:
             stack.pop()
             continue
-        head = next((h for h in heads if h[0].divides(m)), None)
+        mg = m | g
+        # the first head whose leading monomial divides m; see DegRevLex
+        head = next((h for h in heads if (mg - h[0]) & g == g), None)
         if head is None:
             table[m] = (1, ((m, 1),))
             stack.pop()
             continue
         lm, den, rule = head
-        factor = m.divide(lm)
-        tail = [(t * factor, a) for t, a in rule]
+        factor = m - lm
+        tail = [(t + factor, a) for t, a in rule]
         missing = [t for t, _ in tail if t not in table]
         if missing:
             stack.extend(missing)
@@ -377,65 +465,34 @@ def _fill(table, monos, heads, key, budget):
             budget.spend()
         common, terms = _combine(tail, table, key)
         den *= common
-        g = gcd(den, *[a for _, a in terms])
-        table[m] = (den // g, tuple((t, a // g) for t, a in terms))
+        c = gcd(den, *[a for _, a in terms])
+        table[m] = (den // c, tuple((t, a // c) for t, a in terms))
         stack.pop()
 
 
 def _reduce(pairs, heads, order, budget, table):
     """Normal form by heads, as built by _heads_of, of the sum of the a*t
-    over pairs (t, a), each a a nonzero int, as (den, terms) from _combine:
-    the entries of the t combined, made by _fill as needed and kept in
-    table. A table serves one head sequence, or one that has grown by
-    appending once the entries it made stale are dropped."""
-    key = order.key
-    _fill(table, [t for t, _ in pairs], heads, key, budget)
-    return _combine(pairs, table, key)
+    over pairs (t, a), each t packed and each a a nonzero int, as (den,
+    terms) from _combine: the entries of the t combined, made by _fill as
+    needed and kept in table. A table serves one head sequence, or one that
+    has grown by appending once the entries it made stale are dropped."""
+    _fill(table, [t for t, _ in pairs], heads, order, budget)
+    return _combine(pairs, table, order.packed_key)
 
 
-def _reduce_poly(p, heads, order, budget, table):
-    """Normal form of p by heads with _reduce, in Fraction coefficients,
-    largest term first."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    common, terms = _reduce(
-        [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()],
-        heads, order, budget, table)
-    den *= common
-    return Poly._raw(p.nvars, {m: Fraction(a, den) for m, a in terms})
-
-
-def reduce(p, gens, order, budget=None):
-    """Normal form of p modulo the ordered generator sequence.
-
-    Always cancels the current largest reducible monomial against the first
-    generator whose leading monomial divides it, so the result is a function
-    of the sequence, not of iteration luck. budget, when given, bounds the
-    cancellation steps, one per reducible monomial whose normal form is
-    worked out.
-    """
-    gens = [g for g in gens if not g.is_zero]
-    for g in gens:
-        if g.nvars != p.nvars:
-            raise ValueError("generators live over a different variable set")
-    return _reduce_poly(p, _heads_of(gens, order), order,
-                        _Budget(budget, "reduce") if budget is not None else None,
-                        {})
-
-
-def s_polynomial(hi, hj):
-    """The S-polynomial of the monic generators of two heads, as pairs
-    (m, a) of nonzero int numerators over the lcm of the heads'
-    denominators. The leading monomials cancel, which leaves each head's
-    rule, negated for hi, times the cofactor of its leading monomial in
-    their lcm."""
+def s_polynomial(hi, hj, l):
+    """The S-polynomial of the monic generators of two heads whose leading
+    monomials have the lcm l, as pairs (m, a) of nonzero int numerators over
+    the lcm of the heads' denominators. The leading monomials cancel, which
+    leaves each head's rule, negated for hi, times the cofactor of its
+    leading monomial in l."""
     (li, di, ri), (lj, dj, rj) = hi, hj
-    l = li.lcm(lj)
-    ui, uj = l.divide(li), l.divide(lj)
+    ui, uj = l - li, l - lj
     den = lcm(di, dj)
     si, sj = den // di, den // dj
-    out = {t * ui: -a * si for t, a in ri}
+    out = {t + ui: -a * si for t, a in ri}
     for t, a in rj:
-        m = t * uj
+        m = t + uj
         c = out.get(m, 0) + a * sj
         if c:
             out[m] = c
@@ -450,9 +507,10 @@ def _interreduce(heads, order, table):
     divides, smallest first, with its normal form as rule. Modulo a
     Groebner basis the normal form is unique, so it is the same through
     every head and free of every leading monomial."""
+    key, divides = order.packed_key, order.divides
     kept = []
-    for lm, _, _ in sorted(heads, key=lambda h: order.key(h[0])):
-        if not any(k.divides(lm) for k in kept):
+    for lm, _, _ in sorted(heads, key=lambda h: key(h[0])):
+        if not any(divides(k, lm) for k in kept):
             kept.append(lm)
     out = []
     for lm in kept:
@@ -477,17 +535,25 @@ class GroebnerBasis:
         return tuple(_heads_of(self.generators, self.order))
 
     def leading_monomials(self):
-        return tuple(h[0] for h in self._heads)
+        return tuple(self.order.unpack(h[0]) for h in self._heads)
 
     @cached_property
     def _normal_forms(self):
-        """The monomial normal forms of this basis, filled on demand; see
-        _fill. A basis from buchberger starts with the run's table."""
+        """The normal forms of packed monomials by this basis, filled on
+        demand; see _fill. A basis from buchberger starts with the run's
+        table."""
         return {}
 
     def reduce(self, p):
         """Normal form of p."""
-        return _reduce_poly(p, self._heads, self.order, None, self._normal_forms)
+        pack, unpack = self.order.pack, self.order.unpack
+        den = lcm(*[c.denominator for c in p.terms.values()])
+        common, terms = _reduce(
+            [(pack(m), c.numerator * (den // c.denominator))
+             for m, c in p.terms.items()],
+            self._heads, self.order, None, self._normal_forms)
+        den *= common
+        return Poly._raw(p.nvars, {unpack(m): Fraction(a, den) for m, a in terms})
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -503,8 +569,11 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     one made again after a new head left it stale; BudgetExceededError means
     the cap was hit, not that the computation would diverge.
 
-    The run works on heads in int numerators from the input's heads to the
-    reduced basis's, and the basis keeps the run's table of normal forms.
+    The run works on heads in int numerators and packed monomials from the
+    input's heads to the reduced basis's, and the basis keeps the run's
+    table of normal forms. The order is degree-compatible, so no monomial a
+    run forms has a larger degree than an input monomial or the lcm of a
+    pair it reduces; KtoricError means one of those passed DEGREE_LIMIT.
     """
     counter = _Budget(budget, "buchberger")
     gens = [g for g in gens if not g.is_zero]
@@ -515,6 +584,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
         raise ValueError("generators live over different variable sets")
 
     heads = _heads_of(gens, order)
+    key, g = order.packed_key, order.guards
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
     table = {}         # normal forms by heads; see _fill
@@ -522,8 +592,8 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     def add_pairs(j):
         lm = heads[j][0]
         for i in range(j):
-            l = heads[i][0].lcm(lm)
-            heapq.heappush(queue, (order.key(l), i, j, l))
+            l = order.lcm(heads[i][0], lm)
+            heapq.heappush(queue, (key(l), i, j, l))
             pending.add((i, j))
 
     for j in range(1, len(heads)):
@@ -532,13 +602,14 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     while queue:
         _, i, j, l = heapq.heappop(queue)
         pending.discard((i, j))
-        if l.degree == heads[i][0].degree + heads[j][0].degree:
+        if l == heads[i][0] + heads[j][0]:
             continue  # coprime leading monomials reduce to zero for free
+        lg = l | g
         subsumed = False
         for k, (lm, _, _) in enumerate(heads):
             if k in (i, j):
                 continue
-            if lm.divides(l):
+            if (lg - lm) & g == g:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -546,7 +617,8 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
                     break
         if subsumed:
             continue
-        _, r = _reduce(s_polynomial(heads[i], heads[j]), heads, order,
+        _within_limit(order.degree(l))
+        _, r = _reduce(s_polynomial(heads[i], heads[j], l), heads, order,
                        counter, table)
         if not r:
             continue
@@ -555,15 +627,17 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
         # head divides, so only entries holding a multiple of its leading
         # monomial are stale; every monomial an entry holds has an entry
         lm = heads[-1][0]
-        dead = {t for t in table if lm.divides(t)}
+        dead = {t for t in table if ((t | g) - lm) & g == g}
         for m in [m for m, (_, terms) in table.items()
                   if any(t in dead for t, _ in terms)]:
             del table[m]
         add_pairs(len(heads) - 1)
 
     heads = _interreduce(heads, order, table)
+    unpack = order.unpack
     gb = GroebnerBasis(tuple(
-        Poly._raw(nvars, {lm: Fraction(1), **{t: Fraction(-a, den) for t, a in rule}})
+        Poly._raw(nvars, {unpack(lm): Fraction(1),
+                          **{unpack(t): Fraction(-a, den) for t, a in rule}})
         for lm, den, rule in heads), order)
     # every entry left in the table is a remainder modulo a Groebner basis,
     # so the unique normal form, which the basis's own heads give as well

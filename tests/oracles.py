@@ -1,14 +1,17 @@
 """Test-side stand-ins the library does not need: a bare presentation built
 from polynomials, monic polynomials and S-polynomials in Fraction
-arithmetic, a Groebner-basis check by S-polynomials, standard monomials by
-enumerating a box, and Gauss-Jordan elimination in Fraction arithmetic."""
+arithmetic, division by rescanning in Fraction arithmetic, a Groebner-basis
+check by S-polynomials and that division, standard monomials by enumerating
+a box, and Gauss-Jordan elimination in Fraction arithmetic. The division
+and the Groebner-basis check share no code with the library's Groebner
+engine."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import le
 
-from ktoric import DegRevLex, Monomial, Poly, reduce
+from ktoric import DegRevLex, Monomial, Poly
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +64,52 @@ def s_polynomial(f, g, order):
     return Poly._raw(f.nvars, out)
 
 
+def reference_division(terms, heads, order):
+    """Division as the library did it before its heap, memo and table: every
+    step rescans the working polynomial, the terms map, for its largest
+    monomial under a separately built order key and scans the (leading
+    monomial, generator) heads from the first, in Fraction arithmetic
+    throughout. Returns the remainder's terms, largest first."""
+    rev = tuple(reversed(order.priority))
+
+    def key(m):
+        return (sum(m), tuple(-m[v] for v in rev))
+
+    remainder = {}
+    work = dict(terms)
+    while work:
+        mono = max(work, key=key)
+        coeff = work.pop(mono)
+        for lm, g in heads:
+            if lm.divides(mono):
+                factor = mono.divide(lm)
+                scale = coeff / g.terms[lm]
+                for m2, c2 in g.terms.items():
+                    if m2 == lm:
+                        continue
+                    m = m2 * factor
+                    s = work.get(m, Fraction(0)) - scale * c2
+                    if s:
+                        work[m] = s
+                    else:
+                        work.pop(m, None)
+                break
+        else:
+            remainder[mono] = coeff
+    return remainder
+
+
+def remainder(p, gens, order):
+    """The remainder of p by reference_division by the nonzero generators
+    in sequence."""
+    heads = [(g.leading_monomial(order), g) for g in gens if not g.is_zero]
+    return Poly._raw(p.nvars, reference_division(p.terms, heads, order))
+
+
 def is_groebner(gens, order):
     """Every pairwise S-polynomial reduces to zero by gens."""
     gens = [g for g in gens if not g.is_zero]
-    return all(reduce(s_polynomial(f, g, order), gens, order).is_zero
+    return all(remainder(s_polynomial(f, g, order), gens, order).is_zero
                for i, f in enumerate(gens) for g in gens[i + 1:])
 
 

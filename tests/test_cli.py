@@ -1,9 +1,14 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from ktoric import cli, cube, jsonio
 from ktoric.cli import main
+from ktoric.polyring import DEGREE_LIMIT
+
+from ladder import random_tower
 
 
 def cube_files(json_file, a=1):
@@ -77,6 +82,16 @@ def test_budget_error_names_the_stage(tower_files, capsys):
     assert main(["compare", tf, "--budget", "5"]) == 1
     err = capsys.readouterr().err
     assert "buchberger budget exhausted after 5 cancellation steps" in err
+
+
+def test_tower_past_the_packing_limit_is_exit_one(tower_files, capsys):
+    # the relation y2^2 - y2 - (y2 - 1) * y1_inv^40000 has a monomial whose
+    # degree no packed field holds
+    tf = tower_files(2, [(1, 2, 40000)])
+    assert main(["bott", tf]) == 1
+    err = capsys.readouterr().err
+    assert f"degree limit {DEGREE_LIMIT}" in err
+    assert "Traceback" not in err
 
 
 def test_negative_budget_is_exit_two(tower_files, capsys):
@@ -297,3 +312,44 @@ def test_tower_duplicate_entry_is_exit_two(tower_files, capsys):
     tf = tower_files(2, [(1, 2, 1), (1, 2, 2)])
     assert main(["bott", tf]) == 2
     assert "given twice" in capsys.readouterr().err
+
+
+# --- report digests ------------------------------------------------------------
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def tower_doc(n, seed):
+    tower = random_tower(n, random.Random(seed))
+    return {"n": n, "c": [list(t) for t in tower.triples()]}
+
+
+@pytest.mark.parametrize("command, doc, digest", [
+    # a tower inside the packed-monomial degree limit, with degree-301
+    # relations
+    pytest.param("bott", {"n": 2, "c": [[1, 2, 300]]},
+                 "6b1f67b04a5c1e4a8d48d2bc9dae209aed2e3092290d825402b87b93d785ab75",
+                 id="bott-tower300"),
+    # the frontier: where the Groebner engine does the most work in a report
+    pytest.param("compare", tower_doc(5, 17),
+                 "f6b955483548d03e65422dd08b74ae65b9aa87449db2699c228c2c02ce5b0808",
+                 id="compare-seed17-tower5"),
+    pytest.param("compare", tower_doc(5, 5),
+                 "e900d96b061977d13029c94e601c09ec9e65e08f9e72cfb1c678950d848ad8a5",
+                 id="compare-seed5-tower5"),
+    pytest.param("bott-samelson",
+                 {"type": "A", "rank": 3, "word": [1, 2, 1, 3, 2, 1]},
+                 "06a8c65bae4847502dac480c0ef5db00f4d6f54d5b0c4347d7bd2efa33da6da5",
+                 id="bott-samelson-A3-longest"),
+    pytest.param("bott-samelson",
+                 {"type": "G", "rank": 2, "word": [1, 2, 1, 2, 1, 2]},
+                 "aee2f284766ed86ea6266959a34ad502883a1dbc347933481f905d366734521b",
+                 id="bott-samelson-G2-longest"),
+])
+def test_report_digest(json_file, capsys, command, doc, digest):
+    # byte-identical reports under the default budget; the digests were
+    # taken before monomials were packed inside the Groebner engine
+    assert main([command, json_file(doc)]) == 0
+    assert sha256(capsys.readouterr().out) == digest

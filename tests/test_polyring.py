@@ -28,17 +28,24 @@ from ktoric import (
     polyring,
     product,
     product_charmap,
-    reduce,
     render_poly,
     simplex,
     simplex_charmap,
     standard_monomials,
 )
 from ktoric.bott import BottMatrix, bott_charmap
+from ktoric.errors import KtoricError
 from ktoric.intlinalg import det_bareiss
 
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
-from oracles import box_standard_monomials, is_groebner, monic, s_polynomial
+from oracles import (
+    box_standard_monomials,
+    is_groebner,
+    monic,
+    reference_division,
+    remainder,
+    s_polynomial,
+)
 
 
 def variables(n):
@@ -121,6 +128,71 @@ def test_degrevlex_key_is_degree_then_reverse_lex(priority):
     assert all(type(o.key(m)) is int for m in monos)
 
 
+def test_packed_monomials_agree_with_exponent_tuples():
+    # the engine's packed ints against Monomial and DegRevLex.key, with
+    # degrees up to the field limit and products one past it
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    limit = polyring.DEGREE_LIMIT
+
+    @st.composite
+    def exponents(draw, n):
+        # a vector of degree d: the gaps between n - 1 sorted cuts of [0, d]
+        d = draw(st.sampled_from((0, 1, limit - 1, limit)) | st.integers(0, limit))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1,
+                                    max_size=n - 1)))
+        return Monomial(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), exponents(n), exponents(n)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(cases)
+    def check(case):
+        priority, a, b = case
+        o = DegRevLex(priority)
+        pa, pb = o.pack(a), o.pack(b)
+        assert o.unpack(pa) == a and o.unpack(pb) == b
+        assert o.degree(pa) == a.degree and o.degree(pb) == b.degree
+        if a.degree + b.degree <= limit:
+            assert pa + pb == o.pack(a * b)
+            assert o.unpack(pa + pb) == a * b
+        else:
+            with pytest.raises(KtoricError, match=f"limit {limit}"):
+                o.pack(a * b)
+        for u, v, pu, pv in ((a, b, pa, pb), (b, a, pb, pa)):
+            assert o.divides(pu, pv) == u.divides(v)
+            if u.divides(v):
+                assert pv - pu == o.pack(v.divide(u))
+        l = o.lcm(pa, pb)
+        assert o.unpack(l) == a.lcm(b) and o.degree(l) == a.lcm(b).degree
+        if a.lcm(b).degree <= limit:
+            assert l == o.pack(a.lcm(b))
+        ka, kb = o.key(a), o.key(b)
+        assert ((ka > kb) - (ka < kb)
+                == (o.packed_key(pa) > o.packed_key(pb))
+                - (o.packed_key(pa) < o.packed_key(pb)))
+
+    check()
+
+
+def test_packing_past_the_degree_limit_raises():
+    o = DegRevLex.standard(2)
+    limit = polyring.DEGREE_LIMIT
+    assert o.unpack(o.pack(Monomial((limit, 0)))) == (limit, 0)
+    with pytest.raises(KtoricError, match=f"degree {limit + 1} .* limit {limit}"):
+        o.pack(Monomial((limit, 1)))
+    x, y = variables(2)
+    with pytest.raises(KtoricError, match=f"limit {limit}"):
+        GroebnerBasis((x - y,), o).reduce(Poly(2, {(limit, 1): 1}))
+    # the inputs fit, the lcm of their leading monomials does not
+    half = limit // 2 + 1
+    with pytest.raises(KtoricError, match=f"degree {2 * half} .* limit {limit}"):
+        buchberger([Poly(2, {(half, 1): 1, (0, 0): -1}),
+                    Poly(2, {(1, half): 1, (0, 0): -1})], o)
+
+
 def test_degrevlex_priority_changes_leader():
     x, y = variables(2)
     p = x + y
@@ -139,9 +211,11 @@ def test_render_poly_coefficients():
 def test_reduce_examples():
     o = DegRevLex.standard(2)
     x, y = variables(2)
-    assert reduce(x * x, [x * x], o).is_zero
-    r = reduce(x * y + y, [x * y], o)
-    assert r.terms == y.terms
+    for reduce in (lambda p, gens: remainder(p, gens, o),
+                   lambda p, gens: GroebnerBasis(tuple(gens), o).reduce(p)):
+        assert reduce(x * x, [x * x]).is_zero
+        r = reduce(x * y + y, [x * y])
+        assert r.terms == y.terms
 
 
 def test_reduce_postcondition_no_divisible_terms():
@@ -213,7 +287,7 @@ def test_buchberger_s_polynomial_postcondition():
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             sp = s_polynomial(gens[i], gens[j], o)
-            assert reduce(sp, gens, o).is_zero
+            assert remainder(sp, gens, o).is_zero
 
 
 def test_buchberger_budget():
@@ -224,8 +298,6 @@ def test_buchberger_budget():
             xs[1] ** 2 - xs[0] * xs[2]]
     with pytest.raises(BudgetExceededError, match="buchberger"):
         buchberger(gens, o, budget=3)
-    with pytest.raises(BudgetExceededError, match="reduce budget exhausted after 0 "):
-        reduce(gens[0], gens, o, budget=0)
 
 
 def test_standard_monomials_unit_ideal():
@@ -399,7 +471,7 @@ def rescan_buchberger(gens, order):
                for k in range(len(basis)) if k not in (i, j)):
             continue
         reduced += 1
-        r = reduce(s_polynomial(basis[i], basis[j], order), basis, order)
+        r = remainder(s_polynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero:
             continue
         pending.update((k, len(basis)) for k in range(len(basis)))
@@ -411,7 +483,7 @@ def rescan_buchberger(gens, order):
         lm = g.leading_monomial(order)
         if not any(h.leading_monomial(order).divides(lm) for h in kept):
             kept.append(g)
-    return [reduce(g, kept[:i] + kept[i + 1:], order)
+    return [remainder(g, kept[:i] + kept[i + 1:], order)
             for i, g in enumerate(kept)], reduced
 
 
@@ -433,9 +505,9 @@ def test_heap_selection_matches_rescan(pres, monkeypatch):
     calls = []
     of_heads = polyring.s_polynomial
 
-    def counted(hi, hj):
+    def counted(*args):
         calls.append(None)
-        return of_heads(hi, hj)
+        return of_heads(*args)
 
     monkeypatch.setattr(polyring, "s_polynomial", counted)
     gb = buchberger(list(pres.ideal_gens), pres.order)
@@ -530,8 +602,8 @@ def test_buchberger_matches_sympy(pres):
 
 def assert_same_as_division_loop(gb, p):
     got = gb.reduce(p)
-    want = reference_division(p.terms, reference_heads(gb._heads), gb.order,
-                              Steps())
+    want = reference_division(p.terms, reference_heads(gb._heads, gb.order),
+                              gb.order)
     assert list(got.terms.items()) == list(want.items())
     assert got.nvars == p.nvars
 
@@ -592,48 +664,21 @@ def test_bases_never_share_a_table():
     assert same.reduce(cube_x) == x * y
 
 
-def reference_division(terms, heads, order, budget):
-    """Division as the library did it before its heap, memo and table: every
-    step rescans the working polynomial, the terms map, for its largest
-    monomial under a separately built order key and scans the (leading
-    monomial, generator) heads from the first, in Fraction arithmetic
-    throughout. Returns the remainder's terms."""
-    rev = tuple(reversed(order.priority))
-
-    def key(m):
-        return (sum(m), tuple(-m[v] for v in rev))
-
-    remainder = {}
-    work = dict(terms)
-    while work:
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
-        for lm, g in heads:
-            if lm.divides(mono):
-                budget.spend()
-                factor = mono.divide(lm)
-                scale = coeff / g.terms[lm]
-                for m2, c2 in g.terms.items():
-                    if m2 == lm:
-                        continue
-                    m = m2 * factor
-                    s = work.get(m, Fraction(0)) - scale * c2
-                    if s:
-                        work[m] = s
-                    else:
-                        work.pop(m, None)
-                break
-        else:
-            remainder[mono] = coeff
-    return remainder
+def unpacked(order, terms):
+    """The engine's terms (packed monomial, a) as (Monomial, a)."""
+    return tuple((order.unpack(m), a) for m, a in terms)
 
 
-def reference_heads(heads):
+def reference_heads(heads, order):
     """(leading monomial, generator) for each (lm, den, rule) head, the
     generator rebuilt as den*lm minus the a*t of the rule: a multiple of the
     generator the head was read from, which divides alike."""
-    return [(lm, Poly(len(lm), {lm: den, **{t: -a for t, a in rule}}))
-            for lm, den, rule in heads]
+    out = []
+    for lm, den, rule in heads:
+        lm = order.unpack(lm)
+        terms = {lm: den, **{t: -a for t, a in unpacked(order, rule)}}
+        out.append((lm, Poly(len(lm), terms)))
+    return out
 
 
 class Steps:
@@ -675,11 +720,13 @@ class CheckedDivision:
         den, terms = got
         assert type(den) is int and den > 0
         assert all(type(a) is int and a for _, a in terms)
-        want = reference_division({t: Fraction(a) for t, a in pairs},
-                                  reference_heads(heads), order, Steps())
-        assert [(m, Fraction(a, den)) for m, a in terms] == list(want.items())
+        want = reference_division(
+            {t: Fraction(a) for t, a in unpacked(order, pairs)},
+            reference_heads(heads, order), order)
+        assert ([(m, Fraction(a, den)) for m, a in unpacked(order, terms)]
+                == list(want.items()))
         made = [m for m in table.keys() - before
-                if any(h[0].divides(m) for h in heads)]
+                if any(order.divides(h[0], m) for h in heads)]
         assert steps.spent == len(made)
         self.tables[id(table)] = (table, set(table))
         self.calls += 1
@@ -742,8 +789,7 @@ def test_division_loop_matches_reference_with_fractional_heads(checked_division)
     for p in (fractional_square(3), fractional_square(3) * (x - y) ** 2,
               Fraction(7, 2) * x ** 3 * y - Fraction(1, 6) * z ** 2 + 1):
         gb.reduce(p)
-        reduce(p, gens, o)
-    assert checked_division.calls == 6
+    assert checked_division.calls == 3
 
 
 def test_buchberger_drops_stale_entries(checked_division):
@@ -773,7 +819,7 @@ def test_buchberger_hands_its_heads_and_table_to_the_basis(pres):
     table = gb._normal_forms
     assert table
     fresh = {}
-    polyring._fill(fresh, list(table), gb._heads, gb.order.key, None)
+    polyring._fill(fresh, list(table), gb._heads, gb.order, None)
     assert {m: fresh[m] for m in table} == table
 
 
@@ -784,12 +830,15 @@ def test_s_polynomial_of_heads_matches_fraction_oracle():
     # bases of reduction_bases, whose Groebner bases hold a run's heads
     o = DegRevLex((2, 0, 1))
     x, y, z = variables(3)
-    remainder = [(Monomial((1, 1, 1)), -6), (Monomial((0, 2, 0)), 4),
-                 (Monomial((0, 0, 0)), -10)]
+    r = [(Monomial((1, 1, 1)), -6), (Monomial((0, 2, 0)), 4),
+         (Monomial((0, 0, 0)), -10)]
     gens = [2 * x * y + 3 * z, 3 * y ** 2 - x + 1, Fraction(2, 5) * x * z - y,
-            Poly(3, dict(remainder))]
+            Poly(3, dict(r))]
     heads = polyring._heads_of(gens, o)
-    assert polyring._head(remainder) == heads[-1] == (
+    head = polyring._head([(o.pack(m), a) for m, a in r])
+    assert head == heads[-1]
+    lm, den, rule = head
+    assert (o.unpack(lm), den, unpacked(o, rule)) == (
         Monomial((1, 1, 1)), 3, ((Monomial((0, 2, 0)), 2),
                                  (Monomial((0, 0, 0)), -5)))
     cases = [(gens, heads, o)]
@@ -799,10 +848,11 @@ def test_s_polynomial_of_heads_matches_fraction_oracle():
         for i, j in iter_product(range(len(heads)), repeat=2):
             if i == j:
                 continue
-            terms = polyring.s_polynomial(heads[i], heads[j])
+            l = order.lcm(heads[i][0], heads[j][0])
+            terms = polyring.s_polynomial(heads[i], heads[j], l)
             den = lcm(heads[i][1], heads[j][1])
             assert all(type(a) is int and a for _, a in terms)
-            assert ({m: Fraction(a, den) for m, a in terms}
+            assert ({m: Fraction(a, den) for m, a in unpacked(order, terms)}
                     == s_polynomial(gens[i], gens[j], order).terms)
             pairs += 1
     assert pairs > 100
