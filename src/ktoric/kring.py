@@ -30,6 +30,7 @@ from .polyring import (
     Poly,
     buchberger,
     standard_monomials,
+    within_degree_limit,
 )
 from .polytope import ascending_faces, minimal_nonfaces, validate_polytope
 from .validation import strict_rational
@@ -73,19 +74,23 @@ def _square_free(nvars, facets):
 def covector_relation(lam, u, coeffs, base_facets):
     """The relation a covector u imposes: the product of (1 - x_j)^{u(v_j)}
     over facets where u is positive equals the matching product where u is
-    negative, scaled by the coefficient monomial of u."""
+    negative, scaled by the coefficient monomial of u. KtoricError when
+    either product's degree is past the packed-monomial degree limit, checked
+    before the powers are formed."""
     d = len(lam.vectors)
+    exps = [u(v) for v in lam.vectors]
+    within_degree_limit(sum(e for e in exps if e > 0))
+    within_degree_limit(-sum(e for e in exps if e < 0))
     pos = Poly.one(d)
     neg = Poly.one(d)
-    for j in range(d):
-        e = u(lam.vectors[j])
+    for j, e in enumerate(exps):
         if e > 0:
             pos = pos * (1 - Poly.variable(d, j)) ** e
         elif e < 0:
             neg = neg * (1 - Poly.variable(d, j)) ** (-e)
     r_u = Fraction(1)
     for k, f in enumerate(base_facets):
-        r_u *= coeffs.values[k] ** u(lam.vectors[f])
+        r_u *= coeffs.values[k] ** exps[f]
     return pos - r_u * neg
 
 

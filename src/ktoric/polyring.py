@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add
 
 from .errors import BudgetExceededError, KtoricError
 from .validation import strict_int, strict_rational
@@ -72,16 +72,6 @@ class Monomial(tuple):
         """Sparse view: (index, exponent) for the variables that occur."""
         return tuple((i, e) for i, e in enumerate(self) if e)
 
-    def divides(self, other):
-        return all(map(le, self, other))
-
-    def divide(self, other):
-        """self / other, assuming other divides self."""
-        return Monomial._raw(map(sub, self, other))
-
-    def lcm(self, other):
-        return Monomial._raw(map(max, self, other))
-
     def __mul__(self, other):
         return Monomial._raw(map(add, self, other))
 
@@ -115,30 +105,23 @@ class DegRevLex:
     """Degree order refined reverse-lexicographically.
 
     priority lists variable indices from most to least significant. Two
-    orders compare equal exactly when their priorities do; keys are cached
-    per exponent tuple since reductions revisit the same monomials often.
+    orders compare equal exactly when their priorities do.
 
-    A key is an int, so that its negation orders a min-heap largest first.
-    Each exponent of a monomial of degree d is at most d, so the digits
-    d - e, from the last variable in priority to the first, make a
-    base-(d + 1) number below (d + 1)**n that orders the monomials of
-    degree d reverse-lexicographically; with d in front the keys of degree
-    d lie in [d*(d + 1)**n, (d + 1)**(n + 1)), below every key of degree
-    d + 1.
-
-    The order also packs monomials into the ints the Groebner engine works
-    on (Bachmann-Schoenemann, ISSAC 1998). Field k, FIELD_BITS wide from bit
-    k*FIELD_BITS, holds the exponent of variable priority[k], and the field
-    above the last holds the degree. The top bit of each field is a guard,
-    clear while the degree is at most DEGREE_LIMIT. So a product is a + b
-    and a quotient a - b; a divides b when ((b | guards) - a) & guards ==
-    guards, since no exponent field borrows from the next and a guard
-    survives where b's exponent is at least a's. packed_key complements the
-    exponent fields, so that comparing keys compares degrees first, then
-    the exponents of the last variable in priority, reversed, and so on.
+    The order packs monomials into the ints the Groebner engine works on
+    (Bachmann-Schoenemann, ISSAC 1998), and its one key is the packed int's.
+    Field k, FIELD_BITS wide from bit k*FIELD_BITS, holds the exponent of
+    variable priority[k], and the field above the last holds the degree.
+    The top bit of each field is a guard, clear while the degree is at most
+    DEGREE_LIMIT. So a product is a + b and a quotient a - b; a divides b
+    when ((b | guards) - a) & guards == guards, since no exponent field
+    borrows from the next and a guard survives where b's exponent is at
+    least a's. packed_key complements the exponent fields, so that comparing
+    keys compares degrees first, then the exponents of the last variable in
+    priority, reversed, and so on; key(mono) is the packed_key of
+    pack(mono).
     """
 
-    __slots__ = ("priority", "_rev", "_cache", "pack", "unpack", "guards",
+    __slots__ = ("priority", "_rev", "pack", "unpack", "guards",
                  "_low", "_spread", "_degree_field", "packed_key")
 
     def __init__(self, priority):
@@ -147,7 +130,6 @@ class DegRevLex:
             raise ValueError("priority must be a permutation of the variables")
         self.priority = priority
         self._rev = tuple(reversed(priority))
-        self._cache = {}
         # pack(mono): the packed int of an exponent tuple, KtoricError past
         # DEGREE_LIMIT; unpack(p): the Monomial of a packed int
         self.pack = _Memo(self._pack).__getitem__
@@ -167,17 +149,10 @@ class DegRevLex:
         return cls(range(nvars))
 
     def key(self, mono):
-        k = self._cache.get(mono)
-        if k is None:
-            d = sum(mono)
-            k = d
-            for p in self._rev:
-                k = k * (d + 1) + d - mono[p]
-            self._cache[mono] = k
-        return k
+        return self.packed_key(self.pack(mono))
 
     def _pack(self, mono):
-        p = _within_limit(sum(mono))
+        p = within_degree_limit(sum(mono))
         for v in self._rev:
             p = p << FIELD_BITS | mono[v]
         return p
@@ -214,7 +189,7 @@ class DegRevLex:
         return f"DegRevLex({self.priority})"
 
 
-def _within_limit(degree):
+def within_degree_limit(degree):
     if degree > DEGREE_LIMIT:
         raise KtoricError(
             f"a monomial of degree {degree} is past the packed-monomial "
@@ -376,29 +351,37 @@ class _Budget:
         self.left -= 1
 
 
+def _packed(p, order):
+    """p as the engine holds it, (den, terms): its monomials packed by order,
+    with nonzero int numerators over the lcm den of its denominators,
+    largest term first."""
+    pack, key = order.pack, order.packed_key
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    terms = [(pack(m), c.numerator * (den // c.denominator))
+             for m, c in p.terms.items()]
+    terms.sort(key=lambda t: key(t[0]), reverse=True)
+    return den, terms
+
+
+def _unpacked(nvars, den, terms, order):
+    """The Poly of the engine's int numerators terms over den, its
+    monomials packed by order."""
+    unpack = order.unpack
+    return Poly._raw(nvars, {unpack(m): Fraction(a, den) for m, a in terms})
+
+
 def _heads_of(gens, order):
-    """One (leading monomial, den, rule) head per generator, its monomials
-    packed by order. The rule lists (t, a) for each tail term c*t of the
-    generator, where a/den is -c/lc over the least common denominator den of
-    those ratios: modulo the generator, the leading monomial is the sum of
-    the (a/den)*t."""
-    pack = order.pack
-    heads = []
-    for g in gens:
-        lm = g.leading_monomial(order)
-        lc = g.terms[lm]
-        ratios = [(m, -c / lc) for m, c in g.terms.items() if m != lm]
-        den = lcm(*(r.denominator for _, r in ratios))
-        rule = tuple((pack(m), r.numerator * (den // r.denominator))
-                     for m, r in ratios)
-        heads.append((pack(lm), den, rule))
-    return heads
+    """One (leading monomial, den, rule) head per generator; see _head."""
+    return [_head(_packed(g, order)[1]) for g in gens]
 
 
 def _head(terms):
-    """The head _heads_of makes of the polynomial with nonzero int
-    numerators terms, largest term first: the gcd of the numerators, with
-    the sign of the leading one, brings its ratios to lowest terms."""
+    """The head of the polynomial with nonzero int numerators terms, largest
+    term first: its leading monomial lm, a positive int den and the rule
+    ((t, a), ...) of its tail monomials t, so that modulo the polynomial lm
+    is the sum of the (a/den)*t. The gcd of the numerators, with the sign of
+    the leading one, brings the ratios a/den to lowest terms over their
+    least common denominator."""
     (lm, a), *tail = terms
     g = gcd(a, *[c for _, c in tail])
     if a < 0:
@@ -546,14 +529,10 @@ class GroebnerBasis:
 
     def reduce(self, p):
         """Normal form of p."""
-        pack, unpack = self.order.pack, self.order.unpack
-        den = lcm(*[c.denominator for c in p.terms.values()])
-        common, terms = _reduce(
-            [(pack(m), c.numerator * (den // c.denominator))
-             for m, c in p.terms.items()],
-            self._heads, self.order, None, self._normal_forms)
-        den *= common
-        return Poly._raw(p.nvars, {unpack(m): Fraction(a, den) for m, a in terms})
+        den, terms = _packed(p, self.order)
+        common, terms = _reduce(terms, self._heads, self.order, None,
+                                self._normal_forms)
+        return _unpacked(p.nvars, den * common, terms, self.order)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -617,7 +596,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
                     break
         if subsumed:
             continue
-        _within_limit(order.degree(l))
+        within_degree_limit(order.degree(l))
         _, r = _reduce(s_polynomial(heads[i], heads[j], l), heads, order,
                        counter, table)
         if not r:
@@ -634,10 +613,8 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
         add_pairs(len(heads) - 1)
 
     heads = _interreduce(heads, order, table)
-    unpack = order.unpack
     gb = GroebnerBasis(tuple(
-        Poly._raw(nvars, {unpack(lm): Fraction(1),
-                          **{unpack(t): Fraction(-a, den) for t, a in rule}})
+        _unpacked(nvars, den, [(lm, den), *[(t, -a) for t, a in rule]], order)
         for lm, den, rule in heads), order)
     # every entry left in the table is a remainder modulo a Groebner basis,
     # so the unique normal form, which the basis's own heads give as well
@@ -660,30 +637,32 @@ def standard_monomials(gb):
     product, since the monomial multiplied is standard and free of the
     later variables.
     """
+    order, nvars = gb.order, gb.nvars
     lms = gb.leading_monomials()
-    nvars = gb.nvars
     if any(lm.degree == 0 for lm in lms):
         return ()
     if len({pp[0] for pp in map(Monomial.pure_power, lms) if pp}) < nvars:
         return None
+    # packed: no exponent passes its variable's pure power, so none reaches
+    # a guard bit, and the degree field on top has no bound to pass
     walls = [[] for _ in range(nvars)]
     for lm in lms:
-        walls[max(i for i, e in enumerate(lm) if e)].append(lm)
-    out = [Monomial.one(nvars)]
+        walls[max(i for i, e in enumerate(lm) if e)].append(order.pack(lm))
+    out = [order.pack(Monomial.one(nvars))]
     for i in range(nvars):
-        step = Monomial.variable(nvars, i)
+        step = order.pack(Monomial.variable(nvars, i))
         if step in walls[i]:
             continue
         for mono in out[:]:
-            mono = mono * step
-            while not any(lm.divides(mono) for lm in walls[i]):
+            mono += step
+            while not any(order.divides(lm, mono) for lm in walls[i]):
                 out.append(mono)
                 if len(out) > RANK_CAP:
                     raise BudgetExceededError(
                         f"quotient basis holds more than {RANK_CAP} monomials")
-                mono = mono * step
-    out.sort(key=gb.order.key)
-    return tuple(out)
+                mono += step
+    out.sort(key=order.packed_key)
+    return tuple(map(order.unpack, out))
 
 
 def _render_monomial(mono, names):

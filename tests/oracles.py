@@ -1,15 +1,15 @@
 """Test-side stand-ins the library does not need: a bare presentation built
-from polynomials, monic polynomials and S-polynomials in Fraction
-arithmetic, division by rescanning in Fraction arithmetic, a Groebner-basis
-check by S-polynomials and that division, standard monomials by enumerating
-a box, and Gauss-Jordan elimination in Fraction arithmetic. The division
-and the Groebner-basis check share no code with the library's Groebner
-engine."""
+from polynomials, monomial arithmetic and the DegRevLex order on exponent
+tuples, monic polynomials and S-polynomials in Fraction arithmetic,
+division by rescanning in Fraction arithmetic, a Groebner-basis check by
+S-polynomials and that division, standard monomials by enumerating a box,
+and Gauss-Jordan elimination in Fraction arithmetic. The division and the
+Groebner-basis check share no code with the library's Groebner engine."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import le
+from operator import le, sub
 
 from ktoric import DegRevLex, Monomial, Poly
 
@@ -34,6 +34,28 @@ def polynomial_presentation(ideal_gens, var_names=None):
                               tuple(var_names))
 
 
+def mono_divides(a, b):
+    """Whether the exponent tuple a divides b."""
+    return all(map(le, a, b))
+
+
+def mono_quotient(a, b):
+    """a / b for exponent tuples, b dividing a."""
+    return tuple(map(sub, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def degrevlex_key(order):
+    """The sort key of order on exponent tuples, as the textbook states it:
+    degree first, then the exponents from the last variable in priority to
+    the first, negated."""
+    rev = tuple(reversed(order.priority))
+    return lambda m: (sum(m), tuple(-m[v] for v in rev))
+
+
 def monic(p, order):
     """p divided by its leading coefficient."""
     lc = p.terms[p.leading_monomial(order)]
@@ -50,8 +72,8 @@ def s_polynomial(f, g, order):
     """The S-polynomial of f and g, both made monic, in Fraction arithmetic."""
     lf = f.leading_monomial(order)
     lg = g.leading_monomial(order)
-    l = lf.lcm(lg)
-    uf, ug = l.divide(lf), l.divide(lg)
+    l = mono_lcm(lf, lg)
+    uf, ug = mono_quotient(l, lf), mono_quotient(l, lg)
     out = {m * uf: c for m, c in _over(f, f.terms[lf])}
     for m, c in _over(g, g.terms[lg]):
         m = m * ug
@@ -67,22 +89,18 @@ def s_polynomial(f, g, order):
 def reference_division(terms, heads, order):
     """Division as the library did it before its heap, memo and table: every
     step rescans the working polynomial, the terms map, for its largest
-    monomial under a separately built order key and scans the (leading
-    monomial, generator) heads from the first, in Fraction arithmetic
-    throughout. Returns the remainder's terms, largest first."""
-    rev = tuple(reversed(order.priority))
-
-    def key(m):
-        return (sum(m), tuple(-m[v] for v in rev))
-
+    monomial under degrevlex_key and scans the (leading monomial, generator)
+    heads from the first, in Fraction arithmetic throughout. Returns the
+    remainder's terms, largest first."""
+    key = degrevlex_key(order)
     remainder = {}
     work = dict(terms)
     while work:
         mono = max(work, key=key)
         coeff = work.pop(mono)
         for lm, g in heads:
-            if lm.divides(mono):
-                factor = mono.divide(lm)
+            if mono_divides(lm, mono):
+                factor = mono_quotient(mono, lm)
                 scale = coeff / g.terms[lm]
                 for m2, c2 in g.terms.items():
                     if m2 == lm:
@@ -130,8 +148,8 @@ def box_standard_monomials(gb):
     if None in bound:
         return None
     out = [Monomial(exps) for exps in product(*(range(b) for b in bound))
-           if not any(all(map(le, lm, exps)) for lm in lms)]
-    return tuple(sorted(out, key=gb.order.key))
+           if not any(mono_divides(lm, exps) for lm in lms)]
+    return tuple(sorted(out, key=degrevlex_key(gb.order)))
 
 
 def fraction_rref(a):

@@ -85,13 +85,15 @@ def test_budget_error_names_the_stage(tower_files, capsys):
 
 
 def test_tower_past_the_packing_limit_is_exit_one(tower_files, capsys):
-    # the relation y2^2 - y2 - (y2 - 1) * y1_inv^40000 has a monomial whose
+    # bott's relation y2^2 - y2 - (y2 - 1) * y1_inv^40000 and the degree-40001
+    # covector relation compare builds first each have a monomial whose
     # degree no packed field holds
     tf = tower_files(2, [(1, 2, 40000)])
-    assert main(["bott", tf]) == 1
-    err = capsys.readouterr().err
-    assert f"degree limit {DEGREE_LIMIT}" in err
-    assert "Traceback" not in err
+    for command in ("bott", "compare"):
+        assert main([command, tf]) == 1
+        err = capsys.readouterr().err
+        assert f"degree limit {DEGREE_LIMIT}" in err
+        assert "Traceback" not in err
 
 
 def test_negative_budget_is_exit_two(tower_files, capsys):

@@ -523,9 +523,10 @@ def test_structure_constants_satisfy_ring_axioms(p, lam):
     assert_ring_axioms(pres, b)
 
 
-def test_structure_constants_satisfy_ring_axioms_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def towers_and_squares(st):
+    """A hypothesis strategy for (polytope, charmap): the cubes of towers of
+    height 1-3 with twists in [-3, 3] and the twisted squares with twists in
+    [-4, 4]."""
 
     def tower(n):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -534,13 +535,33 @@ def test_structure_constants_satisfy_ring_axioms_property():
             lambda vals: BottMatrix.from_triples(
                 n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
 
-    labeled = st.one_of(
-        st.integers(1, 3).flatmap(tower).map(bott_charmap),
-        st.integers(-4, 4).map(twisted_square))
+    return st.one_of(st.integers(1, 3).flatmap(tower).map(bott_charmap),
+                     st.integers(-4, 4).map(twisted_square))
+
+
+def test_covector_redundancy_property():
+    # the relation of any covector, not only of the dual basis's, lies in
+    # the ideal the presentation generates
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(labeled)
+    @hypothesis.given(towers_and_squares(st), st.randoms(use_true_random=False))
+    def check(case, rng):
+        p, lam = case
+        covectors_reduce_to_zero(p, lam, None, generic_functional(p.dim), rng, 1)
+
+    check()
+
+
+def test_structure_constants_satisfy_ring_axioms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(towers_and_squares(st))
     def check(case):
         p, lam = case
         pres = build_presentation(p, lam)

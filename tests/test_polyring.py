@@ -40,7 +40,11 @@ from ktoric.intlinalg import det_bareiss
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
 from oracles import (
     box_standard_monomials,
+    degrevlex_key,
     is_groebner,
+    mono_divides,
+    mono_lcm,
+    mono_quotient,
     monic,
     reference_division,
     remainder,
@@ -58,9 +62,13 @@ def test_monomial_basics():
     assert m.exponents == ((0, 2), (1, 1))
     assert m.pure_power() is None
     assert Monomial((3, 0)).pure_power() == (0, 3)
-    assert Monomial((1, 1)).divides(m)
-    assert m.divide(Monomial((1, 1))) == Monomial((1, 0))
-    assert Monomial((0, 2)).lcm(Monomial((1, 1))) == Monomial((1, 2))
+    # divisibility, quotients and lcms are the order's packed operations
+    o = DegRevLex.standard(2)
+    pack = o.pack
+    assert o.divides(pack(Monomial((1, 1))), pack(m))
+    assert o.unpack(pack(m) - pack(Monomial((1, 1)))) == Monomial((1, 0))
+    assert o.unpack(o.lcm(pack(Monomial((0, 2))),
+                          pack(Monomial((1, 1))))) == Monomial((1, 2))
 
 
 def test_monomial_rejects_negative_exponents():
@@ -79,7 +87,10 @@ def test_monomial_rejects_non_integer_exponents(exps):
 
 def test_monomial_arithmetic_stays_monomial():
     m, n = Monomial((2, 1)), Monomial((1, 3))
-    for result in (m.lcm(n), m.divide(Monomial((1, 0))), m * n,
+    o = DegRevLex.standard(2)
+    pack = o.pack
+    for result in (o.unpack(o.lcm(pack(m), pack(n))),
+                   o.unpack(pack(m) - pack(Monomial((1, 0)))), m * n,
                    m.permute((1, 0)), Monomial.one(2), Monomial.variable(2, 1)):
         assert type(result) is Monomial
     assert m * n == (3, 4)  # exponents add; the tuple is not repeated
@@ -120,17 +131,17 @@ def test_degrevlex_tiebreak():
 def test_degrevlex_key_is_degree_then_reverse_lex(priority):
     # the int key against the order spelled out as a tuple
     o = DegRevLex(priority)
-    rev = tuple(reversed(priority))
     monos = [Monomial(e) for e in iter_product(range(5), repeat=len(priority))]
     by_int = sorted(monos, key=o.key)
-    assert by_int == sorted(monos, key=lambda m: (sum(m), tuple(-m[v] for v in rev)))
+    assert by_int == sorted(monos, key=degrevlex_key(o))
     assert len({o.key(m) for m in monos}) == len(monos)
     assert all(type(o.key(m)) is int for m in monos)
 
 
 def test_packed_monomials_agree_with_exponent_tuples():
-    # the engine's packed ints against Monomial and DegRevLex.key, with
-    # degrees up to the field limit and products one past it
+    # the engine's packed ints against the oracles' exponent-tuple
+    # arithmetic and textbook order, with degrees up to the field limit and
+    # products one past it
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     limit = polyring.DEGREE_LIMIT
@@ -162,14 +173,15 @@ def test_packed_monomials_agree_with_exponent_tuples():
             with pytest.raises(KtoricError, match=f"limit {limit}"):
                 o.pack(a * b)
         for u, v, pu, pv in ((a, b, pa, pb), (b, a, pb, pa)):
-            assert o.divides(pu, pv) == u.divides(v)
-            if u.divides(v):
-                assert pv - pu == o.pack(v.divide(u))
-        l = o.lcm(pa, pb)
-        assert o.unpack(l) == a.lcm(b) and o.degree(l) == a.lcm(b).degree
-        if a.lcm(b).degree <= limit:
-            assert l == o.pack(a.lcm(b))
-        ka, kb = o.key(a), o.key(b)
+            assert o.divides(pu, pv) == mono_divides(u, v)
+            if mono_divides(u, v):
+                assert pv - pu == o.pack(mono_quotient(v, u))
+        l, ab = o.lcm(pa, pb), mono_lcm(a, b)
+        assert o.unpack(l) == ab and o.degree(l) == sum(ab)
+        if sum(ab) <= limit:
+            assert l == o.pack(ab)
+        key = degrevlex_key(o)
+        ka, kb = key(a), key(b)
         assert ((ka > kb) - (ka < kb)
                 == (o.packed_key(pa) > o.packed_key(pb))
                 - (o.packed_key(pa) < o.packed_key(pb)))
@@ -231,7 +243,8 @@ def test_reduce_postcondition_no_divisible_terms():
             p = p + rng.randint(-3, 3) * Monomial_poly(exps)
         r = gb.reduce(p)
         for mono in r.terms:
-            assert not any(lm.divides(mono) for lm in gb.leading_monomials())
+            assert not any(mono_divides(lm, mono)
+                           for lm in gb.leading_monomials())
 
 
 def Monomial_poly(exps):
@@ -314,6 +327,12 @@ def test_standard_monomials_cap():
     gb = buchberger([x ** 400, y ** 400], o)
     with pytest.raises(BudgetExceededError, match="more than 100000 monomials"):
         standard_monomials(gb)
+    # under the cap, exponents up to the packing limit make degrees past it
+    limit = polyring.DEGREE_LIMIT
+    gb = buchberger([Poly(2, {(limit, 0): 1}), y ** 3], o)
+    std = standard_monomials(gb)
+    assert len(std) == 3 * limit and std[-1] == (limit - 1, 2)
+    assert std == box_standard_monomials(gb)
 
 
 def test_standard_monomials_few_in_a_large_box():
@@ -450,23 +469,23 @@ def rescan_buchberger(gens, order):
     """Reference Buchberger that picks each pair by rescanning every pending
     pair with min(), as the library did before its pair heap. Returns the
     reduced basis and the number of S-polynomials reduced."""
+    key = degrevlex_key(order)
     basis = [monic(g, order) for g in gens if not g.is_zero]
     lms = [g.leading_monomial(order) for g in basis]
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
 
     def pair_sort_key(pair):
         i, j = pair
-        l = lms[i].lcm(lms[j])
-        return (l.degree, order.key(l), i, j)
+        return (key(mono_lcm(lms[i], lms[j])), i, j)
 
     reduced = 0
     while pending:
         i, j = min(pending, key=pair_sort_key)
         pending.discard((i, j))
-        l = lms[i].lcm(lms[j])
-        if l.degree == lms[i].degree + lms[j].degree:
+        l = mono_lcm(lms[i], lms[j])
+        if sum(l) == lms[i].degree + lms[j].degree:
             continue
-        if any(lms[k].divides(l) and (min(i, k), max(i, k)) not in pending
+        if any(mono_divides(lms[k], l) and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis)) if k not in (i, j)):
             continue
@@ -477,11 +496,11 @@ def rescan_buchberger(gens, order):
         pending.update((k, len(basis)) for k in range(len(basis)))
         basis.append(monic(r, order))
         lms.append(basis[-1].leading_monomial(order))
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    basis.sort(key=lambda g: key(g.leading_monomial(order)))
     kept = []
     for g in basis:
         lm = g.leading_monomial(order)
-        if not any(h.leading_monomial(order).divides(lm) for h in kept):
+        if not any(mono_divides(h.leading_monomial(order), lm) for h in kept):
             kept.append(g)
     return [remainder(g, kept[:i] + kept[i + 1:], order)
             for i, g in enumerate(kept)], reduced
@@ -593,8 +612,9 @@ def test_buchberger_matches_sympy(pres):
 
     theirs = sympy.groebner([to_sympy(g) for g in pres.ideal_gens], *gens,
                             order="grevlex", domain=sympy.QQ)
+    key = degrevlex_key(order)
     theirs = sorted((from_sympy(g) for g in theirs.exprs),
-                    key=lambda p: order.key(p.leading_monomial(order)))
+                    key=lambda p: key(p.leading_monomial(order)))
     ours = [monic(g, order)
             for g in buchberger(list(pres.ideal_gens), order).generators]
     assert ours == theirs
