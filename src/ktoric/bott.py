@@ -171,9 +171,11 @@ def involution_check(pres, budget=DEFAULT_BUDGET):
     """Swapping every generator with its inverse must preserve the ideal:
     each relation, after the swap, reduces to zero."""
     n = pres.n
-    perm = tuple(list(range(n, 2 * n)) + list(range(n)))
     gb = buchberger(pres.ideal_gens, pres.order, budget)
-    return all(gb.reduce(g.permute_vars(perm)).is_zero for g in pres.ideal_gens)
+    # y_i, variable i - 1, and its inverse, variable n + i - 1, trade places
+    swapped = (Poly(g.nvars, {m[n:] + m[:n]: c for m, c in g.terms.items()})
+               for g in pres.ideal_gens)
+    return all(gb.reduce(s).is_zero for s in swapped)
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,6 +71,17 @@ def _square_free(nvars, facets):
     return Poly(nvars, {mono: 1})
 
 
+def _unit_power(d, j, e):
+    """(1 - x_j)^e over d variables, term by term: the coefficient of x_j^k
+    is (-1)^k C(e, k), and C(e, k+1) = C(e, k) (e - k) / (k + 1)."""
+    terms = {}
+    c = 1
+    for k in range(e + 1):
+        terms[Monomial.variable(d, j, k)] = Fraction(c)
+        c = -c * (e - k) // (k + 1)
+    return Poly._raw(d, terms)
+
+
 def covector_relation(lam, u, coeffs, base_facets):
     """The relation a covector u imposes: the product of (1 - x_j)^{u(v_j)}
     over facets where u is positive equals the matching product where u is
@@ -85,9 +96,9 @@ def covector_relation(lam, u, coeffs, base_facets):
     neg = Poly.one(d)
     for j, e in enumerate(exps):
         if e > 0:
-            pos = pos * (1 - Poly.variable(d, j)) ** e
+            pos = pos * _unit_power(d, j, e)
         elif e < 0:
-            neg = neg * (1 - Poly.variable(d, j)) ** (-e)
+            neg = neg * _unit_power(d, j, -e)
     r_u = Fraction(1)
     for k, f in enumerate(base_facets):
         r_u *= coeffs.values[k] ** exps[f]
@@ -186,6 +197,16 @@ def _coords(gb, index, p):
 _ZERO = Fraction(0)
 
 
+def _coord_matrix(gb, index, polys):
+    """The matrix, one row per position in index, whose column j holds the
+    coordinates of the normal form of polys[j]; see _coords."""
+    mat = [[_ZERO] * len(polys) for _ in range(len(index))]
+    for j, p in enumerate(polys):
+        for i, c in _coords(gb, index, p):
+            mat[i][j] = c
+    return mat
+
+
 def _scaled_columns(mat):
     """(den, columns) for a matrix of Fractions: den is the lcm of all its
     denominators, and column t lists (row, den * entry) for its nonzero
@@ -280,11 +301,8 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         basis_monos.append(Monomial(1 if j in fs else 0 for j in range(d)))
 
     index = {mono: i for i, mono in enumerate(std)}
-    change = [[Fraction(0)] * m for _ in range(q)]
-    for k, mono in enumerate(basis_monos):
-        for i, c in _coords(gb, index, Poly(d, {mono: 1})):
-            change[i][k] = c
-    change = tuple(map(tuple, change))
+    change = tuple(map(tuple, _coord_matrix(
+        gb, index, [Poly(d, {mono: 1}) for mono in basis_monos])))
     rank = rat_rank(change)
     integral = pres.integral
 
@@ -333,10 +351,7 @@ def invert_unit(p, basis):
         raise NotAUnitError("the quotient ring is zero")
     d = gb.nvars
     index = basis._std_index
-    mat = [[Fraction(0)] * q for _ in range(q)]
-    for j, mono in enumerate(std):
-        for i, c in _coords(gb, index, p * Poly(d, {mono: 1})):
-            mat[i][j] = c
+    mat = _coord_matrix(gb, index, [p * Poly(d, {mono: 1}) for mono in std])
     target = index.get(Monomial.one(d))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")

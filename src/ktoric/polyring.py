@@ -80,13 +80,6 @@ class Monomial(tuple):
         nz = self.exponents
         return nz[0] if len(nz) == 1 else None
 
-    def permute(self, perm):
-        """Relabel variables: old index i becomes perm[i]."""
-        out = [0] * len(self)
-        for i, e in enumerate(self):
-            out[perm[i]] = e
-        return Monomial._raw(out)
-
 
 class _Memo(dict):
     """The values of fn, each computed on its key's first lookup."""
@@ -310,10 +303,6 @@ class Poly:
             out = out * self
         return out
 
-    def permute_vars(self, perm):
-        return Poly._raw(self.nvars,
-                         {m.permute(perm): c for m, c in self.terms.items()})
-
     def leading_monomial(self, order):
         if not self.terms:
             raise ValueError("the zero polynomial has no leading monomial")
@@ -368,11 +357,6 @@ def _unpacked(nvars, den, terms, order):
     monomials packed by order."""
     unpack = order.unpack
     return Poly._raw(nvars, {unpack(m): Fraction(a, den) for m, a in terms})
-
-
-def _heads_of(gens, order):
-    """One (leading monomial, den, rule) head per generator; see _head."""
-    return [_head(_packed(g, order)[1]) for g in gens]
 
 
 def _head(terms):
@@ -454,7 +438,7 @@ def _fill(table, monos, heads, order, budget):
 
 
 def _reduce(pairs, heads, order, budget, table):
-    """Normal form by heads, as built by _heads_of, of the sum of the a*t
+    """Normal form by heads, as built by _head, of the sum of the a*t
     over pairs (t, a), each t packed and each a a nonzero int, as (den,
     terms) from _combine: the entries of the t combined, made by _fill as
     needed and kept in table. A table serves one head sequence, or one that
@@ -504,34 +488,33 @@ def _interreduce(heads, order, table):
 
 @dataclass(frozen=True, eq=False)
 class GroebnerBasis:
-    """A reduced basis together with the order it was computed for."""
+    """A reduced basis as the engine holds it: the heads of its generators
+    (see _head), their monomials packed by order, over nvars variables, and
+    the table of normal forms by those heads (see _fill). buchberger hands
+    over its run's table: every entry left in it is a remainder modulo a
+    Groebner basis, so the unique normal form, which the basis's own heads
+    give as well."""
 
-    generators: tuple
+    heads: tuple
     order: DegRevLex
-
-    @property
-    def nvars(self):
-        return self.generators[0].nvars if self.generators else 0
+    nvars: int
+    table: dict
 
     @cached_property
-    def _heads(self):
-        return tuple(_heads_of(self.generators, self.order))
+    def generators(self):
+        """The basis as monic Polys, built from the heads when first read."""
+        return tuple(
+            _unpacked(self.nvars, den, [(lm, den), *[(t, -a) for t, a in rule]],
+                      self.order)
+            for lm, den, rule in self.heads)
 
     def leading_monomials(self):
-        return tuple(self.order.unpack(h[0]) for h in self._heads)
-
-    @cached_property
-    def _normal_forms(self):
-        """The normal forms of packed monomials by this basis, filled on
-        demand; see _fill. A basis from buchberger starts with the run's
-        table."""
-        return {}
+        return tuple(self.order.unpack(h[0]) for h in self.heads)
 
     def reduce(self, p):
         """Normal form of p."""
         den, terms = _packed(p, self.order)
-        common, terms = _reduce(terms, self._heads, self.order, None,
-                                self._normal_forms)
+        common, terms = _reduce(terms, self.heads, self.order, None, self.table)
         return _unpacked(p.nvars, den * common, terms, self.order)
 
 
@@ -562,7 +545,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     if any(g.nvars != nvars for g in gens):
         raise ValueError("generators live over different variable sets")
 
-    heads = _heads_of(gens, order)
+    heads = [_head(_packed(p, order)[1]) for p in gens]
     key, g = order.packed_key, order.guards
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
@@ -612,14 +595,8 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
             del table[m]
         add_pairs(len(heads) - 1)
 
-    heads = _interreduce(heads, order, table)
-    gb = GroebnerBasis(tuple(
-        _unpacked(nvars, den, [(lm, den), *[(t, -a) for t, a in rule]], order)
-        for lm, den, rule in heads), order)
-    # every entry left in the table is a remainder modulo a Groebner basis,
-    # so the unique normal form, which the basis's own heads give as well
-    vars(gb).update(_heads=tuple(heads), _normal_forms=table)
-    return gb
+    return GroebnerBasis(tuple(_interreduce(heads, order, table)), order,
+                         nvars, table)
 
 
 def standard_monomials(gb):
@@ -646,8 +623,8 @@ def standard_monomials(gb):
     # packed: no exponent passes its variable's pure power, so none reaches
     # a guard bit, and the degree field on top has no bound to pass
     walls = [[] for _ in range(nvars)]
-    for lm in lms:
-        walls[max(i for i, e in enumerate(lm) if e)].append(order.pack(lm))
+    for lm, (p, _, _) in zip(lms, gb.heads):
+        walls[max(i for i, e in enumerate(lm) if e)].append(p)
     out = [order.pack(Monomial.one(nvars))]
     for i in range(nvars):
         step = order.pack(Monomial.variable(nvars, i))

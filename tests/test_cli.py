@@ -287,6 +287,13 @@ def test_compare_report(tower_files, capsys):
     assert report["unimodular"] is True
 
 
+def test_compare_on_a_large_twist(tower_files, capsys):
+    # the covector relations hold (1 - x_j)^2000, expanded term by term
+    tf = tower_files(2, [(1, 2, 2000)])
+    assert main(["compare", tf]) == 0
+    assert json.loads(capsys.readouterr().out)["isomorphic"] is True
+
+
 def test_bott_samelson_report(json_file, capsys):
     cf = json_file({"type": "A", "rank": 2, "word": [1, 2]})
     assert main(["bott-samelson", cf]) == 0

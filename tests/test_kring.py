@@ -523,10 +523,9 @@ def test_structure_constants_satisfy_ring_axioms(p, lam):
     assert_ring_axioms(pres, b)
 
 
-def towers_and_squares(st):
-    """A hypothesis strategy for (polytope, charmap): the cubes of towers of
-    height 1-3 with twists in [-3, 3] and the twisted squares with twists in
-    [-4, 4]."""
+def towers(st):
+    """A hypothesis strategy for the towers of height 1-3 with twists in
+    [-3, 3]."""
 
     def tower(n):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -535,7 +534,13 @@ def towers_and_squares(st):
             lambda vals: BottMatrix.from_triples(
                 n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
 
-    return st.one_of(st.integers(1, 3).flatmap(tower).map(bott_charmap),
+    return st.integers(1, 3).flatmap(tower)
+
+
+def towers_and_squares(st):
+    """A hypothesis strategy for (polytope, charmap): the cubes of the
+    towers of towers(st) and the twisted squares with twists in [-4, 4]."""
+    return st.one_of(towers(st).map(bott_charmap),
                      st.integers(-4, 4).map(twisted_square))
 
 
@@ -551,6 +556,35 @@ def test_covector_redundancy_property():
     def check(case, rng):
         p, lam = case
         covectors_reduce_to_zero(p, lam, None, generic_functional(p.dim), rng, 1)
+
+    check()
+
+
+def test_covector_relation_is_a_product_of_powers_property():
+    # the relation's binomial expansions against repeated multiplication:
+    # the product of the (1 - x_j)^e where u(v_j) = e > 0, minus the
+    # product of the (1 - x_j)^-e where e < 0, all coefficients 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(towers(st).map(bott_charmap), st.data())
+    def check(case, data):
+        p, lam = case
+        pres = build_presentation(p, lam)
+        u = Covector(tuple(data.draw(st.lists(
+            st.integers(-4, 4), min_size=p.dim, max_size=p.dim))))
+        d = pres.nvars
+        pos = neg = Poly.one(d)
+        for j, v in enumerate(pres.charmap.vectors):
+            e = u(v)
+            if e > 0:
+                pos = pos * (1 - var(d, j)) ** e
+            elif e < 0:
+                neg = neg * (1 - var(d, j)) ** -e
+        got = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets)
+        assert got == pos - neg
 
     check()
 
