@@ -1,11 +1,10 @@
 """Facet vector assignments and the covectors they determine."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import NoBaseVertexError
-from .intlinalg import det_bareiss, rat_inverse
+from .intlinalg import det_int, rat_inverse
 from .validation import CheckResult, ValidationReport, strict_int
 
 
@@ -72,7 +71,7 @@ def validate_charmap(p, lam):
 
     nonunit = []
     for w in range(p.vertex_count):
-        if abs(det_bareiss(_vertex_matrix(p, lam, w))) != 1:
+        if abs(det_int(_vertex_matrix(p, lam, w))) != 1:
             nonunit.append(w)
     checks.append(CheckResult(
         "vertex_determinants", not nonunit,
@@ -87,8 +86,7 @@ def dual_basis(p, lam):
     rows of the inverse of the matrix whose columns are those vectors."""
     if lam.base_vertex is None:
         raise NoBaseVertexError("characteristic map has no base vertex")
-    mat = [[Fraction(x) for x in row] for row in _vertex_matrix(p, lam, lam.base_vertex)]
-    inv = rat_inverse(mat)
+    inv = rat_inverse(_vertex_matrix(p, lam, lam.base_vertex))
     if inv is None:
         raise ValueError("base vertex facet vectors are not invertible")
     covs = []

@@ -1,99 +1,109 @@
 """Exact linear algebra on small dense matrices.
 
-Matrices are plain lists of row lists. The rational routines take ints and
-fractions.Fraction entries and return Fractions, but scale each row to
-integers and eliminate without fractions inside. Nothing here is
+Matrices are plain lists of row lists. Every routine is one Gauss-Jordan
+elimination in ints, `_eliminate`; the rational ones take int and Fraction
+entries, scale each row to ints and return Fractions. Nothing here is
 asymptotically clever; every matrix this library meets is tiny.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import NonSquareError
 from .validation import strict_int
 
 
-def identity_matrix(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+def _scaled_rows(a):
+    """The rows of a, each scaled to ints by the lcm of its denominators, and
+    the product of those lcms."""
+    m = []
+    scale = 1
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    return m, scale
 
 
-def det_bareiss(a):
-    """Exact integer determinant by fraction-free elimination."""
+def _eliminate(m):
+    """Gauss-Jordan elimination of the int matrix m, in place: the first
+    nonzero entry of each column is its pivot p, and each other row with f in
+    that column becomes p * row - f * pivot row, divided by its content.
+    Returns (pivot_columns, up, down); the pivot rows end on top, in order.
+    For a square m of full rank the input's determinant is
+    down * (product of the pivots) / up: up is the product of the row
+    scalings, down that of the contents divided out, negated per row swap.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    up = down = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        for pr in range(r, rows):
+            if m[pr][c]:
+                break
+        else:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            down = -down
+        top = m[r]
+        p = top[c]
+        others = [i for i in range(rows) if m[i][c] and i != r]
+        contents = 1
+        for i in others:
+            f = m[i][c]
+            row = [x * p - f * y for x, y in zip(m[i], top)]
+            # an all-zero row has content 0 and is not divided
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                contents *= g
+            m[i] = row
+        up *= p ** len(others)
+        down *= contents
+        pivots.append(c)
+        r += 1
+    return pivots, up, down
+
+
+def det_int(a):
+    """Exact determinant of a square int matrix."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquareError(f"matrix is {n}x{len(a[0]) if a else 0}, need square")
-    if n == 0:
-        return 1
     m = [[strict_int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot, top = m[k][k], m[k]
-        for i in range(k + 1, n):
-            lead = m[i][k]
-            # exact by the Bareiss identity; columns up to k become or stay
-            # 0, and a row with lead 0 stays as it is when pivot == prev
-            if lead or pivot != prev:
-                m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], top)]
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    pivots, up, down = _eliminate(m)
+    if len(pivots) < n:
+        return 0
+    return down * prod(row[i] for i, row in enumerate(m)) // up
 
 
 def rat_rref(a):
     """Reduced row echelon form over the rationals, of a matrix of ints and
     Fractions.
 
-    Returns (matrix, pivot_columns), the matrix in Fractions. Deterministic:
-    the first nonzero entry in each column is used as pivot, no magnitude
-    heuristics are needed with exact arithmetic. The work is in ints: each
-    row is scaled by the lcm of its denominators, Gauss-Jordan elimination
-    scales rows instead of dividing them and divides each updated row by
-    its content, and each pivot row is divided by its pivot once, at the
-    end. The reduced form is unique, so this is the Fraction elimination's
-    result entry for entry.
+    Returns (matrix, pivot_columns), the matrix in Fractions: `_eliminate` on
+    the row-scaled ints, then each pivot row divided by its pivot once. The
+    reduced form is unique, so this is the Fraction elimination's result
+    entry for entry.
     """
-    m = []
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(rows):
-            f = m[i][c]
-            if f and i != r:
-                row = [x * p - f * y for x, y in zip(m[i], top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
+    m = _scaled_rows(a)[0]
+    pivots = _eliminate(m)[0]
     zero = Fraction(0)
     for i, c in enumerate(pivots):
         p = m[i][c]
         m[i] = [Fraction(x, p) if x else zero for x in m[i]]
-    for i in range(r, rows):
-        m[i] = [zero] * cols
+    for i in range(len(pivots), len(m)):
+        m[i] = [zero] * len(m[i])
     return m, pivots
 
 
 def rat_rank(a):
-    return len(rat_rref(a)[1])
+    return len(_eliminate(_scaled_rows(a)[0])[0])
 
 
 def rat_solve(a, b):
@@ -101,13 +111,11 @@ def rat_solve(a, b):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    rows = len(a)
-    if len(b) != rows:
+    if len(b) != len(a):
         raise ValueError("right hand side length does not match")
-    if rows == 0:
+    if not a:
         return []
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    m, pivots = rat_rref(aug)
+    m, pivots = rat_rref([list(row) + [x] for row, x in zip(a, b)])
     cols = len(a[0])
     if cols in pivots:
         return None
@@ -122,9 +130,7 @@ def rat_inverse(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquareError("inverse needs a square matrix")
-    if n == 0:
-        return []
-    aug = [list(row) + unit for row, unit in zip(a, identity_matrix(n))]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     m, pivots = rat_rref(aug)
     if pivots != list(range(n)):
         return None
@@ -132,16 +138,8 @@ def rat_inverse(a):
 
 
 def rat_det(a):
-    """Determinant of a matrix of ints and Fractions: Bareiss on the matrix
-    with each row scaled to integers by the lcm of its denominators, divided
-    by the product of those lcms."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise NonSquareError("determinant needs a square matrix")
-    rows = []
-    scale = 1
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-        scale *= den
-    return Fraction(det_bareiss(rows), scale)
+    """Determinant of a matrix of ints and Fractions: that of the matrix with
+    each row scaled to integers by the lcm of its denominators, divided by
+    the product of those lcms."""
+    m, scale = _scaled_rows(a)
+    return Fraction(det_int(m), scale)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import OrderPropertyError, TieError
-from .validation import CheckResult, ValidationReport, strict_int
+from .validation import CheckResult, ValidationReport, strict_int, strict_rational
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class SimplePolytope:
                     raise ValueError(f"vertex {i} uses facet index {f} out of range")
         object.__setattr__(self, "vertices", verts)
         if self.coords is not None:
-            pts = tuple(tuple(Fraction(x) for x in pt) for pt in self.coords)
+            pts = tuple(tuple(map(strict_rational, pt)) for pt in self.coords)
             if len(pts) != len(verts):
                 raise ValueError("one coordinate point per vertex required")
             if any(len(pt) != self.dim for pt in pts):
@@ -66,7 +66,7 @@ class VertexOrder:
 
     def __post_init__(self):
         order = tuple(map(strict_int, self.order))
-        heights = tuple(Fraction(h) for h in self.heights)
+        heights = tuple(map(strict_rational, self.heights))
         if sorted(order) != list(range(len(order))) or len(heights) != len(order):
             raise ValueError("order must be a permutation with matching heights")
         if len(set(heights)) != len(heights):
@@ -228,7 +228,7 @@ def order_vertices(p, functional):
     """Order vertices by a rational linear functional on their coordinates."""
     if p.coords is None:
         raise ValueError("polytope has no coordinates, supply an explicit vertex order")
-    func = [Fraction(x) for x in functional]
+    func = list(map(strict_rational, functional))
     if len(func) != p.dim:
         raise ValueError("functional arity must equal the dimension")
     heights = [sum(a * c for a, c in zip(func, pt)) for pt in p.coords]

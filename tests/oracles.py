@@ -3,8 +3,10 @@ from polynomials, monomial arithmetic and the DegRevLex order on exponent
 tuples, monic polynomials and S-polynomials in Fraction arithmetic,
 division by rescanning in Fraction arithmetic, a Groebner-basis check by
 S-polynomials and that division, standard monomials by enumerating a box,
-and Gauss-Jordan elimination in Fraction arithmetic. The division and the
-Groebner-basis check share no code with the library's Groebner engine."""
+Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
+determinant. The division and the Groebner-basis check share no code with
+the library's Groebner engine, nor the two eliminations with its
+elimination."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,3 +178,31 @@ def fraction_rref(a):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def bareiss_det(a):
+    """Determinant of a square int matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968), which shares no code with the
+    library's Gauss-Jordan elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for i in range(k + 1, n):
+            lead = m[i][k]
+            # exact by the Bareiss identity; columns up to k become or stay
+            # 0, and a row with lead 0 stays as it is when pivot == prev
+            if lead or pivot != prev:
+                m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], top)]
+        prev = pivot
+    return sign * m[n - 1][n - 1]

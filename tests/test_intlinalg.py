@@ -8,7 +8,7 @@ import pytest
 
 from ktoric import NonSquareError, intlinalg
 from ktoric.intlinalg import (
-    det_bareiss,
+    det_int,
     rat_det,
     rat_inverse,
     rat_rank,
@@ -16,7 +16,7 @@ from ktoric.intlinalg import (
     rat_solve,
 )
 
-from oracles import fraction_rref
+from oracles import bareiss_det, fraction_rref
 
 
 def det_minors(a):
@@ -66,18 +66,18 @@ def test_det_bareiss_matches_cofactor_expansion():
     for _ in range(40):
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        assert det_bareiss(a) == det_minors(a)
+        assert det_int(a) == det_minors(a)
 
 
 def test_det_bareiss_stays_integer():
     rng = random.Random(7)
     a = random_matrix(rng, 5, 5)
-    assert isinstance(det_bareiss(a), int)
+    assert isinstance(det_int(a), int)
 
 
 def test_det_bareiss_rejects_nonsquare():
     with pytest.raises(NonSquareError):
-        det_bareiss([[1, 2, 3], [4, 5, 6]])
+        det_int([[1, 2, 3], [4, 5, 6]])
 
 
 def test_rat_det_matches_cofactor_expansion():
@@ -166,9 +166,9 @@ def mixed_matrix(rng, rows, cols):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
-def low_rank_matrix(rng, rows, cols, k):
-    """A product of rows x k and k x cols mixed matrices: rank at most k."""
-    b, c = mixed_matrix(rng, rows, k), mixed_matrix(rng, k, cols)
+def low_rank_matrix(rng, rows, cols, k, make=mixed_matrix):
+    """A product of rows x k and k x cols matrices from make: rank at most k."""
+    b, c = make(rng, rows, k), make(rng, k, cols)
     return [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(cols)]
             for i in range(rows)]
 
@@ -295,3 +295,46 @@ def test_rat_inverse_matches_fraction_elimination():
         else:
             assert all_fractions(got)
     assert singular > 3
+
+
+def oracle_cases():
+    """Seeded 6x6 to 10x10 matrices of ints and of mixed ints and Fractions,
+    every third one of rank below its size."""
+    rng = random.Random(606)
+    for k in range(30):
+        n = rng.randint(6, 10)
+        rank = n - 1 - k % 4 if k % 3 == 0 else n
+        for make in (random_matrix, mixed_matrix):
+            yield (make(rng, n, n) if rank == n
+                   else low_rank_matrix(rng, n, n, rank, make))
+
+
+def test_det_matches_bareiss_oracle():
+    singular = 0
+    for a in oracle_cases():
+        n = len(a)
+        # det(a) = det(d * a) / d^n for a common denominator d of the entries
+        d = lcm(*(Fraction(x).denominator for row in a for x in row))
+        want = Fraction(bareiss_det([[int(x * d) for x in row] for row in a]),
+                        d ** n)
+        assert rat_det(a) == want
+        if d == 1:
+            assert det_int(a) == want
+        singular += want == 0
+    assert singular >= 20
+
+
+def test_det_rank_and_inverse_agree():
+    invertible = singular = 0
+    for a in elimination_cases():
+        n = len(a)
+        if len(a[0]) != n:
+            continue
+        det, inv = rat_det(a), rat_inverse(a)
+        assert (det != 0) == (inv is not None) == (rat_rank(a) == n)
+        if inv is None:
+            singular += 1
+        else:
+            assert det * rat_det(inv) == 1
+            invertible += 1
+    assert singular > 3 and invertible > 3

@@ -234,3 +234,17 @@ def test_vertex_order_from_sequence_rejects_non_integers(seq):
 def test_polytope_rejects_non_integers(dim, facets, vertices):
     with pytest.raises(TypeError):
         SimplePolytope(dim, facets, vertices)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda v: SimplePolytope(1, 2, ({1}, {0}), ((0,), (v,))),
+                 id="coords"),
+    pytest.param(lambda v: VertexOrder((0, 1), (0, v)), id="heights"),
+    pytest.param(lambda v: order_vertices(simplex(2), (1, v)), id="functional"),
+])
+@pytest.mark.parametrize("value", [0.5, True])
+def test_rationals_reject_floats_and_booleans(make, value):
+    # Fraction(0.1) is the float's binary expansion, Fraction(True) is 1
+    with pytest.raises(TypeError):
+        make(value)
+    make(Fraction(3, 2))
