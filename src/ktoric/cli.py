@@ -30,8 +30,9 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _fraction_list(text):
-    return tuple(Fraction(part.strip()) for part in text.split(",") if part.strip())
+def _fraction_list(text, field):
+    return tuple(jsonio.rational(part.strip(), field)
+                 for part in text.split(",") if part.strip())
 
 
 def _budget(text):
@@ -118,12 +119,12 @@ def cmd_validate(args):
 def cmd_kring(args):
     p = jsonio.polytope_from_dict(_load_json(args.polytope))
     lam = jsonio.charmap_from_dict(_load_json(args.vectors))
-    coeffs = CoefficientSpec.of(_fraction_list(args.r)) if args.r else None
+    coeffs = CoefficientSpec.of(_fraction_list(args.r, "--r")) if args.r else None
     if args.order_file:
         vo = jsonio.vertex_order_from_dict(_load_json(args.order_file))
     else:
-        functional = (_fraction_list(args.functional) if args.functional
-                      else _default_functional(p.dim))
+        functional = (_fraction_list(args.functional, "--functional")
+                      if args.functional else _default_functional(p.dim))
         vo = order_vertices(p, functional)
     base = lam.base_vertex if lam.base_vertex is not None else vo.order[0]
     pres = build_presentation(p, lam, coeffs, base)

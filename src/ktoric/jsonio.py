@@ -25,17 +25,24 @@ def _ints(seq, field):
     return tuple(_int(x, field) for x in seq)
 
 
-def _rational(x, field):
+def rational(x, field):
+    """x, a JSON integer or a string such as "-1/2", as a Fraction; the CLI
+    reads its --r and --functional lists with it too. Raises ValueError
+    naming field on anything else, a zero denominator included."""
     if type(x) not in (int, str):
         raise ValueError(f"{field}: expected an integer or a string, got {x!r}")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{field}: expected a fraction with a nonzero "
+                         f"denominator, got {x!r}") from None
 
 
 def polytope_from_dict(data):
     vertices = tuple(frozenset(_ints(v, "vertices")) for v in data["vertices"])
     coords = data.get("coords")
     if coords is not None:
-        coords = tuple(tuple(_rational(x, "coords") for x in pt) for pt in coords)
+        coords = tuple(tuple(rational(x, "coords") for x in pt) for pt in coords)
     return SimplePolytope(_int(data["dim"], "dim"), _int(data["facets"], "facets"),
                           vertices, coords)
 
@@ -81,6 +88,9 @@ def cartan_word_from_dict(data, convention=None):
     word = _ints(data["word"], "word")
     if kind == "matrix":
         mat = tuple(_ints(row, "matrix") for row in data["matrix"])
+        if "rank" in data and _int(data["rank"], "rank") != len(mat):
+            raise ValueError(f"rank: {data['rank']} is not the size of the "
+                             f"{len(mat)}x{len(mat)} matrix")
     else:
         mat = cartan_matrix(kind, _int(data["rank"], "rank"))
     return CartanWord(mat, word, convention)

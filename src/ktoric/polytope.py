@@ -201,27 +201,25 @@ def validate_polytope(p):
 
 
 def minimal_nonfaces(p):
-    """Inclusion-minimal facet sets with empty intersection.
-
-    A facet set is a face exactly when some vertex contains it, so a minimal
-    nonface is a set contained in no vertex all of whose proper subsets are.
-    Sizes beyond dim+1 cannot occur. Returned sorted by (size, entries).
-    """
-    verts = p.vertices
-
-    def is_face(s):
-        return any(s <= v for v in verts)
-
+    """Inclusion-minimal facet sets with empty intersection, sorted by
+    (size, entries). The faces are the subsets of the vertices' facet sets,
+    as bit masks; s is a minimal nonface when it is no face but each s - {g}
+    is, and it is found once, as face | {f} from the face s less its largest
+    facet f. Sizes stay within dim+1 only on simple polytopes."""
+    faces = {0}
+    for v in p.vertices:
+        mask = sub = sum(1 << f for f in v)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
     out = []
-    for k in range(1, p.dim + 2):
-        for combo in combinations(range(p.facet_count), k):
-            s = frozenset(combo)
-            if is_face(s):
-                continue
-            if all(is_face(s - {f}) for f in combo):
-                out.append(tuple(combo))
-    out.sort(key=lambda t: (len(t), t))
-    return out
+    for face in faces:
+        for f in range(face.bit_length(), p.facet_count):
+            s = face | 1 << f
+            if s not in faces and all((s ^ 1 << g) in faces
+                                      for g in range(f) if face >> g & 1):
+                out.append(tuple(g for g in range(f + 1) if s >> g & 1))
+    return sorted(out, key=lambda t: (len(t), t))
 
 
 def order_vertices(p, functional):

@@ -156,11 +156,35 @@ def test_integer_coords_are_accepted(json_file, capsys):
     ({"type": "A", "rank": 2.0, "word": [1, 2]}, "rank"),
     ({"type": "A", "rank": 2, "word": [1, 2.0]}, "word"),
     ({"type": "matrix", "matrix": [[2, -1], [-1.0, 2]], "word": [1, 2]}, "matrix"),
+    ({"type": "matrix", "rank": 1.5, "matrix": [[2, -1], [-1, 2]], "word": [1, 2]},
+     "rank"),
 ])
 def test_non_integer_cartan_is_exit_two(json_file, cartan, field, capsys):
     cf = json_file(cartan)
     assert main(["bott-samelson", cf]) == 2
     assert f"{field}: expected an integer" in capsys.readouterr().err
+
+
+def test_cartan_matrix_of_the_wrong_rank_is_exit_two(json_file, capsys):
+    # rank may be left out of a matrix, but when given it is the matrix size
+    cf = json_file({"type": "matrix", "rank": 3, "matrix": [[2, -1], [-1, 2]],
+                    "word": [1, 2]})
+    assert main(["bott-samelson", cf]) == 2
+    assert "rank: 3 is not the size of the 2x2 matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coords, options, field", [
+    ([["1/0", "0"], ["1", "0"], ["0", "1"]], [], "coords"),
+    ([["0", "0"], ["1", "0"], ["0", "1"]], ["--r", "1/0"], "--r"),
+    ([["0", "0"], ["1", "0"], ["0", "1"]], ["--functional", "1,1/0"], "--functional"),
+])
+def test_zero_denominator_is_exit_two(json_file, coords, options, field, capsys):
+    pf = json_file({"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]],
+                    "coords": coords})
+    lf = json_file({"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0})
+    assert main(["kring", pf, lf, *options]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {field}: expected a fraction with a nonzero denominator" in err
 
 
 def test_non_integer_order_file_is_exit_two(json_file, simplex_files, capsys):

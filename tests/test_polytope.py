@@ -1,6 +1,7 @@
 """Combinatorics layer: builders, validation, non-faces, vertex orders."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -132,10 +133,44 @@ def test_minimal_nonfaces_cube_is_opposite_pairs():
     assert minimal_nonfaces(cube(3)) == [(0, 1), (2, 3), (4, 5)]
 
 
+def test_minimal_nonfaces_cube_8_is_its_eight_opposite_pairs():
+    assert minimal_nonfaces(cube(8)) == [(2 * i, 2 * i + 1) for i in range(8)]
+
+
 def test_minimal_nonfaces_against_brute_force():
-    for p in (simplex(2), simplex(3), cube(2), cube(3),
-              product(simplex(1), simplex(2))):
+    # every incidence shape the benchmark workloads build
+    products = [reduce(product, map(simplex, dims)) for dims in
+                ((1, 2), (1, 3), (2, 2), (1, 1, 2), (2, 3), (1, 2, 2), (3, 3),
+                 (2, 2, 2))]
+    for p in (simplex(2), simplex(3), cube(2), cube(3), cube(4), cube(5),
+              *products):
         assert list(minimal_nonfaces(p)) == brute_minimal_nonfaces(p)
+
+
+def test_minimal_nonfaces_of_any_facet_family_property():
+    # incidence data that is not a simple polytope: vertices of any size,
+    # minimal nonfaces larger than dim+1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    triangle_boundary = SimplePolytope(1, 3, ({0, 1}, {1, 2}, {0, 2}))
+    assert minimal_nonfaces(triangle_boundary) == [(0, 1, 2)]
+
+    # a vertex is a mask of d booleans, which draws sets of every size about
+    # evenly where st.frozensets mostly draws small ones
+    families = st.integers(1, 7).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+        st.lists(st.booleans(), min_size=d, max_size=d).map(
+            lambda bits: frozenset(f for f, b in enumerate(bits) if b)),
+        min_size=1, max_size=8)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(families)
+    def check(family):
+        facets, vertices = family
+        p = SimplePolytope(1, facets, tuple(vertices))
+        assert minimal_nonfaces(p) == brute_minimal_nonfaces(p)
+
+    check()
 
 
 def test_order_vertices_simplex():
