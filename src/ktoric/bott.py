@@ -1,9 +1,10 @@
 """Towers of projective line bundles over a cube, and the word construction.
 
-A tower of height n is encoded by a strictly upper-triangular integer matrix:
-stage i is the projectivization of a line bundle twisted by the earlier
-stages. The ring has one invertible generator per stage, handled here with an
-explicit inverse variable and a product relation instead of localization.
+A tower of height n is encoded by its twists, the nonzero entries of a
+strictly upper-triangular integer matrix: stage i is the projectivization of
+a line bundle twisted by the earlier stages. The ring has one invertible
+generator per stage, handled here with an explicit inverse variable and a
+product relation instead of localization.
 A generalized Cartan matrix plus a word of simple roots produces the same
 data, one stage per letter.
 """
@@ -26,60 +27,30 @@ from .validation import strict_int
 
 @dataclass(frozen=True)
 class BottMatrix:
-    """Twist data c[i][j] for 1 <= i < j <= n, stored as ragged rows; the
-    diagonal is implicitly 1 and everything below it is 0."""
+    """A tower of height n by its nonzero twists: triples (i, j, c[i][j])
+    with 1 <= i < j <= n, sorted by (i, j). The diagonal is implicitly 1 and
+    every other entry 0; twists given as 0 are dropped, so two towers are
+    equal exactly when their matrices are. BottMatrix(n) is the untwisted
+    tower."""
 
     n: int
-    rows: tuple
+    triples: tuple = ()
 
     def __post_init__(self):
         n = strict_int(self.n)
         if n < 1:
             raise ValueError("tower height must be at least 1")
-        rows = tuple(tuple(map(strict_int, row)) for row in self.rows)
-        if len(rows) != n - 1:
-            raise ValueError("one row per stage except the last required")
-        for k, row in enumerate(rows):
-            if len(row) != n - 1 - k:
-                raise ValueError(f"row {k + 1} must hold {n - 1 - k} entries")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, tuple(tuple(0 for _ in range(n - 1 - k))
-                            for k in range(n - 1)))
-
-    @classmethod
-    def from_triples(cls, n, triples):
-        n = strict_int(n)
-        rows = [[0] * (n - 1 - k) for k in range(n - 1)]
-        seen = set()
-        for i, j, value in triples:
+        twists = {}
+        for i, j, value in self.triples:
             i, j = strict_int(i), strict_int(j)
             if not 1 <= i < j <= n:
                 raise ValueError(f"entry ({i},{j}) is not strictly above the diagonal")
-            if (i, j) in seen:
+            if (i, j) in twists:
                 raise ValueError(f"entry ({i},{j}) given twice")
-            seen.add((i, j))
-            rows[i - 1][j - i - 1] = strict_int(value)
-        return cls(n, tuple(tuple(r) for r in rows))
-
-    def entry(self, i, j):
-        """c[i][j] for 1 <= i < j <= n."""
-        if not 1 <= i < j <= self.n:
-            raise ValueError("need 1 <= i < j <= n")
-        return self.rows[i - 1][j - i - 1]
-
-    def triples(self):
-        """Nonzero entries as (i, j, value), row by row."""
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                v = self.entry(i, j)
-                if v:
-                    out.append((i, j, v))
-        return tuple(out)
+            twists[i, j] = strict_int(value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "triples", tuple(sorted(
+            (i, j, v) for (i, j), v in twists.items() if v)))
 
 
 def bott_charmap(c):
@@ -94,17 +65,14 @@ def bott_charmap(c):
     map is always valid; build_presentation still checks it.
     """
     n = c.n
-    p = cube(n)
     vecs = []
-    for i in range(1, n + 1):
-        lower = tuple(1 if k == i - 1 else 0 for k in range(n))
-        upper = [0] * n
-        upper[i - 1] = -1
-        for j in range(i + 1, n + 1):
-            upper[j - 1] = -c.entry(i, j)
-        vecs.append(lower)
-        vecs.append(tuple(upper))
-    return p, CharacteristicMap(tuple(vecs), base_vertex=0)
+    for i in range(n):
+        lower, upper = [0] * n, [0] * n
+        lower[i], upper[i] = 1, -1
+        vecs += (lower, upper)
+    for i, j, v in c.triples:
+        vecs[2 * i - 1][j - 1] = -v
+    return cube(n), CharacteristicMap(vecs, base_vertex=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,23 +111,21 @@ class LaurentPresentation:
 
 
 def bott_presentation(c, notes=()):
-    """Relations of the tower ring: stage i satisfies
-    (y_i - 1)(y_i - prod of earlier generators to the powers -c[j][i]) = 0,
-    negative powers realized through the inverse variables, plus
-    y_i * y_i_inv = 1 for every stage."""
+    """Relations of the tower ring: stage i satisfies (y_i - 1)(y_i - P_i) = 0
+    with P_i the monomial prod over j < i of y_j^(-c[j][i]), negative powers
+    realized through the inverse variables, plus y_i * y_i_inv = 1 for every
+    stage."""
     n = c.n
     nv = 2 * n
+    # exponents of P_i, one row per stage: the twist c[j][i] = v puts
+    # y_j_inv^v in P_i when v > 0 and y_j^-v when v < 0
+    powers = [[0] * nv for _ in range(n)]
+    for j, i, v in c.triples:
+        powers[i - 1][j - 1 + n if v > 0 else j - 1] = abs(v)
     defining = []
-    for i in range(1, n + 1):
-        yi = Poly.variable(nv, i - 1)
-        prod = Poly.one(nv)
-        for j in range(1, i):
-            cji = c.entry(j, i)
-            if cji > 0:
-                prod = prod * Poly.variable(nv, n + j - 1) ** cji
-            elif cji < 0:
-                prod = prod * Poly.variable(nv, j - 1) ** (-cji)
-        defining.append((yi - 1) * (yi - prod))
+    for i, exps in enumerate(powers):
+        yi = Poly.variable(nv, i)
+        defining.append((yi - 1) * (yi - Poly(nv, {Monomial(exps): 1})))
     inverse_gens = tuple(
         Poly.variable(nv, i - 1) * Poly.variable(nv, n + i - 1) - 1
         for i in range(1, n + 1))
@@ -328,12 +294,10 @@ class CartanWord:
 def cartan_word_matrix(cw):
     """Tower data from a word: the entry for stages i < j is the pairing of
     the i-th and j-th letters."""
-    n = len(cw.word)
-    rows = []
-    for i in range(n - 1):
-        rows.append(tuple(cw.pairing(cw.word[i], cw.word[j])
-                          for j in range(i + 1, n)))
-    return BottMatrix(n, tuple(rows))
+    w = cw.word
+    n = len(w)
+    return BottMatrix(n, tuple((i + 1, j + 1, cw.pairing(w[i], w[j]))
+                               for i in range(n) for j in range(i + 1, n)))
 
 
 def bott_samelson_presentation(cw):

@@ -25,6 +25,15 @@ def _ints(seq, field):
     return tuple(_int(x, field) for x in seq)
 
 
+def _require(data, *keys):
+    """Raise ValueError unless data is a JSON object holding every key."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{key}: required key missing")
+
+
 def rational(x, field):
     """x, a JSON integer or a string such as "-1/2", as a Fraction; the CLI
     reads its --r and --functional lists with it too. Raises ValueError
@@ -39,6 +48,7 @@ def rational(x, field):
 
 
 def polytope_from_dict(data):
+    _require(data, "dim", "facets", "vertices")
     vertices = tuple(frozenset(_ints(v, "vertices")) for v in data["vertices"])
     coords = data.get("coords")
     if coords is not None:
@@ -59,6 +69,7 @@ def polytope_to_dict(p):
 
 
 def charmap_from_dict(data):
+    _require(data, "lambda")
     vectors = tuple(_ints(row, "lambda") for row in data["lambda"])
     base = data.get("base_vertex")
     return CharacteristicMap(vectors,
@@ -73,25 +84,32 @@ def charmap_to_dict(lam):
 
 
 def bott_from_dict(data):
-    return BottMatrix.from_triples(_int(data["n"], "n"),
-                                   [_ints(t, "c") for t in data.get("c", ())])
+    _require(data, "n")
+    triples = data.get("c", ())
+    for t in triples:
+        if type(t) is not list or len(t) != 3:
+            raise ValueError(f"c: expected [i, j, value], got {t!r}")
+    return BottMatrix(_int(data["n"], "n"), tuple(_ints(t, "c") for t in triples))
 
 
 def bott_to_dict(c):
-    return {"n": c.n, "c": [list(t) for t in c.triples()]}
+    return {"n": c.n, "c": [list(t) for t in c.triples]}
 
 
 def cartan_word_from_dict(data, convention=None):
+    _require(data, "type", "word")
     kind = str(data["type"])
     if convention is None:
         convention = data.get("convention", "row")
     word = _ints(data["word"], "word")
     if kind == "matrix":
+        _require(data, "matrix")
         mat = tuple(_ints(row, "matrix") for row in data["matrix"])
         if "rank" in data and _int(data["rank"], "rank") != len(mat):
             raise ValueError(f"rank: {data['rank']} is not the size of the "
                              f"{len(mat)}x{len(mat)} matrix")
     else:
+        _require(data, "rank")
         mat = cartan_matrix(kind, _int(data["rank"], "rank"))
     return CartanWord(mat, word, convention)
 
@@ -107,6 +125,7 @@ def cartan_word_to_dict(cw):
 
 
 def vertex_order_from_dict(data):
+    _require(data, "order")
     return VertexOrder.from_sequence(_ints(data["order"], "order"))
 
 

@@ -18,7 +18,7 @@ from ktoric import (
 
 
 def random_tower(n, rng):
-    return BottMatrix.from_triples(n, [
+    return BottMatrix(n, [
         (i, j, rng.randint(-2, 2))
         for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 

@@ -4,9 +4,10 @@ tuples, monic polynomials and S-polynomials in Fraction arithmetic,
 division by rescanning in Fraction arithmetic, a Groebner-basis check by
 S-polynomials and that division, standard monomials by enumerating a box,
 Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
-determinant. The division and the Groebner-basis check share no code with
-the library's Groebner engine, nor the two eliminations with its
-elimination."""
+determinant, and the tower constructions cell by cell: the stage relations
+from Poly powers, the cube's facet vectors and a word's twists. The
+division and the Groebner-basis check share no code with the library's
+Groebner engine, nor the two eliminations with its elimination."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,3 +207,64 @@ def bareiss_det(a):
                 m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def _entry(c):
+    """c[i][j] for 1 <= i < j <= n, read from a dense matrix filled with the
+    tower's twists."""
+    dense = [[0] * (c.n + 1) for _ in range(c.n + 1)]
+    for i, j, v in c.triples:
+        dense[i][j] = v
+    return lambda i, j: dense[i][j]
+
+
+def reference_stage_relations(c):
+    """The ideal generators of bott_presentation(c), the stage relations
+    first: each P_i a product of Poly powers, one entry per earlier stage
+    and one multiplication per unit of twist."""
+    entry = _entry(c)
+    n = c.n
+    nv = 2 * n
+    defining = []
+    for i in range(1, n + 1):
+        yi = Poly.variable(nv, i - 1)
+        prod = Poly.one(nv)
+        for j in range(1, i):
+            cji = entry(j, i)
+            if cji > 0:
+                prod = prod * Poly.variable(nv, n + j - 1) ** cji
+            elif cji < 0:
+                prod = prod * Poly.variable(nv, j - 1) ** (-cji)
+        defining.append((yi - 1) * (yi - prod))
+    inverses = [Poly.variable(nv, i) * Poly.variable(nv, n + i) - 1
+                for i in range(n)]
+    return tuple(defining + inverses)
+
+
+def reference_cube_vectors(c):
+    """The facet vectors of bott_charmap(c), one entry per cell: direction
+    i's lower facet carries e_i, its upper one -e_i minus row i."""
+    entry = _entry(c)
+    n = c.n
+    vecs = []
+    for i in range(1, n + 1):
+        lower = tuple(1 if k == i - 1 else 0 for k in range(n))
+        upper = [0] * n
+        upper[i - 1] = -1
+        for j in range(i + 1, n + 1):
+            upper[j - 1] = -entry(i, j)
+        vecs.append(lower)
+        vecs.append(tuple(upper))
+    return tuple(vecs)
+
+
+def reference_word_triples(cw):
+    """The twists of cartan_word_matrix(cw): the matrix built row by row
+    from the pairings of the letters, then scanned cell by cell for its
+    nonzero entries."""
+    w = cw.word
+    n = len(w)
+    rows = [[cw.pairing(w[i], w[j]) for j in range(i + 1, n)]
+            for i in range(n - 1)]
+    return tuple((i + 1, i + 2 + k, v) for i, row in enumerate(rows)
+                 for k, v in enumerate(row) if v)

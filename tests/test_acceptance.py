@@ -102,9 +102,9 @@ def test_criterion_3_rank_equals_vertex_count():
 
 def test_criterion_4_tower_equivalence():
     ok = True
-    reps = [bott_equivalence(BottMatrix.zero(1))]
+    reps = [bott_equivalence(BottMatrix(1))]
     for v in range(-2, 3):
-        reps.append(bott_equivalence(BottMatrix.from_triples(2, [(1, 2, v)])))
+        reps.append(bott_equivalence(BottMatrix(2, [(1, 2, v)])))
     rng = random.Random(17)
     for _ in range(25):
         reps.append(bott_equivalence(random_tower(3, rng)))
@@ -167,7 +167,7 @@ def test_criterion_6_invariants():
         (simplex(2), simplex_charmap(2), None, (3, 1), False),
         (cube(2), CharacteristicMap(((1, 0), (-1, 1), (0, 1), (0, -1)),
                                     base_vertex=0), None, (3, 1), True),
-        (cube(2), bott_charmap(BottMatrix.from_triples(2, [(1, 2, 2)]))[1],
+        (cube(2), bott_charmap(BottMatrix(2, [(1, 2, 2)]))[1],
          None, (3, 1), True),
         (product(simplex(1), simplex(2)),
          product_charmap(simplex(1), simplex_charmap(1),
@@ -209,7 +209,7 @@ def test_criterion_6_invariants():
     # the duality swapping each stage class with its inverse is a ring map
     for v in range(-2, 3):
         ok = ok and involution_check(
-            bott_presentation(BottMatrix.from_triples(2, [(1, 2, v)])))
+            bott_presentation(BottMatrix(2, [(1, 2, v)])))
     ok = ok and involution_check(bott_samelson_presentation(
         CartanWord(cartan_matrix("A", 2), (1, 2, 1))))
     # the rational determinant agrees with the int one on int matrices

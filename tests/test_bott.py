@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,10 +20,15 @@ from ktoric import (
 )
 from ktoric.bott import cartan_word_matrix
 from ktoric.polyring import render_poly
+from oracles import (
+    reference_cube_vectors,
+    reference_stage_relations,
+    reference_word_triples,
+)
 
 
 def tower(n, *triples):
-    return BottMatrix.from_triples(n, triples)
+    return BottMatrix(n, triples)
 
 
 def gens_rendered(lp):
@@ -36,10 +42,12 @@ def gens_rendered(lp):
 def test_matrix_basics():
     c = tower(3, (1, 2, 2), (1, 3, -1))
     assert c.n == 3
-    assert c.entry(1, 2) == 2 and c.entry(1, 3) == -1 and c.entry(2, 3) == 0
-    assert c.triples() == ((1, 2, 2), (1, 3, -1))
-    assert BottMatrix.zero(2).triples() == ()
-    assert BottMatrix.zero(1).rows == ()
+    assert c.triples == ((1, 2, 2), (1, 3, -1))
+    # zero twists are dropped and the rest sorted, so equality is the matrix's
+    assert tower(3, (2, 3, 0), (1, 3, -1), (1, 2, 2)) == c
+    assert hash(tower(3, (1, 3, -1), (2, 3, 0), (1, 2, 2))) == hash(c)
+    assert BottMatrix(2).triples == ()
+    assert BottMatrix(1) == tower(1)
 
 
 def test_matrix_rejects_bad_entries():
@@ -49,13 +57,8 @@ def test_matrix_rejects_bad_entries():
         tower(2, (1, 3, 1))
     with pytest.raises(ValueError, match="given twice"):
         tower(2, (1, 2, 1), (1, 2, 2))
-    with pytest.raises(ValueError, match="row 2"):
-        BottMatrix(3, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        BottMatrix(0, ())
-    with pytest.raises(ValueError):
-        c = tower(2, (1, 2, 1))
-        c.entry(2, 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        BottMatrix(0)
 
 
 # --- the labeled cube -------------------------------------------------------
@@ -68,7 +71,7 @@ def test_charmap_frozen():
     assert lam.base_vertex == 0
     assert validate_charmap(p, lam).ok
 
-    p1, lam1 = bott_charmap(BottMatrix.zero(1))
+    p1, lam1 = bott_charmap(BottMatrix(1))
     assert lam1.vectors == ((1,), (-1,))
 
 
@@ -78,7 +81,7 @@ def test_charmap_validates_random_towers():
         for _ in range(5):
             triples = [(i, j, rng.randint(-2, 2))
                        for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-            p, lam = bott_charmap(BottMatrix.from_triples(n, triples))
+            p, lam = bott_charmap(BottMatrix(n, triples))
             assert validate_charmap(p, lam).ok
 
 
@@ -86,7 +89,7 @@ def test_charmap_validates_random_towers():
 
 
 def test_presentation_stage_one():
-    lp = bott_presentation(BottMatrix.zero(1))
+    lp = bott_presentation(BottMatrix(1))
     assert lp.var_names == ("y1", "y1_inv")
     assert gens_rendered(lp) == ["y1^2 - 2*y1 + 1", "y1*y1_inv - 1"]
 
@@ -107,26 +110,26 @@ def test_presentation_twisted_stage():
         "y2*y2_inv - 1",
     ]
     # no twist: two independent stage squares
-    assert gens_rendered(bott_presentation(BottMatrix.zero(2)))[:2] == [
+    assert gens_rendered(bott_presentation(BottMatrix(2)))[:2] == [
         "y1^2 - 2*y1 + 1",
         "y2^2 - 2*y2 + 1",
     ]
 
 
 def test_presentation_variable_helpers():
-    lp = bott_presentation(BottMatrix.zero(2), notes=("a note",))
+    lp = bott_presentation(BottMatrix(2), notes=("a note",))
     assert (lp.y(1), lp.y(2), lp.y_inv(1), lp.y_inv(2)) == (0, 1, 2, 3)
     assert lp.notes == ("a note",)
 
 
 def test_involution():
-    assert involution_check(bott_presentation(BottMatrix.zero(1)))
+    assert involution_check(bott_presentation(BottMatrix(1)))
     assert involution_check(bott_presentation(tower(2, (1, 2, 1))))
     assert involution_check(bott_presentation(tower(2, (1, 2, -2))))
 
 
 def test_laurent_rank_doubles_per_stage():
-    assert laurent_rank(bott_presentation(BottMatrix.zero(1))) == 2
+    assert laurent_rank(bott_presentation(BottMatrix(1))) == 2
     assert laurent_rank(bott_presentation(tower(2, (1, 2, 2)))) == 4
 
 
@@ -134,7 +137,7 @@ def test_laurent_rank_doubles_per_stage():
 
 
 def test_equivalence_stage_one():
-    rep = bott_equivalence(BottMatrix.zero(1))
+    rep = bott_equivalence(BottMatrix(1))
     assert (rep.expected_rank, rep.polytope_rank, rep.laurent_rank) == (2, 2, 2)
     assert rep.iso.ok and rep.iso.unimodular
 
@@ -188,16 +191,29 @@ def test_cartan_word_pairing_conventions():
 
 def test_cartan_word_matrix_frozen():
     a2 = cartan_matrix("A", 2)
-    assert cartan_word_matrix(CartanWord(a2, (1, 2))).triples() == ((1, 2, -1),)
-    assert cartan_word_matrix(CartanWord(a2, (1, 2, 1))).triples() == (
+    assert cartan_word_matrix(CartanWord(a2, (1, 2))).triples == ((1, 2, -1),)
+    assert cartan_word_matrix(CartanWord(a2, (1, 2, 1))).triples == (
         (1, 2, -1), (1, 3, 2), (2, 3, -1))
     b2 = cartan_matrix("B", 2)
-    assert cartan_word_matrix(CartanWord(b2, (1, 2))).triples() == ((1, 2, -2),)
-    assert cartan_word_matrix(CartanWord(b2, (2, 1))).triples() == ((1, 2, -1),)
+    assert cartan_word_matrix(CartanWord(b2, (1, 2))).triples == ((1, 2, -2),)
+    assert cartan_word_matrix(CartanWord(b2, (2, 1))).triples == ((1, 2, -1),)
     assert cartan_word_matrix(
-        CartanWord(b2, (1, 2), convention="col")).triples() == ((1, 2, -1),)
+        CartanWord(b2, (1, 2), convention="col")).triples == ((1, 2, -1),)
     # a repeated letter pairs with itself through the diagonal 2
-    assert cartan_word_matrix(CartanWord(a2, (1, 1))).triples() == ((1, 2, 2),)
+    assert cartan_word_matrix(CartanWord(a2, (1, 1))).triples == ((1, 2, 2),)
+
+
+@pytest.mark.parametrize("kind", ["A", "G", "B"])
+@pytest.mark.parametrize("convention", ["row", "col"])
+def test_cartan_word_matrix_against_rows(kind, convention):
+    # every word of length <= 6 against the matrix built row by row
+    mat = cartan_matrix(kind, 2)
+    for length in range(1, 7):
+        for word in product((1, 2), repeat=length):
+            cw = CartanWord(mat, word, convention)
+            c = cartan_word_matrix(cw)
+            assert c.n == length
+            assert c.triples == reference_word_triples(cw)
 
 
 def test_cartan_word_validation():
@@ -250,29 +266,50 @@ def test_word_tower_equivalence():
     assert rep.iso.ok and rep.iso.unimodular
 
 
-@pytest.mark.parametrize("n, rows", [
-    (2, ((1.7,),)),
-    (2, ((Fraction(1),),)),
-    (2.0, ((1,),)),
-    (2, ((True,),)),
-])
-def test_bott_matrix_rejects_non_integers(n, rows):
-    with pytest.raises(TypeError):
-        BottMatrix(n, rows)
-
-
 @pytest.mark.parametrize("n, triples", [
     (2, [(1, 2, 1.7)]),
     (2, [(1.0, 2, 1)]),
     (2, [(1, 2, "1")]),
     (2.0, [(1, 2, 1)]),
     (2, [(1, 2, True)]),
+    (2, [(1, 2, Fraction(1))]),
 ])
 def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
-    # from_triples(2, [(1, 2, 1.7)]) used to store the twist 1, and
-    # from_triples(2, [(1, 2, True)]) still did
+    # a float or a boolean raises, never stored as a truncated twist
     with pytest.raises(TypeError):
-        BottMatrix.from_triples(n, triples)
+        BottMatrix(n, triples)
+
+
+def test_tower_constructions_against_cells_property():
+    # the one pass over the twists against the cell-by-cell constructions,
+    # on towers given with every cell, zeros included, in shuffled order
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def cells(n):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return st.lists(st.integers(-4, 4), min_size=len(pairs),
+                        max_size=len(pairs)).map(
+            lambda vals: (n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 5).flatmap(cells), st.randoms(use_true_random=False))
+    def check(case, rng):
+        n, full = case
+        nonzero = [t for t in full if t[2]]
+        c = BottMatrix(n, nonzero)
+        assert c.triples == tuple(nonzero)
+        rng.shuffle(full)
+        assert BottMatrix(n, full) == c
+        assert [list(g.terms.items()) for g in bott_presentation(c).ideal_gens] == [
+            list(g.terms.items()) for g in reference_stage_relations(c)]
+        p, lam = bott_charmap(c)
+        assert (p.dim, p.facet_count) == (n, 2 * n)
+        assert lam.vectors == reference_cube_vectors(c)
+        assert lam.base_vertex == 0
+
+    check()
 
 
 @pytest.mark.parametrize("cartan, word", [

@@ -65,6 +65,34 @@ def test_missing_key_is_exit_two(json_file, simplex_files, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+SIMPLEX2 = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]]}
+SIMPLEX2_LAM = {"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bott", [1, 2]], "expected a JSON object, got list"),
+    (["bott", {"c": [[1, 2, 1]]}], "n: required key missing"),
+    (["bott", {"n": 2, "c": [[1, 2]]}], "c: expected [i, j, value], got [1, 2]"),
+    (["compare", {"n": 2, "c": [7]}], "c: expected [i, j, value], got 7"),
+    (["kring", {"dim": 2, "facets": 3}, SIMPLEX2_LAM],
+     "vertices: required key missing"),
+    (["kring", SIMPLEX2, [[-1, -1], [1, 0], [0, 1]]],
+     "expected a JSON object, got list"),
+    (["kring", SIMPLEX2, SIMPLEX2_LAM, "--order-file", {"sequence": [0, 1, 2]}],
+     "order: required key missing"),
+    (["bott-samelson", {"type": "A", "rank": 2}], "word: required key missing"),
+    (["bott-samelson", {"type": "A", "word": [1, 2]}], "rank: required key missing"),
+    (["bott-samelson", {"type": "matrix", "word": [1, 2]}],
+     "matrix: required key missing"),
+])
+def test_malformed_input_names_the_key(json_file, args, message, capsys):
+    # the readers name the key; a bare KeyError would print only "'word'".
+    # Every argument but a string is written to a JSON file first
+    argv = [a if isinstance(a, str) else json_file(a) for a in args]
+    assert main(argv) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+
+
 def test_tie_is_exit_one(json_file, capsys):
     pf, lf = cube_files(json_file)
     assert main(["kring", pf, lf, "--functional", "1,1"]) == 1
@@ -258,6 +286,22 @@ def test_kring_order_file(json_file, simplex_files, capsys):
     assert report["vertex_order"] == [0, 2, 1]
 
 
+@pytest.mark.parametrize("option, value, key, expected", [
+    ("--functional", "-1,2", "vertex_order", [1, 0, 2]),
+    ("--r", "-1/2,3", "coefficients", ["-1/2", "3"]),
+])
+def test_signed_list_needs_an_equals_sign(simplex_files, option, value, key,
+                                          expected, capsys):
+    # argparse takes a separate value that starts with "-" for an option
+    pf, lf = simplex_files(2)
+    with pytest.raises(SystemExit) as exc:
+        main(["kring", pf, lf, option, value])
+    assert exc.value.code == 2
+    assert f"{option}: expected one argument" in capsys.readouterr().err
+    assert main(["kring", pf, lf, f"{option}={value}"]) == 0
+    assert json.loads(capsys.readouterr().out)[key] == expected
+
+
 def test_kring_coefficients_flag(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf, "--r", "2,3"]) == 0
@@ -356,7 +400,7 @@ def sha256(text):
 
 def tower_doc(n, seed):
     tower = random_tower(n, random.Random(seed))
-    return {"n": n, "c": [list(t) for t in tower.triples()]}
+    return {"n": n, "c": [list(t) for t in tower.triples]}
 
 
 @pytest.mark.parametrize("command, doc, digest", [

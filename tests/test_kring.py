@@ -531,7 +531,7 @@ def towers(st):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         return st.lists(st.integers(-3, 3), min_size=len(pairs),
                         max_size=len(pairs)).map(
-            lambda vals: BottMatrix.from_triples(
+            lambda vals: BottMatrix(
                 n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
 
     return st.integers(1, 3).flatmap(tower)

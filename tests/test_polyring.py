@@ -466,7 +466,7 @@ def test_quotient_dimension_priority_independent():
     cases = []
     pres = build_presentation(simplex(2), simplex_charmap(2))
     cases.append((pres.ideal_gens, pres.nvars))
-    p, lam = bott_charmap(BottMatrix.from_triples(2, [(1, 2, 1)]))
+    p, lam = bott_charmap(BottMatrix(2, [(1, 2, 1)]))
     pres2 = build_presentation(p, lam)
     cases.append((pres2.ideal_gens, pres2.nvars))
     for gens, nvars in cases:
@@ -596,7 +596,7 @@ def sympy_oracle_cases():
         product_charmap(simplex(1), simplex_charmap(1), simplex(2), simplex_charmap(2))),
         id="prism")
     for v in range(-2, 3):
-        c = BottMatrix.from_triples(2, [(1, 2, v)])
+        c = BottMatrix(2, [(1, 2, v)])
         yield pytest.param(build_presentation(*bott_charmap(c)), id=f"tower{v}-cube")
         yield pytest.param(bott_presentation(c), id=f"tower{v}-laurent")
 
