@@ -266,13 +266,26 @@ def test_word_tower_equivalence():
     assert rep.iso.ok and rep.iso.unimodular
 
 
+@pytest.mark.parametrize("n, rows", [
+    (2, ((1.7,),)),
+    (2, ((Fraction(1),),)),
+    (2.0, ((1,),)),
+    (2, ((True,),)),
+])
+def test_bott_matrix_rejects_non_integers(n, rows):
+    # the entries above the diagonal, row by row, given as triples
+    triples = [(i, j, v) for i, row in enumerate(rows, 1)
+               for j, v in enumerate(row, i + 1)]
+    with pytest.raises(TypeError):
+        BottMatrix(n, triples)
+
+
 @pytest.mark.parametrize("n, triples", [
     (2, [(1, 2, 1.7)]),
     (2, [(1.0, 2, 1)]),
     (2, [(1, 2, "1")]),
     (2.0, [(1, 2, 1)]),
     (2, [(1, 2, True)]),
-    (2, [(1, 2, Fraction(1))]),
 ])
 def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
     # a float or a boolean raises, never stored as a truncated twist
