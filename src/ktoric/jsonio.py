@@ -21,8 +21,14 @@ def _int(x, field):
     return x
 
 
+def _list(x, field):
+    if type(x) is not list:
+        raise ValueError(f"{field}: expected a list, got {x!r}")
+    return x
+
+
 def _ints(seq, field):
-    return tuple(_int(x, field) for x in seq)
+    return tuple(_int(x, field) for x in _list(seq, field))
 
 
 def _require(data, *keys):
@@ -49,10 +55,12 @@ def rational(x, field):
 
 def polytope_from_dict(data):
     _require(data, "dim", "facets", "vertices")
-    vertices = tuple(frozenset(_ints(v, "vertices")) for v in data["vertices"])
+    vertices = tuple(frozenset(_ints(v, "vertices"))
+                     for v in _list(data["vertices"], "vertices"))
     coords = data.get("coords")
     if coords is not None:
-        coords = tuple(tuple(rational(x, "coords") for x in pt) for pt in coords)
+        coords = tuple(tuple(rational(x, "coords") for x in _list(pt, "coords"))
+                       for pt in _list(coords, "coords"))
     return SimplePolytope(_int(data["dim"], "dim"), _int(data["facets"], "facets"),
                           vertices, coords)
 
@@ -70,7 +78,7 @@ def polytope_to_dict(p):
 
 def charmap_from_dict(data):
     _require(data, "lambda")
-    vectors = tuple(_ints(row, "lambda") for row in data["lambda"])
+    vectors = tuple(_ints(row, "lambda") for row in _list(data["lambda"], "lambda"))
     base = data.get("base_vertex")
     return CharacteristicMap(vectors,
                              None if base is None else _int(base, "base_vertex"))
@@ -85,7 +93,7 @@ def charmap_to_dict(lam):
 
 def bott_from_dict(data):
     _require(data, "n")
-    triples = data.get("c", ())
+    triples = _list(data.get("c", []), "c")
     for t in triples:
         if type(t) is not list or len(t) != 3:
             raise ValueError(f"c: expected [i, j, value], got {t!r}")
@@ -104,7 +112,7 @@ def cartan_word_from_dict(data, convention=None):
     word = _ints(data["word"], "word")
     if kind == "matrix":
         _require(data, "matrix")
-        mat = tuple(_ints(row, "matrix") for row in data["matrix"])
+        mat = tuple(_ints(row, "matrix") for row in _list(data["matrix"], "matrix"))
         if "rank" in data and _int(data["rank"], "rank") != len(mat):
             raise ValueError(f"rank: {data['rank']} is not the size of the "
                              f"{len(mat)}x{len(mat)} matrix")
@@ -149,13 +157,7 @@ def validate_report(polytope_rep, charmap_rep):
 def _sparse_structure(structure):
     if structure is None:
         return None
-    out = []
-    for i, row in enumerate(structure):
-        for j, vec in enumerate(row):
-            for k, val in enumerate(vec):
-                if val:
-                    out.append([i, j, k, str(val)])
-    return out
+    return [[i, j, k, str(c)] for i, j, k, c in structure]
 
 
 def _rendered_relations(pres):

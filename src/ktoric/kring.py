@@ -195,6 +195,7 @@ def _coords(gb, index, p):
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coord_matrix(gb, index, polys):
@@ -220,25 +221,35 @@ def _scaled_columns(mat):
     return den, cols
 
 
-def _apply(scaled, coords, m):
+def _accumulate(scaled, coords):
     """The matrix behind scaled (see _scaled_columns) times the sparse
-    vector coords, as m Fractions. The sums are taken in ints over the
-    common denominator; only the nonzero ones become Fractions."""
+    vector coords, summed in ints over one denominator: (den, entries),
+    entries the (row, numerator) of each nonzero sum, sorted by row."""
     den, cols = scaled
     e = lcm(*(c.denominator for _, c in coords))
-    acc = [0] * m
+    sums = {}
     for t, c in coords:
         c = c.numerator * (e // c.denominator)
         for r, x in cols[t]:
-            acc[r] += x * c
-    den *= e
-    return tuple(Fraction(s, den) if s else _ZERO for s in acc)
+            sums[r] = sums.get(r, 0) + x * c
+    return den * e, [(r, s) for r, s in sorted(sums.items()) if s]
+
+
+def _dense(den, entries, m):
+    """The m Fractions behind an _accumulate result."""
+    out = [_ZERO] * m
+    for r, s in entries:
+        out[r] = Fraction(s, den)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
-    quotient data, the face classes, and how the two express each other."""
+    quotient data, the face classes, and how the two express each other.
+    structure holds the products b_i b_j = sum_k c b_k of the face classes
+    as the tuple of (i, j, k, c) for each nonzero Fraction c, sorted by
+    (i, j, k); None when the face classes are not a basis."""
 
     presentation: object
     groebner: object
@@ -252,6 +263,8 @@ class BasisResult:
     rank: int
     structure: tuple
     warnings: tuple
+    # _scaled_columns(change_inverse), built once; None with change_inverse
+    _scaled_inverse: tuple
 
     @property
     def m(self):
@@ -264,16 +277,12 @@ class BasisResult:
     def _std_index(self):
         return {mono: i for i, mono in enumerate(self.std_monomials)}
 
-    @cached_property
-    def _scaled_inverse(self):
-        return _scaled_columns(self.change_inverse)
-
     def basis_coords(self, p):
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        return _apply(self._scaled_inverse,
-                      _coords(self.groebner, self._std_index, p), self.m)
+        coords = _coords(self.groebner, self._std_index, p)
+        return _dense(*_accumulate(self._scaled_inverse, coords), self.m)
 
 
 def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
@@ -302,7 +311,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
 
     index = {mono: i for i, mono in enumerate(std)}
     change = tuple(map(tuple, _coord_matrix(
-        gb, index, [Poly(d, {mono: 1}) for mono in basis_monos])))
+        gb, index, [Poly._raw(d, {mono: _ONE}) for mono in basis_monos])))
     rank = rat_rank(change)
     integral = pres.integral
 
@@ -315,30 +324,26 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         warnings.append(
             f"face classes have rank {rank} of {m}; no structure constants")
 
-    inv = None
-    det = None
-    structure = None
+    inv = det = scaled = structure = None
     if rank == m:
         det = rat_det(change)
         inv = tuple(tuple(row) for row in rat_inverse(change))
         scaled = _scaled_columns(inv)
         structure = []
-        for i in range(m):
-            row_out = []
-            for j in range(m):
-                prod = Poly(d, {basis_monos[i] * basis_monos[j]: 1})
-                vec = _apply(scaled, _coords(gb, index, prod), m)
-                if integral and any(x.denominator != 1 for x in vec):
+        for i, mi in enumerate(basis_monos):
+            for j, mj in enumerate(basis_monos):
+                prod = Poly._raw(d, {mi * mj: _ONE})
+                den, entries = _accumulate(scaled, _coords(gb, index, prod))
+                if integral and any(s % den for _, s in entries):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
-                        f"pair ({i},{j}) gave {vec}")
-                row_out.append(vec)
-            structure.append(tuple(row_out))
+                        f"pair ({i},{j}) gave {_dense(den, entries, m)}")
+                structure.extend((i, j, k, Fraction(s, den)) for k, s in entries)
         structure = tuple(structure)
 
     return BasisResult(pres, gb, vertex_order, std, tuple(basis_monos),
                        tuple(basis_facet_sets), change, inv, det, rank,
-                       structure, tuple(warnings))
+                       structure, tuple(warnings), scaled)
 
 
 def invert_unit(p, basis):

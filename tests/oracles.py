@@ -4,8 +4,9 @@ tuples, monic polynomials and S-polynomials in Fraction arithmetic,
 division by rescanning in Fraction arithmetic, a Groebner-basis check by
 S-polynomials and that division, standard monomials by enumerating a box,
 Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
-determinant, and the tower constructions cell by cell: the stage relations
-from Poly powers, the cube's facet vectors and a word's twists. The
+determinant, the dense tensor of a basis's structure constants, and the
+tower constructions cell by cell: the stage relations from Poly powers, the
+cube's facet vectors and a word's twists. The
 division and the Groebner-basis check share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
@@ -207,6 +208,17 @@ def bareiss_det(a):
                 m[i] = [(x * pivot - lead * y) // prev for x, y in zip(m[i], top)]
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def dense_structure(b):
+    """The m x m x m tensor of Fractions behind the nonzero structure
+    constants of the BasisResult b: cell [i][j][k] is the coefficient of
+    b_k in b_i b_j, 0 where no entry names it."""
+    m = b.m
+    cells = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
+    for i, j, k, c in b.structure:
+        cells[i][j][k] = c
+    return tuple(tuple(map(tuple, row)) for row in cells)
 
 
 def _entry(c):

@@ -34,7 +34,7 @@ from ktoric import (
 from ktoric.polyring import render_poly
 
 from ladder import generic_functional, random_tower
-from oracles import is_groebner, polynomial_presentation
+from oracles import dense_structure, is_groebner, polynomial_presentation
 
 
 def verdict(label, ok, detail):
@@ -138,7 +138,7 @@ def face_classes_are_integral_basis(b, d):
     integer basis of that image then has determinant +-1. The standard
     monomials do NOT certify this: their lattice can be strictly finer."""
     from fractions import Fraction
-    for row in b.structure:
+    for row in dense_structure(b):
         for cell in row:
             if any(c.denominator != 1 for c in cell):
                 return False
@@ -198,13 +198,14 @@ def test_criterion_6_invariants():
               and other.groebner.generators == b.groebner.generators)
         ok = ok and (ascending_faces(p, w1) == ascending_faces(p, w2)) == same_faces
         if same_faces:
+            c1, c2 = dense_structure(b), dense_structure(other)
             s = relabel(w1, w2)
             if s != tuple(range(b.rank)):
                 nontrivial_relabels += 1
             for i in range(b.rank):
                 for j in range(b.rank):
                     for k in range(b.rank):
-                        ok = ok and other.structure[s[i]][s[j]][s[k]] == b.structure[i][j][k]
+                        ok = ok and c2[s[i]][s[j]][s[k]] == c1[i][j][k]
     ok = ok and nontrivial_relabels >= 2
     # the duality swapping each stage class with its inverse is a ring map
     for v in range(-2, 3):

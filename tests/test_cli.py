@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from ktoric import cli, cube, jsonio
+from ktoric import (
+    BottMatrix,
+    bott_charmap,
+    cli,
+    cube,
+    jsonio,
+    product,
+    product_charmap,
+    simplex,
+    simplex_charmap,
+)
 from ktoric.cli import main
 from ktoric.polyring import DEGREE_LIMIT
 
@@ -91,6 +101,23 @@ def test_malformed_input_names_the_key(json_file, args, message, capsys):
     argv = [a if isinstance(a, str) else json_file(a) for a in args]
     assert main(argv) == 2
     assert f"input error: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, key", [
+    (["bott", {"n": 2, "c": 5}], "c"),
+    (["bott", {"n": 2, "c": None}], "c"),
+    (["bott-samelson", {"type": "A", "rank": 2, "word": 3}], "word"),
+    (["bott-samelson", {"type": "matrix", "matrix": 4, "word": [1]}], "matrix"),
+    (["kring", {**SIMPLEX2, "vertices": 5}, SIMPLEX2_LAM], "vertices"),
+    (["kring", {**SIMPLEX2, "coords": 7}, SIMPLEX2_LAM], "coords"),
+    (["kring", SIMPLEX2, {"lambda": 3}], "lambda"),
+    (["kring", SIMPLEX2, SIMPLEX2_LAM, "--order-file", {"order": 2}], "order"),
+])
+def test_scalar_where_a_list_belongs_names_the_key(json_file, args, key, capsys):
+    # iterating the scalar would print only "'int' object is not iterable"
+    argv = [a if isinstance(a, str) else json_file(a) for a in args]
+    assert main(argv) == 2
+    assert f"input error: {key}: expected a list, got " in capsys.readouterr().err
 
 
 def test_tie_is_exit_one(json_file, capsys):
@@ -429,4 +456,38 @@ def test_report_digest(json_file, capsys, command, doc, digest):
     # byte-identical reports under the default budget; the digests were
     # taken before monomials were packed inside the Groebner engine
     assert main([command, json_file(doc)]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+def polytope_docs(p, lam):
+    return jsonio.polytope_to_dict(p), jsonio.charmap_to_dict(lam)
+
+
+def simplex_cubed():
+    p, lam = simplex(2), simplex_charmap(2)
+    for _ in range(2):
+        p, lam = (product(p, simplex(2)),
+                  product_charmap(p, lam, simplex(2), simplex_charmap(2)))
+    return p, lam
+
+
+@pytest.mark.parametrize("docs, options, digest", [
+    # the two frontier polytopes of the kring benchmark: 32 and 27 vertices
+    pytest.param(polytope_docs(*bott_charmap(BottMatrix(5))),
+                 ["--functional=3,-7,19,-45,101"],
+                 "1d6ec2341d47ff2ffe515f8fd2419c6e9d6229ea7ff412e044cefcac940bfb87",
+                 id="kring-cube5-signed"),
+    pytest.param(polytope_docs(*simplex_cubed()), [],
+                 "4c912fa6747b72791793766bafa2f6109f33e28b97ae69fef115c8bd014a27a1",
+                 id="kring-simplex222"),
+    # a deformed simplex, whose structure constants are not all integers
+    pytest.param(polytope_docs(simplex(3), simplex_charmap(3)),
+                 ["--r", "2,1/3,5"],
+                 "9c88f8563cf1d3957478636563ff8259e06e55ac5333468a52b08c286279e9aa",
+                 id="kring-deformed-simplex3"),
+])
+def test_kring_report_digest(json_file, capsys, docs, options, digest):
+    # byte-identical kring reports; the digests were taken while the
+    # structure constants were still a dense tensor
+    assert main(["kring", *map(json_file, docs), *options]) == 0
     assert sha256(capsys.readouterr().out) == digest

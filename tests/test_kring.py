@@ -12,6 +12,7 @@ from ktoric import (
     Covector,
     DegRevLex,
     InfiniteDimensionError,
+    KtoricError,
     NoBaseVertexError,
     NotAUnitError,
     Poly,
@@ -33,11 +34,12 @@ from ktoric import (
     simplex,
     simplex_charmap,
 )
+from ktoric import kring
 from ktoric.polyring import Monomial, render_poly
 from ktoric.polytope import SimplePolytope
 
-from ladder import face_rungs, generic_functional, twisted_square
-from oracles import polynomial_presentation
+from ladder import face_rungs, generic_functional, random_tower, twisted_square
+from oracles import dense_structure, polynomial_presentation
 
 
 def var(d, j):
@@ -167,19 +169,21 @@ def test_triangle_basis_frozen():
 
 def test_triangle_structure_constants():
     _, b = triangle_basis()
+    c = dense_structure(b)
     z = (Fraction(0),) * 3
-    assert b.structure[1][1] == (Fraction(0), Fraction(0), Fraction(1))
-    assert b.structure[1][2] == z and b.structure[2][2] == z
+    assert c[1][1] == (Fraction(0), Fraction(0), Fraction(1))
+    assert c[1][2] == z and c[2][2] == z
 
 
 def test_structure_constants_reproduce_products():
     for coeffs in (None, CoefficientSpec.of([2, 3])):
         _, b = triangle_basis(coeffs)
+        c = dense_structure(b)
         classes = [Poly(3, {m: 1}) for m in b.basis_monomials]
         for i in range(b.rank):
             for j in range(b.rank):
                 expanded = sum(
-                    (c * classes[k] for k, c in enumerate(b.structure[i][j])),
+                    (x * classes[k] for k, x in enumerate(c[i][j])),
                     Poly.zero(3))
                 assert b.normal_form(classes[i] * classes[j] - expanded).is_zero
 
@@ -201,7 +205,7 @@ def test_interval_coefficient_two_halves_the_square():
     assert b.rank == 2
     assert b.warnings == ()
     assert not pres.coeffs.integral
-    assert b.structure[1][1] == (Fraction(0), Fraction(1, 2))
+    assert dense_structure(b)[1][1] == (Fraction(0), Fraction(1, 2))
     assert b.change_det == 1
 
 
@@ -369,12 +373,13 @@ def test_same_ascending_assignment_same_tensor():
         w1, w2 = order_vertices(p, (1, 2)), order_vertices(p, f2)
         assert ascending_faces(p, w1) == ascending_faces(p, w2)
         b1, b2 = compute_basis(pres, w1), compute_basis(pres, w2)
+        c1, c2 = dense_structure(b1), dense_structure(b2)
         s = relabel(w1, w2)
         for i in range(4):
             assert b2.basis_monomials[s[i]] == b1.basis_monomials[i]
             for j in range(4):
                 for k in range(4):
-                    assert b2.structure[s[i]][s[j]][s[k]] == b1.structure[i][j][k]
+                    assert c2[s[i]][s[j]][s[k]] == c1[i][j][k]
     assert relabel(order_vertices(p, (1, 2)), order_vertices(p, (2, 1))) != (
         0, 1, 2, 3)
 
@@ -450,16 +455,53 @@ def test_structure_constants_and_coords_match_fraction_accumulation(p, lam, coef
     if coeffs is not None:
         assert any(x.denominator != 1 for row in b.change_inverse for x in row)
     d, monos = pres.nvars, b.basis_monomials
+    c = dense_structure(b)
     for i, mi in enumerate(monos):
         for j, mj in enumerate(monos):
             prod = Poly(d, {mi * mj: 1})
-            assert b.structure[i][j] == fraction_coords(b, prod)
-            assert all(type(x) is Fraction for x in b.structure[i][j])
+            assert c[i][j] == fraction_coords(b, prod)
+            assert all(type(x) is Fraction for x in c[i][j])
             # coordinates with denominators of their own
             q = Fraction(2, 3) * prod - Fraction(5, 7) * Poly(d, {mi: 1}) + Fraction(1, 4)
             got = b.basis_coords(q)
             assert got == fraction_coords(b, q)
             assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize(
+    "p, lam, coeffs",
+    [pytest.param(*rung.values, None, id=rung.id) for rung in face_rungs()]
+    + list(deformed_simplices())
+    + [pytest.param(*bott_charmap(BottMatrix(4)), None, id="cube4"),
+       # its products' sums reach their rows out of order
+       pytest.param(*bott_charmap(random_tower(4, random.Random(0))), None,
+                    id="seed0-tower4"),
+       pytest.param(product(simplex(3), simplex(3)),
+                    product_charmap(simplex(3), simplex_charmap(3),
+                                    simplex(3), simplex_charmap(3)),
+                    None, id="simplex3-simplex3")])
+def test_structure_is_its_nonzero_entries(p, lam, coeffs):
+    pres = build_presentation(p, lam, coeffs)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    keys = [entry[:3] for entry in b.structure]
+    assert keys == sorted(set(keys))  # sorted by (i, j, k), none repeated
+    assert all(type(c) is Fraction and c != 0 for *_, c in b.structure)
+    d, monos = pres.nvars, b.basis_monomials
+    cells = [(i, j, k, x)
+             for i, mi in enumerate(monos) for j, mj in enumerate(monos)
+             for k, x in enumerate(fraction_coords(b, Poly(d, {mi * mj: 1})))
+             if x]
+    assert b.structure == tuple(cells)
+
+
+def test_integrality_guard_fires(monkeypatch):
+    # half the true inverse turns the integral triangle's x0^2 = b_2 into
+    # b_2 / 2, which the guard must refuse
+    true_inverse = kring.rat_inverse
+    monkeypatch.setattr(kring, "rat_inverse", lambda a: [
+        [x / 2 for x in row] for row in true_inverse(a)])
+    with pytest.raises(KtoricError, match="non integer structure constant"):
+        triangle_basis()
 
 
 def test_basis_coords_need_invertible_change():
@@ -490,7 +532,7 @@ def assert_ring_axioms(pres, b):
     """b_i * b_j = sum_k c[i][j][k] b_k defines a commutative, associative
     ring whose unit is the class of the lowest vertex; with all
     coefficients 1 the constants are integers."""
-    c, m = b.structure, b.m
+    c, m = dense_structure(b), b.m
     assert b.basis_monomials[0].degree == 0  # the lowest vertex's face is P
     unit = [tuple(Fraction(int(k == j)) for k in range(m)) for j in range(m)]
     for i in range(m):

@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 from ktoric import jsonio
@@ -45,6 +46,7 @@ def test_python_examples_give_the_values_their_comments_state():
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["basis"].rank == 3
     assert namespace["basis"].basis_facet_sets == ((), (0,), (0, 1))
+    assert namespace["square"] == [(2, Fraction(1))]
     assert namespace["rep"].iso.ok is True
 
 
