@@ -141,7 +141,7 @@ def involution_check(pres, budget=DEFAULT_BUDGET):
     # y_i, variable i - 1, and its inverse, variable n + i - 1, trade places
     swapped = (Poly(g.nvars, {m[n:] + m[:n]: c for m, c in g.terms.items()})
                for g in pres.ideal_gens)
-    return all(gb.reduce(s).is_zero for s in swapped)
+    return all(gb.normal_form(s).is_zero for s in swapped)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,6 @@ integers, and the structure constants come out integral.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .charmap import dual_basis, reindex_to_base, validate_charmap
@@ -28,6 +27,8 @@ from .polyring import (
     DegRevLex,
     Monomial,
     Poly,
+    _packed,
+    _unpacked,
     buchberger,
     standard_monomials,
     within_degree_limit,
@@ -182,29 +183,42 @@ def quotient_basis(pres, budget=DEFAULT_BUDGET):
     return gb, std
 
 
-def _coords(gb, index, p):
-    """Sparse coordinates of the normal form of p: (position, coefficient)
-    for each standard monomial that occurs, positions read from index."""
-    out = []
-    for mono, c in gb.reduce(p).terms.items():
-        i = index.get(mono)
-        if i is None:
-            raise KtoricError("normal form left the standard monomial span")
-        out.append((i, c))
-    return out
+def _coords(gb, index, x):
+    """Sparse coordinates of the normal form of x, in the engine's form
+    (see GroebnerBasis.reduce): (den, [(i, a)]), int numerators a over den,
+    each at the position i that index, keyed by packed monomial, gives."""
+    den, terms = gb.reduce(x)
+    try:
+        return den, [(index[m], a) for m, a in terms]
+    except KeyError:
+        raise KtoricError("normal form left the standard monomial span") from None
+
+
+def _product(x, y, order):
+    """The product of x and y in the engine's form, each largest term
+    first; KtoricError, before any monomial is formed, when the product of
+    their largest terms is past DEGREE_LIMIT."""
+    (dx, tx), (dy, ty) = x, y
+    if tx and ty:
+        within_degree_limit(order.degree(tx[0][0]) + order.degree(ty[0][0]))
+    acc = {}
+    for m, a in tx:
+        for n, b in ty:
+            acc[m + n] = acc.get(m + n, 0) + a * b
+    return dx * dy, [(m, c) for m, c in acc.items() if c]
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def _coord_matrix(gb, index, polys):
-    """The matrix, one row per position in index, whose column j holds the
-    coordinates of the normal form of polys[j]; see _coords."""
-    mat = [[_ZERO] * len(polys) for _ in range(len(index))]
-    for j, p in enumerate(polys):
-        for i, c in _coords(gb, index, p):
-            mat[i][j] = c
+def _coord_matrix(gb, index, xs):
+    """The matrix of Fractions, one row per position in index, whose column
+    j holds the coordinates of the normal form of xs[j]; see _coords."""
+    mat = [[_ZERO] * len(xs) for _ in range(len(index))]
+    for j, x in enumerate(xs):
+        den, coords = _coords(gb, index, x)
+        for i, a in coords:
+            mat[i][j] = Fraction(a, den)
     return mat
 
 
@@ -222,14 +236,13 @@ def _scaled_columns(mat):
 
 
 def _accumulate(scaled, coords):
-    """The matrix behind scaled (see _scaled_columns) times the sparse
-    vector coords, summed in ints over one denominator: (den, entries),
-    entries the (row, numerator) of each nonzero sum, sorted by row."""
+    """The matrix behind scaled (see _scaled_columns) times coords from
+    _coords, summed in ints over one denominator: (den, entries), entries
+    the (row, numerator) of each nonzero sum, sorted by row."""
     den, cols = scaled
-    e = lcm(*(c.denominator for _, c in coords))
+    e, coords = coords
     sums = {}
     for t, c in coords:
-        c = c.numerator * (e // c.denominator)
         for r, x in cols[t]:
             sums[r] = sums.get(r, 0) + x * c
     return den * e, [(r, s) for r, s in sorted(sums.items()) if s]
@@ -265,23 +278,22 @@ class BasisResult:
     warnings: tuple
     # _scaled_columns(change_inverse), built once; None with change_inverse
     _scaled_inverse: tuple
+    # the position of each standard monomial, keyed by packed monomial
+    _std_index: dict
 
     @property
     def m(self):
         return len(self.basis_monomials)
 
     def normal_form(self, p):
-        return self.groebner.reduce(p)
-
-    @cached_property
-    def _std_index(self):
-        return {mono: i for i, mono in enumerate(self.std_monomials)}
+        return self.groebner.normal_form(p)
 
     def basis_coords(self, p):
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        coords = _coords(self.groebner, self._std_index, p)
+        coords = _coords(self.groebner, self._std_index,
+                         _packed(p, self.groebner.order))
         return _dense(*_accumulate(self._scaled_inverse, coords), self.m)
 
 
@@ -309,9 +321,11 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         basis_facet_sets.append(tuple(sorted(fs)))
         basis_monos.append(Monomial(1 if j in fs else 0 for j in range(d)))
 
-    index = {mono: i for i, mono in enumerate(std)}
+    pack = gb.order.pack
+    index = {pack(mono): i for i, mono in enumerate(std)}
+    packed = [pack(mono) for mono in basis_monos]
     change = tuple(map(tuple, _coord_matrix(
-        gb, index, [Poly._raw(d, {mono: _ONE}) for mono in basis_monos])))
+        gb, index, [(1, [(b, 1)]) for b in packed])))
     rank = rat_rank(change)
     integral = pres.integral
 
@@ -330,10 +344,11 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         inv = tuple(tuple(row) for row in rat_inverse(change))
         scaled = _scaled_columns(inv)
         structure = []
-        for i, mi in enumerate(basis_monos):
-            for j, mj in enumerate(basis_monos):
-                prod = Poly._raw(d, {mi * mj: _ONE})
-                den, entries = _accumulate(scaled, _coords(gb, index, prod))
+        within_degree_limit(2 * max(map(gb.order.degree, packed)))
+        for i, bi in enumerate(packed):
+            for j, bj in enumerate(packed):
+                den, entries = _accumulate(
+                    scaled, _coords(gb, index, (1, [(bi + bj, 1)])))
                 if integral and any(s % den for _, s in entries):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
@@ -343,7 +358,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
 
     return BasisResult(pres, gb, vertex_order, std, tuple(basis_monos),
                        tuple(basis_facet_sets), change, inv, det, rank,
-                       structure, tuple(warnings), scaled)
+                       structure, tuple(warnings), scaled, index)
 
 
 def invert_unit(p, basis):
@@ -354,10 +369,12 @@ def invert_unit(p, basis):
     q = len(std)
     if q == 0:
         raise NotAUnitError("the quotient ring is zero")
-    d = gb.nvars
+    d, order = gb.nvars, gb.order
     index = basis._std_index
-    mat = _coord_matrix(gb, index, [p * Poly(d, {mono: 1}) for mono in std])
-    target = index.get(Monomial.one(d))
+    u = _packed(p, order)
+    mat = _coord_matrix(gb, index, [_product(u, (1, [(s, 1)]), order)
+                                    for s in map(order.pack, std)])
+    target = index.get(order.pack(Monomial.one(d)))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")
     rhs = [Fraction(1) if i == target else Fraction(0) for i in range(q)]
@@ -370,28 +387,34 @@ def invert_unit(p, basis):
 def evaluate_in_quotient(p, images, gb):
     """Substitute images for the variables of p and reduce. Powers of each
     image are cached and reduced as they grow, which keeps intermediate
-    results inside the quotient's monomial span."""
+    results inside the quotient's monomial span. Until the result, every
+    value is in the engine's form (see GroebnerBasis.reduce)."""
     images = list(images)
     if len(images) != p.nvars:
         raise ValueError("one image per source variable required")
     nd = images[0].nvars if images else gb.nvars
     if any(im.nvars != nd for im in images):
         raise ValueError("images live over different variable sets")
-    powers = [[Poly.one(nd), gb.reduce(im)] for im in images]
+    order = gb.order
+    one = order.pack(Monomial.one(nd))
+    powers = [[(1, [(one, 1)]), gb.reduce(_packed(im, order))]
+              for im in images]
 
     def power(i, e):
         col = powers[i]
         while len(col) <= e:
-            col.append(gb.reduce(col[-1] * col[1]))
+            col.append(gb.reduce(_product(col[-1], col[1], order)))
         return col[e]
 
-    total = Poly.zero(nd)
+    vals = []
     for mono, coeff in p.terms.items():
-        val = Poly.constant(nd, coeff)
+        val = (coeff.denominator, [(one, coeff.numerator)])
         for i, e in mono.exponents:
-            val = gb.reduce(val * power(i, e))
-        total = total + val
-    return gb.reduce(total)
+            val = gb.reduce(_product(val, power(i, e), order))
+        vals.append(val)
+    den = lcm(*[d for d, _ in vals])
+    total = [(m, a * (den // d)) for d, terms in vals for m, a in terms]
+    return _unpacked(nd, *gb.reduce((den, total)), order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -511,11 +511,19 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(self.order.unpack(h[0]) for h in self.heads)
 
-    def reduce(self, p):
-        """Normal form of p."""
-        den, terms = _packed(p, self.order)
+    def reduce(self, x):
+        """Normal form of x = (den, terms), the engine's form that _packed
+        makes: nonzero int numerators a over a positive int den, terms (m, a)
+        with m packed by the basis's order, in any order, a repeated m's
+        numerators added. Returned in that form, largest term first."""
+        den, terms = x
         common, terms = _reduce(terms, self.heads, self.order, None, self.table)
-        return _unpacked(p.nvars, den * common, terms, self.order)
+        return den * common, terms
+
+    def normal_form(self, p):
+        """Normal form of the Poly p as a Poly: reduce's one Poly edge."""
+        den, terms = self.reduce(_packed(p, self.order))
+        return _unpacked(p.nvars, den, terms, self.order)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):

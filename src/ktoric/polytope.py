@@ -80,10 +80,9 @@ class VertexOrder:
     @classmethod
     def from_sequence(cls, seq):
         seq = list(map(strict_int, seq))
-        heights = [Fraction(0)] * len(seq)
-        for pos, v in enumerate(seq):
-            heights[v] = Fraction(pos)
-        return cls(tuple(seq), tuple(heights))
+        if sorted(seq) != list(range(len(seq))):
+            raise ValueError(f"order {seq} is not a permutation of 0..{len(seq) - 1}")
+        return cls(tuple(seq), tuple(Fraction(seq.index(v)) for v in range(len(seq))))
 
     @property
     def positions(self):

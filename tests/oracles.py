@@ -4,7 +4,8 @@ tuples, monic polynomials and S-polynomials in Fraction arithmetic,
 division by rescanning in Fraction arithmetic, a Groebner-basis check by
 S-polynomials and that division, standard monomials by enumerating a box,
 Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
-determinant, the dense tensor of a basis's structure constants, and the
+determinant, the dense tensor of a basis's structure constants,
+substitution into a quotient in Poly arithmetic, and the
 tower constructions cell by cell: the stage relations from Poly powers, the
 cube's facet vectors and a word's twists. The
 division and the Groebner-basis check share no code with the library's
@@ -219,6 +220,29 @@ def dense_structure(b):
     for i, j, k, c in b.structure:
         cells[i][j][k] = c
     return tuple(tuple(map(tuple, row)) for row in cells)
+
+
+def reference_evaluate_in_quotient(p, images, gb):
+    """kring.evaluate_in_quotient in Poly arithmetic: substitute images for
+    the variables of p, each power of an image and each product reduced
+    through gb.normal_form as it is formed."""
+    images = list(images)
+    nd = images[0].nvars if images else gb.nvars
+    powers = [[Poly.one(nd), gb.normal_form(im)] for im in images]
+
+    def power(i, e):
+        col = powers[i]
+        while len(col) <= e:
+            col.append(gb.normal_form(col[-1] * col[1]))
+        return col[e]
+
+    total = Poly.zero(nd)
+    for mono, coeff in p.terms.items():
+        val = Poly.constant(nd, coeff)
+        for i, e in mono.exponents:
+            val = gb.normal_form(val * power(i, e))
+        total = total + val
+    return gb.normal_form(total)
 
 
 def _entry(c):

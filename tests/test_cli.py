@@ -249,6 +249,17 @@ def test_non_integer_order_file_is_exit_two(json_file, simplex_files, capsys):
     assert "order: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [[0, 1, 5], [-1, 0, 1], [0, 1, 3]])
+def test_order_file_not_a_permutation_is_exit_two(json_file, simplex_files,
+                                                  order, capsys):
+    # an order that names no vertex is bad input, not a crash
+    pf, lf = simplex_files(2)
+    of = json_file({"order": order})
+    assert main(["kring", pf, lf, "--order-file", of]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: order {order} is not a permutation of 0..2" in err
+
+
 def test_bad_coefficient_arity_is_exit_two(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf, "--r", "2"]) == 2

@@ -20,6 +20,7 @@ from ktoric import (
     ValidationFailedError,
     ascending_faces,
     bott_charmap,
+    buchberger,
     build_presentation,
     compute_basis,
     covector_relation,
@@ -35,11 +36,15 @@ from ktoric import (
     simplex_charmap,
 )
 from ktoric import kring
-from ktoric.polyring import Monomial, render_poly
+from ktoric.polyring import Monomial, _packed, _unpacked, render_poly
 from ktoric.polytope import SimplePolytope
 
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
-from oracles import dense_structure, polynomial_presentation
+from oracles import (
+    dense_structure,
+    polynomial_presentation,
+    reference_evaluate_in_quotient,
+)
 
 
 def var(d, j):
@@ -306,6 +311,21 @@ def test_evaluate_in_quotient():
     assert got == b.normal_form((x0 + 1) ** 2)
 
 
+def test_quotient_products_keep_the_degree_limit():
+    # x^19000 is a normal form modulo x^20000, and its square is past the
+    # packed-monomial degree limit: the product must raise, not wrap a field
+    x = var(1, 0)
+
+    def power(e):
+        return Poly(1, {(e,): 1})
+
+    gb = buchberger([power(20000)], DegRevLex.standard(1))
+    assert evaluate_in_quotient(x ** 2, (power(9000),), gb) == power(18000)
+    with pytest.raises(KtoricError, match="a monomial of degree 38000 is past "
+                       "the packed-monomial degree limit 32767"):
+        evaluate_in_quotient(x ** 2, (power(19000),), gb)
+
+
 # --- every covector relation lies in the ideal ------------------------------
 
 
@@ -492,6 +512,67 @@ def test_structure_is_its_nonzero_entries(p, lam, coeffs):
              for k, x in enumerate(fraction_coords(b, Poly(d, {mi * mj: 1})))
              if x]
     assert b.structure == tuple(cells)
+
+
+def polys(st, nvars, degree, size):
+    """A hypothesis strategy for Polys over nvars variables: up to size
+    terms of degree at most degree, coefficients fractions in [-3, 3]."""
+    monos = st.lists(st.integers(0, nvars - 1), max_size=degree).map(
+        lambda vs: tuple(vs.count(v) for v in range(nvars)))
+    coeffs = st.fractions(-3, 3, max_denominator=6)
+    return st.dictionaries(monos, coeffs, max_size=size).map(
+        lambda terms: Poly(nvars, terms))
+
+
+@pytest.mark.parametrize(
+    "p, lam, coeffs",
+    [pytest.param(*rung.values, None, id=rung.id) for rung in face_rungs()]
+    + list(deformed_simplices()))
+def test_engine_form_arithmetic_matches_poly_oracle(p, lam, coeffs):
+    # evaluate_in_quotient, invert_unit and basis_coords work in the
+    # engine's form from the first reduction to the result; the oracles
+    # reduce Polys through normal_form at every step
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pres = build_presentation(p, lam, coeffs)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    gb, d, order = b.groebner, pres.nvars, b.groebner.order
+    inverted = []
+
+    @hypothesis.settings(max_examples=12, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 3))
+        source = data.draw(polys(st, k, 3, 4))
+        images = [data.draw(polys(st, d, 2, 3)) for _ in range(k)]
+        assert (evaluate_in_quotient(source, images, gb)
+                == reference_evaluate_in_quotient(source, images, gb))
+
+        q = data.draw(polys(st, d, 3, 5))
+        assert b.basis_coords(q) == fraction_coords(b, q)
+        den, terms = gb.reduce(_packed(q, order))
+        assert type(den) is int and den > 0
+        assert all(type(a) is int and a != 0 for _, a in terms)
+        keys = [order.packed_key(m) for m, _ in terms]
+        assert keys == sorted(set(keys), reverse=True)
+        assert _unpacked(d, den, terms, order) == gb.normal_form(q)
+        # the input's terms in any order, a repeated monomial's added
+        qden, qterms = _packed(q, order)
+        doubled = gb.reduce((2 * qden, qterms[::-1] + qterms))
+        assert _unpacked(d, *doubled, order) == gb.normal_form(q)
+
+        u = q - q.coefficient(Monomial.one(d)) + data.draw(
+            st.fractions(-3, 3, max_denominator=6).filter(bool))
+        try:
+            inv = invert_unit(u, b)
+        except NotAUnitError:
+            return
+        assert b.normal_form(u * inv - 1).is_zero
+        inverted.append(u)
+
+    check()
+    assert inverted
 
 
 def test_integrality_guard_fires(monkeypatch):

@@ -209,7 +209,7 @@ def test_packing_past_the_degree_limit_raises():
         o.pack(Monomial((limit, 1)))
     x, y = variables(2)
     with pytest.raises(KtoricError, match=f"limit {limit}"):
-        basis_of((x - y,), o).reduce(Poly(2, {(limit, 1): 1}))
+        basis_of((x - y,), o).normal_form(Poly(2, {(limit, 1): 1}))
     # the inputs fit, the lcm of their leading monomials does not
     half = limit // 2 + 1
     with pytest.raises(KtoricError, match=f"degree {2 * half} .* limit {limit}"):
@@ -236,7 +236,7 @@ def test_reduce_examples():
     o = DegRevLex.standard(2)
     x, y = variables(2)
     for reduce in (lambda p, gens: remainder(p, gens, o),
-                   lambda p, gens: basis_of(gens, o).reduce(p)):
+                   lambda p, gens: basis_of(gens, o).normal_form(p)):
         assert reduce(x * x, [x * x]).is_zero
         r = reduce(x * y + y, [x * y])
         assert r.terms == y.terms
@@ -253,7 +253,7 @@ def test_reduce_postcondition_no_divisible_terms():
         for _ in range(4):
             exps = tuple(rng.randint(0, 2) for _ in range(3))
             p = p + rng.randint(-3, 3) * Monomial_poly(exps)
-        r = gb.reduce(p)
+        r = gb.normal_form(p)
         for mono in r.terms:
             assert not any(mono_divides(lm, mono)
                            for lm in gb.leading_monomials())
@@ -297,7 +297,7 @@ def test_buchberger_membership():
     gens = [xs[0] + xs[1] + xs[2], xs[0] * xs[1] - xs[2] ** 2]
     gb = buchberger(gens, o)
     for g in gens:
-        assert gb.reduce(g).is_zero
+        assert gb.normal_form(g).is_zero
     assert is_groebner(list(gb.generators), o)
 
 
@@ -446,12 +446,12 @@ def test_reduce_idempotent_and_multiplicative():
             q = random_poly(rng, nvars)
             a = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
             b = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-            rp = gb.reduce(p)
-            assert gb.reduce(rp).terms == rp.terms
-            assert gb.reduce(a * p + b * q) == a * rp + b * gb.reduce(q)
+            rp = gb.normal_form(p)
+            assert gb.normal_form(rp).terms == rp.terms
+            assert gb.normal_form(a * p + b * q) == a * rp + b * gb.normal_form(q)
             if groebner:
-                assert (gb.reduce(p * q).terms
-                        == gb.reduce(gb.reduce(p) * gb.reduce(q)).terms)
+                assert (gb.normal_form(p * q).terms
+                        == gb.normal_form(gb.normal_form(p) * gb.normal_form(q)).terms)
 
 
 def random_poly(rng, nvars):
@@ -633,7 +633,7 @@ def test_buchberger_matches_sympy(pres):
 
 
 def assert_same_as_division_loop(gb, p):
-    got = gb.reduce(p)
+    got = gb.normal_form(p)
     want = reference_division(p.terms, reference_heads(gb.heads, gb.order),
                               gb.order)
     assert list(got.terms.items()) == list(want.items())
@@ -679,7 +679,7 @@ def test_tabled_normal_form_of_a_scaled_term():
     for exps in ((2, 1, 0, 0), (0, 0, 3, 1), (1, 1, 1, 1)):
         for c in (Fraction(3, 2), Fraction(-7), Fraction(1, 3)):
             assert_same_as_division_loop(gb, Poly(4, {exps: c}))
-    assert gb.reduce(Poly.zero(4)).is_zero
+    assert gb.normal_form(Poly.zero(4)).is_zero
 
 
 def test_bases_never_share_a_table():
@@ -689,11 +689,11 @@ def test_bases_never_share_a_table():
     same = basis_of((x * x - y,), o)
     other = basis_of((x * x - 2 * y,), o)
     cube_x = Poly(2, {(3, 0): 1})
-    assert first.reduce(cube_x) == x * y
+    assert first.normal_form(cube_x) == x * y
     assert not same.table
-    assert other.reduce(cube_x) == 2 * x * y
+    assert other.normal_form(cube_x) == 2 * x * y
     assert first.table is not other.table
-    assert same.reduce(cube_x) == x * y
+    assert same.normal_form(cube_x) == x * y
 
 
 def unpacked(order, terms):
@@ -798,7 +798,7 @@ def test_division_loop_matches_reference(pres, checked_division):
     assert runs > len(gb.generators)
     p = fractional_square(pres.nvars)
     for q in (p, p * Poly.variable(pres.nvars, 0), p - Fraction(1, 3)):
-        gb.reduce(q)
+        gb.normal_form(q)
     assert checked_division.calls == runs + 3
 
 
@@ -820,7 +820,7 @@ def test_division_loop_matches_reference_with_fractional_heads(checked_division)
     gb = basis_of(gens, o)
     for p in (fractional_square(3), fractional_square(3) * (x - y) ** 2,
               Fraction(7, 2) * x ** 3 * y - Fraction(1, 6) * z ** 2 + 1):
-        gb.reduce(p)
+        gb.normal_form(p)
     assert checked_division.calls == 3
 
 

@@ -1,5 +1,6 @@
 """Combinatorics layer: builders, validation, non-faces, vertex orders."""
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -256,6 +257,14 @@ def test_vertex_order_rejects_non_integers(order, heights):
 def test_vertex_order_from_sequence_rejects_non_integers(seq):
     # [0.2, 1.9] used to truncate to the order (0, 1)
     with pytest.raises(TypeError):
+        VertexOrder.from_sequence(seq)
+
+
+@pytest.mark.parametrize("seq", [[0, 1, 5], [-1, 0, 1], [0, 1, 3], [1, 1, 0]])
+def test_vertex_order_from_sequence_needs_a_permutation(seq):
+    # an entry past the last vertex or below 0 must not index the heights
+    message = f"order {seq} is not a permutation of 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
         VertexOrder.from_sequence(seq)
 
 
