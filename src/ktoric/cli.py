@@ -6,6 +6,7 @@ could not be parsed or had the wrong shape.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -161,7 +162,11 @@ def cmd_compare(args):
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on the first call and shared by
+    every later one. argparse keeps no state between parse_args calls, and
+    building the parser takes about a quarter of a small kring run."""
     ap = argparse.ArgumentParser(
         prog="ktoric",
         description="Exact quotient ring computations for labeled simple polytopes")

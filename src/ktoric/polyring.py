@@ -303,11 +303,6 @@ class Poly:
             out = out * self
         return out
 
-    def leading_monomial(self, order):
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
-
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.nvars == other.nvars
                 and self.terms == other.terms)

@@ -1,9 +1,9 @@
 """Test-side stand-ins the library does not need: a bare presentation built
 from polynomials, monomial arithmetic and the DegRevLex order on exponent
-tuples, monic polynomials and S-polynomials in Fraction arithmetic,
-division by rescanning in Fraction arithmetic, a Groebner-basis check by
-S-polynomials and that division, standard monomials by enumerating a box,
-Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
+tuples, leading monomials, monic polynomials and S-polynomials in Fraction
+arithmetic, division by rescanning in Fraction arithmetic, a Groebner-basis
+check by S-polynomials and that division, standard monomials by enumerating
+a box, Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
 determinant, the dense tensor of a basis's structure constants,
 substitution into a quotient in Poly arithmetic, and the
 tower constructions cell by cell: the stage relations from Poly powers, the
@@ -61,9 +61,16 @@ def degrevlex_key(order):
     return lambda m: (sum(m), tuple(-m[v] for v in rev))
 
 
+def leading_monomial(p, order):
+    """The largest monomial of the nonzero Poly p under order."""
+    if not p.terms:
+        raise ValueError("the zero polynomial has no leading monomial")
+    return max(p.terms, key=order.key)
+
+
 def monic(p, order):
     """p divided by its leading coefficient."""
-    lc = p.terms[p.leading_monomial(order)]
+    lc = p.terms[leading_monomial(p, order)]
     return Poly._raw(p.nvars, dict(_over(p, lc)))
 
 
@@ -75,8 +82,8 @@ def _over(p, lc):
 
 def s_polynomial(f, g, order):
     """The S-polynomial of f and g, both made monic, in Fraction arithmetic."""
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
+    lf = leading_monomial(f, order)
+    lg = leading_monomial(g, order)
     l = mono_lcm(lf, lg)
     uf, ug = mono_quotient(l, lf), mono_quotient(l, lg)
     out = {m * uf: c for m, c in _over(f, f.terms[lf])}
@@ -125,7 +132,7 @@ def reference_division(terms, heads, order):
 def remainder(p, gens, order):
     """The remainder of p by reference_division by the nonzero generators
     in sequence."""
-    heads = [(g.leading_monomial(order), g) for g in gens if not g.is_zero]
+    heads = [(leading_monomial(g, order), g) for g in gens if not g.is_zero]
     return Poly._raw(p.nvars, reference_division(p.terms, heads, order))
 
 

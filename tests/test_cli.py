@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import random
@@ -264,6 +265,99 @@ def test_bad_coefficient_arity_is_exit_two(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf, "--r", "2"]) == 2
     capsys.readouterr()
+
+
+# --- the shared parser ---------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """The test starts without a shared parser and leaves none behind, so the
+    one its first main call builds is its own."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def shared_parser_runs(json_file, simplex_files, tower_files):
+    """(argv with options, the same argv without them) for every subcommand;
+    each option changes the exit code or the report."""
+    spf, slf = simplex_files(2)
+    cpf, clf = cube_files(json_file)
+    of = json_file({"order": [0, 2, 1]})
+    tf = tower_files(2, [(1, 2, 1)])
+    bf = json_file({"type": "B", "rank": 2, "word": [1, 2]})
+    return [
+        (["validate", spf, slf], ["--format", "text"]),
+        (["kring", cpf, clf], ["--r", "2,3", "--functional", "3,1",
+                               "--format", "text"]),
+        (["kring", spf, slf], ["--order-file", of]),
+        (["kring", cpf, clf], ["--budget", "1"]),
+        (["bott", tf], ["--format", "text", "--budget", "1"]),
+        (["bott-samelson", bf], ["--convention", "col", "--format", "text"]),
+        (["compare", tf], ["--budget", "1"]),
+    ]
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def test_no_option_carries_over_to_the_next_call(json_file, simplex_files,
+                                                 tower_files, fresh_parser,
+                                                 capsys):
+    runs = shared_parser_runs(json_file, simplex_files, tower_files)
+    argvs = [a for base, options in runs for a in (base + options, base)]
+    expected = {}
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        expected[tuple(argv)] = run_main(argv, capsys)
+    for base, options in runs:
+        assert expected[tuple(base + options)] != expected[tuple(base)]
+    # one parser from here on: each call without options follows the same
+    # call with them, and the subcommands alternate, twice over
+    cli.build_parser.cache_clear()
+    for argv in argvs + argvs:
+        assert run_main(argv, capsys) == expected[tuple(argv)], argv
+
+
+def test_parse_error_leaves_the_shared_parser_working(simplex_files,
+                                                      fresh_parser, capsys):
+    pf, lf = simplex_files(2)
+    argv = ["kring", pf, lf]
+    code, report = run_main(argv, capsys)
+    assert code == 0
+    for bad in (["--bogus"], ["--budget", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_main(argv, capsys) == (0, report)
+
+
+def test_main_builds_one_parser(json_file, simplex_files, tower_files,
+                                fresh_parser, monkeypatch, capsys):
+    # no pinned benchmark count sees the parser, so count its constructions:
+    # the top-level parser and one per subcommand, once per process
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.__wrapped__()
+    one_parser = list(built)
+    assert one_parser.count("ktoric") == 1
+    built.clear()
+    for base, options in shared_parser_runs(json_file, simplex_files,
+                                            tower_files):
+        main(base + options)
+        main(base)
+    capsys.readouterr()
+    assert built == one_parser
 
 
 # --- kring reports -----------------------------------------------------------
