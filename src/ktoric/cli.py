@@ -227,7 +227,7 @@ def main(argv=None):
     except KtoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,6 @@ from .polyring import (
     Monomial,
     Poly,
     _packed,
-    _unpacked,
     buchberger,
     standard_monomials,
     within_degree_limit,
@@ -288,13 +287,18 @@ class BasisResult:
     def normal_form(self, p):
         return self.groebner.normal_form(p)
 
-    def basis_coords(self, p):
+    def coords(self, x):
+        """The m Fractions that write x, in the engine's form (see
+        GroebnerBasis.reduce), in the face classes."""
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        coords = _coords(self.groebner, self._std_index,
-                         _packed(p, self.groebner.order))
+        coords = _coords(self.groebner, self._std_index, x)
         return _dense(*_accumulate(self._scaled_inverse, coords), self.m)
+
+    def basis_coords(self, p):
+        """coords of the Poly p: its one Poly edge."""
+        return self.coords(_packed(p, self.groebner.order))
 
 
 def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
@@ -369,7 +373,7 @@ def invert_unit(p, basis):
     q = len(std)
     if q == 0:
         raise NotAUnitError("the quotient ring is zero")
-    d, order = gb.nvars, gb.order
+    order, d = gb.order, gb.order.nvars
     index = basis._std_index
     u = _packed(p, order)
     mat = _coord_matrix(gb, index, [_product(u, (1, [(s, 1)]), order)
@@ -385,20 +389,13 @@ def invert_unit(p, basis):
 
 
 def evaluate_in_quotient(p, images, gb):
-    """Substitute images for the variables of p and reduce. Powers of each
-    image are cached and reduced as they grow, which keeps intermediate
-    results inside the quotient's monomial span. Until the result, every
-    value is in the engine's form (see GroebnerBasis.reduce)."""
-    images = list(images)
-    if len(images) != p.nvars:
-        raise ValueError("one image per source variable required")
-    nd = images[0].nvars if images else gb.nvars
-    if any(im.nvars != nd for im in images):
-        raise ValueError("images live over different variable sets")
+    """Substitute images for the variables of p and reduce. The images, each
+    value and the result are in the engine's form (see GroebnerBasis.reduce).
+    Powers of each image are cached and reduced as they grow, which keeps
+    intermediate results inside the quotient's monomial span."""
     order = gb.order
-    one = order.pack(Monomial.one(nd))
-    powers = [[(1, [(one, 1)]), gb.reduce(_packed(im, order))]
-              for im in images]
+    one = order.pack(Monomial.one(order.nvars))
+    powers = [[(1, [(one, 1)]), gb.reduce(im)] for im in images]
 
     def power(i, e):
         col = powers[i]
@@ -414,7 +411,7 @@ def evaluate_in_quotient(p, images, gb):
         vals.append(val)
     den = lcm(*[d for d, _ in vals])
     total = [(m, a * (den // d)) for d, terms in vals for m, a in terms]
-    return _unpacked(nd, *gb.reduce((den, total)), order)
+    return gb.reduce((den, total))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,24 +447,24 @@ def ring_map_check(src, images, dst_basis, src_basis,
     basis on the target side; with all coefficients 1 the transition matrix
     must also be unimodular. The source's standard monomials are not always
     such a basis: those of a rational Groebner basis can span a strictly
-    finer lattice.
+    finer lattice. The images are Polys over the target's variables, packed
+    once here; ValueError otherwise.
     """
-    images = tuple(images)
     gb = dst_basis.groebner
-    failed = []
-    for idx, g in enumerate(src.ideal_gens):
-        if not evaluate_in_quotient(g, images, gb).is_zero:
-            failed.append(idx)
+    images = [_packed(im, gb.order) for im in images]
+    if len(images) != src.nvars:
+        raise ValueError("one image per source variable required")
+    failed = [idx for idx, g in enumerate(src.ideal_gens)
+              if evaluate_in_quotient(g, images, gb)[1]]
     src_rank = len(quotient_basis(src, budget)[1])
     m = dst_basis.m
     spans = False
     det = None
     unimod = None
     if dst_basis.change_inverse is not None and len(src_basis) == m:
-        cols = []
-        for mono in src_basis:
-            img = evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
-            cols.append(dst_basis.basis_coords(img))
+        cols = [dst_basis.coords(evaluate_in_quotient(
+                    Poly(src.nvars, {mono: 1}), images, gb))
+                for mono in src_basis]
         mat = [[cols[j][i] for j in range(m)] for i in range(m)]
         det = rat_det(mat)
         spans = det != 0

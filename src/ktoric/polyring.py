@@ -114,7 +114,7 @@ class DegRevLex:
     pack(mono).
     """
 
-    __slots__ = ("priority", "_rev", "pack", "unpack", "guards",
+    __slots__ = ("priority", "nvars", "_rev", "pack", "unpack", "guards",
                  "_low", "_spread", "_degree_field", "packed_key")
 
     def __init__(self, priority):
@@ -122,12 +122,14 @@ class DegRevLex:
         if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of the variables")
         self.priority = priority
+        self.nvars = len(priority)
         self._rev = tuple(reversed(priority))
-        # pack(mono): the packed int of an exponent tuple, KtoricError past
-        # DEGREE_LIMIT; unpack(p): the Monomial of a packed int
+        # pack(mono): the packed int of an exponent tuple, ValueError unless
+        # it has nvars exponents, KtoricError past DEGREE_LIMIT; unpack(p):
+        # the Monomial of a packed int
         self.pack = _Memo(self._pack).__getitem__
         self.unpack = _Memo(self._unpack).__getitem__
-        top = len(priority) * FIELD_BITS
+        top = self.nvars * FIELD_BITS
         ones = sum(1 << k for k in range(0, top, FIELD_BITS))
         self.guards = ones << FIELD_BITS - 1
         self._low = self.guards - ones  # every value bit of an exponent field
@@ -145,20 +147,23 @@ class DegRevLex:
         return self.packed_key(self.pack(mono))
 
     def _pack(self, mono):
+        if len(mono) != self.nvars:
+            raise ValueError(f"a monomial over {len(mono)} variables met an "
+                             f"order over {self.nvars}")
         p = within_degree_limit(sum(mono))
         for v in self._rev:
             p = p << FIELD_BITS | mono[v]
         return p
 
     def _unpack(self, p):
-        exps = [0] * len(self.priority)
+        exps = [0] * self.nvars
         for v in self.priority:
             exps[v] = p & DEGREE_LIMIT
             p >>= FIELD_BITS
         return Monomial._raw(exps)
 
     def degree(self, p):
-        return p >> len(self.priority) * FIELD_BITS
+        return p >> self.nvars * FIELD_BITS
 
     def divides(self, a, b):
         g = self.guards
@@ -347,11 +352,12 @@ def _packed(p, order):
     return den, terms
 
 
-def _unpacked(nvars, den, terms, order):
+def _unpacked(den, terms, order):
     """The Poly of the engine's int numerators terms over den, its
     monomials packed by order."""
     unpack = order.unpack
-    return Poly._raw(nvars, {unpack(m): Fraction(a, den) for m, a in terms})
+    return Poly._raw(order.nvars,
+                     {unpack(m): Fraction(a, den) for m, a in terms})
 
 
 def _head(terms):
@@ -484,23 +490,20 @@ def _interreduce(heads, order, table):
 @dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """A reduced basis as the engine holds it: the heads of its generators
-    (see _head), their monomials packed by order, over nvars variables, and
-    the table of normal forms by those heads (see _fill). buchberger hands
-    over its run's table: every entry left in it is a remainder modulo a
-    Groebner basis, so the unique normal form, which the basis's own heads
-    give as well."""
+    (see _head), their monomials packed by order, and the table of normal
+    forms by those heads (see _fill). buchberger hands over its run's table:
+    every entry left in it is a remainder modulo a Groebner basis, so the
+    unique normal form, which the basis's own heads give as well."""
 
     heads: tuple
     order: DegRevLex
-    nvars: int
     table: dict
 
     @cached_property
     def generators(self):
         """The basis as monic Polys, built from the heads when first read."""
         return tuple(
-            _unpacked(self.nvars, den, [(lm, den), *[(t, -a) for t, a in rule]],
-                      self.order)
+            _unpacked(den, [(lm, den), *[(t, -a) for t, a in rule]], self.order)
             for lm, den, rule in self.heads)
 
     def leading_monomials(self):
@@ -517,8 +520,7 @@ class GroebnerBasis:
 
     def normal_form(self, p):
         """Normal form of the Poly p as a Poly: reduce's one Poly edge."""
-        den, terms = self.reduce(_packed(p, self.order))
-        return _unpacked(p.nvars, den, terms, self.order)
+        return _unpacked(*self.reduce(_packed(p, self.order)), self.order)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -544,9 +546,6 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("no nonzero generators")
-    nvars = gens[0].nvars
-    if any(g.nvars != nvars for g in gens):
-        raise ValueError("generators live over different variable sets")
 
     heads = [_head(_packed(p, order)[1]) for p in gens]
     key, g = order.packed_key, order.guards
@@ -598,8 +597,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
             del table[m]
         add_pairs(len(heads) - 1)
 
-    return GroebnerBasis(tuple(_interreduce(heads, order, table)), order,
-                         nvars, table)
+    return GroebnerBasis(tuple(_interreduce(heads, order, table)), order, table)
 
 
 def standard_monomials(gb):
@@ -617,7 +615,7 @@ def standard_monomials(gb):
     product, since the monomial multiplied is standard and free of the
     later variables.
     """
-    order, nvars = gb.order, gb.nvars
+    order, nvars = gb.order, gb.order.nvars
     lms = gb.leading_monomials()
     if any(lm.degree == 0 for lm in lms):
         return ()

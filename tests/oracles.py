@@ -151,7 +151,7 @@ def box_standard_monomials(gb):
     lms = gb.leading_monomials()
     if any(lm.degree == 0 for lm in lms):
         return ()
-    bound = [None] * gb.nvars
+    bound = [None] * gb.order.nvars
     for lm in lms:
         occurs = [(i, e) for i, e in enumerate(lm) if e]
         if len(occurs) == 1:
@@ -233,8 +233,7 @@ def reference_evaluate_in_quotient(p, images, gb):
     """kring.evaluate_in_quotient in Poly arithmetic: substitute images for
     the variables of p, each power of an image and each product reduced
     through gb.normal_form as it is formed."""
-    images = list(images)
-    nd = images[0].nvars if images else gb.nvars
+    nd = gb.order.nvars
     powers = [[Poly.one(nd), gb.normal_form(im)] for im in images]
 
     def power(i, e):

@@ -76,6 +76,18 @@ def test_missing_key_is_exit_two(json_file, simplex_files, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_internal_key_error_is_not_an_input_error(simplex_files, monkeypatch):
+    # the readers name a missing key in a ValueError, so a KeyError can only
+    # come from a bug, which must surface rather than read as exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "compute_basis", broken)
+    pf, lf = simplex_files(2)
+    with pytest.raises(KeyError, match="internal"):
+        main(["kring", pf, lf])
+
+
 SIMPLEX2 = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]]}
 SIMPLEX2_LAM = {"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0}
 

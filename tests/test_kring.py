@@ -301,14 +301,38 @@ def test_ring_map_check_zero_map_fails_to_span():
     assert not rep.spans and not rep.ok
 
 
+@pytest.mark.parametrize("nvars", [4, 2])
+@pytest.mark.parametrize("entry", [
+    "normal_form", "basis_coords", "invert_unit", "ring_map_check",
+    "buchberger"])
+def test_polys_over_another_variable_count_are_refused(entry, nvars):
+    # the triangle's order is over 3 variables, and packing a monomial
+    # checks its length against the order's, so each Poly entering the
+    # engine is checked there
+    pres, b = triangle_basis()
+    x = var(nvars, nvars - 1)
+    calls = {
+        "normal_form": lambda: b.normal_form(x),
+        "basis_coords": lambda: b.basis_coords(x),
+        "invert_unit": lambda: invert_unit(1 - x, b),
+        "ring_map_check": lambda: ring_map_check(pres, (x,) * 3, b,
+                                                 b.std_monomials),
+        "buchberger": lambda: buchberger([x - 1], DegRevLex.standard(3)),
+    }
+    with pytest.raises(ValueError, match=f"a monomial over {nvars} variables "
+                       "met an order over 3"):
+        calls[entry]()
+
+
 def test_evaluate_in_quotient():
     _, b = triangle_basis()
+    gb = b.groebner
     y = var(1, 0)
-    img = invert_unit(1 - var(3, 0), b)
-    assert evaluate_in_quotient((y - 1) ** 3, (img,), b.groebner).is_zero
+    img = _packed(invert_unit(1 - var(3, 0), b), gb.order)
+    assert evaluate_in_quotient((y - 1) ** 3, (img,), gb)[1] == []
     x0 = var(3, 0)
-    got = evaluate_in_quotient(y * y, (x0 + 1,), b.groebner)
-    assert got == b.normal_form((x0 + 1) ** 2)
+    got = evaluate_in_quotient(y * y, (_packed(x0 + 1, gb.order),), gb)
+    assert _unpacked(*got, gb.order) == b.normal_form((x0 + 1) ** 2)
 
 
 def test_quotient_products_keep_the_degree_limit():
@@ -319,11 +343,13 @@ def test_quotient_products_keep_the_degree_limit():
     def power(e):
         return Poly(1, {(e,): 1})
 
-    gb = buchberger([power(20000)], DegRevLex.standard(1))
-    assert evaluate_in_quotient(x ** 2, (power(9000),), gb) == power(18000)
+    order = DegRevLex.standard(1)
+    gb = buchberger([power(20000)], order)
+    got = evaluate_in_quotient(x ** 2, (_packed(power(9000), order),), gb)
+    assert _unpacked(*got, order) == power(18000)
     with pytest.raises(KtoricError, match="a monomial of degree 38000 is past "
                        "the packed-monomial degree limit 32767"):
-        evaluate_in_quotient(x ** 2, (power(19000),), gb)
+        evaluate_in_quotient(x ** 2, (_packed(power(19000), order),), gb)
 
 
 # --- every covector relation lies in the ideal ------------------------------
@@ -546,7 +572,8 @@ def test_engine_form_arithmetic_matches_poly_oracle(p, lam, coeffs):
         k = data.draw(st.integers(1, 3))
         source = data.draw(polys(st, k, 3, 4))
         images = [data.draw(polys(st, d, 2, 3)) for _ in range(k)]
-        assert (evaluate_in_quotient(source, images, gb)
+        packed = [_packed(im, order) for im in images]
+        assert (_unpacked(*evaluate_in_quotient(source, packed, gb), order)
                 == reference_evaluate_in_quotient(source, images, gb))
 
         q = data.draw(polys(st, d, 3, 5))
@@ -556,11 +583,11 @@ def test_engine_form_arithmetic_matches_poly_oracle(p, lam, coeffs):
         assert all(type(a) is int and a != 0 for _, a in terms)
         keys = [order.packed_key(m) for m, _ in terms]
         assert keys == sorted(set(keys), reverse=True)
-        assert _unpacked(d, den, terms, order) == gb.normal_form(q)
+        assert _unpacked(den, terms, order) == gb.normal_form(q)
         # the input's terms in any order, a repeated monomial's added
         qden, qterms = _packed(q, order)
         doubled = gb.reduce((2 * qden, qterms[::-1] + qterms))
-        assert _unpacked(d, *doubled, order) == gb.normal_form(q)
+        assert _unpacked(*doubled, order) == gb.normal_form(q)
 
         u = q - q.coefficient(Monomial.one(d)) + data.draw(
             st.fractions(-3, 3, max_denominator=6).filter(bool))

@@ -67,7 +67,7 @@ def basis_of(gens, order):
     """A basis of gens as given, with an empty table: reduction by it
     follows division's first-divisor rule over gens, whether or not they
     are a Groebner basis."""
-    return GroebnerBasis(heads_of(gens, order), order, gens[0].nvars, {})
+    return GroebnerBasis(heads_of(gens, order), order, {})
 
 
 def test_monomial_basics():
@@ -441,7 +441,7 @@ def test_reduce_idempotent_and_multiplicative():
     # polynomial; multiplicativity holds modulo a Groebner basis only
     rng = random.Random(5)
     for gb, groebner in reduction_bases():
-        nvars = gb.nvars
+        nvars = gb.order.nvars
         for _ in range(10):
             p = random_poly(rng, nvars)
             q = random_poly(rng, nvars)
