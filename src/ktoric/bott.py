@@ -20,7 +20,8 @@ from .kring import (
     quotient_basis,
     ring_map_check,
 )
-from .polyring import DEFAULT_BUDGET, DegRevLex, Monomial, Poly, buchberger
+from .polyring import (
+    DEFAULT_BUDGET, DegRevLex, Monomial, Poly, _Budget, buchberger)
 from .polytope import cube, order_vertices
 from .validation import strict_int
 
@@ -133,15 +134,23 @@ def bott_presentation(c, notes=()):
                                DegRevLex.standard(nv), tuple(notes))
 
 
+# the involution check's allowance, in budgets: the swapped relation of a
+# twist v makes about v^2 table entries (90893 at v = 300), Buchberger 2v
+INVOLUTION_STEPS = 16
+
+
 def involution_check(pres, budget=DEFAULT_BUDGET):
     """Swapping every generator with its inverse must preserve the ideal:
-    each relation, after the swap, reduces to zero."""
+    each relation, after the swap, reduces to zero. budget caps the
+    cancellation steps of Buchberger, and INVOLUTION_STEPS times budget
+    those of the reductions."""
     n = pres.n
     gb = buchberger(pres.ideal_gens, pres.order, budget)
+    counter = _Budget(INVOLUTION_STEPS * budget, "involution check")
     # y_i, variable i - 1, and its inverse, variable n + i - 1, trade places
     swapped = (Poly(g.nvars, {m[n:] + m[:n]: c for m, c in g.terms.items()})
                for g in pres.ideal_gens)
-    return all(gb.normal_form(s).is_zero for s in swapped)
+    return all(gb.normal_form(s, counter).is_zero for s in swapped)
 
 
 @dataclass(frozen=True, eq=False)

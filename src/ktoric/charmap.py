@@ -89,15 +89,10 @@ def dual_basis(p, lam):
     inv = rat_inverse(_vertex_matrix(p, lam, lam.base_vertex))
     if inv is None:
         raise ValueError("base vertex facet vectors are not invertible")
-    covs = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("base vertex facet vectors are not a lattice basis")
-            ints.append(x.numerator)
-        covs.append(Covector(ints))
-    return tuple(covs)
+    den, rows = inv
+    if den != 1:
+        raise ValueError("base vertex facet vectors are not a lattice basis")
+    return tuple(map(Covector, rows))
 
 
 def reindex_to_base(p, lam, vertex):

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of row lists. Every routine is one Gauss-Jordan
 elimination in ints, `_eliminate`; the rational ones take int and Fraction
-entries, scale each row to ints and return Fractions. Nothing here is
+entries and answer in ints over one positive denominator. Nothing here is
 asymptotically clever; every matrix this library meets is tiny.
 """
 
@@ -82,24 +82,17 @@ def det_int(a):
     return down * prod(row[i] for i, row in enumerate(m)) // up
 
 
-def rat_rref(a):
-    """Reduced row echelon form over the rationals, of a matrix of ints and
-    Fractions.
-
-    Returns (matrix, pivot_columns), the matrix in Fractions: `_eliminate` on
-    the row-scaled ints, then each pivot row divided by its pivot once. The
-    reduced form is unique, so this is the Fraction elimination's result
-    entry for entry.
-    """
+def _solved(a):
+    """The reduced row echelon form of a matrix of ints and Fractions as
+    (den, rows, pivot_columns): rows its nonzero rows in int numerators over
+    one den > 0, with gcd(den, *entries) == 1. The form is unique, so this is
+    the Fraction elimination's result entry for entry."""
     m = _scaled_rows(a)[0]
     pivots = _eliminate(m)[0]
-    zero = Fraction(0)
-    for i, c in enumerate(pivots):
-        p = m[i][c]
-        m[i] = [Fraction(x, p) if x else zero for x in m[i]]
-    for i in range(len(pivots), len(m)):
-        m[i] = [zero] * len(m[i])
-    return m, pivots
+    den = lcm(*(row[c] for row, c in zip(m, pivots)))
+    rows = [[x * (den // row[c]) for x in row] for row, c in zip(m, pivots)]
+    g = gcd(den, *(x for row in rows for x in row))
+    return den // g, [[x // g for x in row] for row in rows], pivots
 
 
 def rat_rank(a):
@@ -107,34 +100,38 @@ def rat_rank(a):
 
 
 def rat_solve(a, b):
-    """One solution of a*x == b, or None when the system is inconsistent.
+    """One solution of a*x == b as (den, xs), the int numerators xs over
+    one den > 0 in lowest terms, or None when the system is inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
     if len(b) != len(a):
         raise ValueError("right hand side length does not match")
     if not a:
-        return []
-    m, pivots = rat_rref([list(row) + [x] for row, x in zip(a, b)])
+        return 1, []
+    den, rows, pivots = _solved([list(row) + [x] for row, x in zip(a, b)])
     cols = len(a[0])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][cols]
-    return x
+    x = [0] * cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[cols]
+    g = gcd(den, *x)
+    return den // g, [v // g for v in x]
 
 
 def rat_inverse(a):
-    """Inverse matrix over the rationals, or None when singular."""
+    """Inverse matrix over the rationals as (den, rows), int entries over one
+    den > 0 in lowest terms, or None when singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquareError("inverse needs a square matrix")
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    m, pivots = rat_rref(aug)
+    den, rows, pivots = _solved(aug)
     if pivots != list(range(n)):
         return None
-    return [row[n:] for row in m]
+    # the left half is den times the identity: den stays in lowest terms
+    return den, [row[n:] for row in rows]
 
 
 def rat_det(a):

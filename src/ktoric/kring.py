@@ -221,24 +221,11 @@ def _coord_matrix(gb, index, xs):
     return mat
 
 
-def _scaled_columns(mat):
-    """(den, columns) for a matrix of Fractions: den is the lcm of all its
-    denominators, and column t lists (row, den * entry) for its nonzero
-    entries, each an int."""
-    den = lcm(*(x.denominator for row in mat for x in row))
-    cols = [[] for _ in range(len(mat[0]) if mat else 0)]
-    for r, row in enumerate(mat):
-        for t, x in enumerate(row):
-            if x:
-                cols[t].append((r, x.numerator * (den // x.denominator)))
-    return den, cols
-
-
-def _accumulate(scaled, coords):
-    """The matrix behind scaled (see _scaled_columns) times coords from
+def _accumulate(inverse, coords):
+    """The matrix behind inverse (see BasisResult) times coords from
     _coords, summed in ints over one denominator: (den, entries), entries
     the (row, numerator) of each nonzero sum, sorted by row."""
-    den, cols = scaled
+    den, cols = inverse
     e, coords = coords
     sums = {}
     for t, c in coords:
@@ -259,9 +246,11 @@ def _dense(den, entries, m):
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
     quotient data, the face classes, and how the two express each other.
-    structure holds the products b_i b_j = sum_k c b_k of the face classes
-    as the tuple of (i, j, k, c) for each nonzero Fraction c, sorted by
-    (i, j, k); None when the face classes are not a basis."""
+    change_inverse, (den, columns), writes the standard monomials in the face
+    classes: column t lists (row, numerator) of its nonzero entries. structure
+    holds the products b_i b_j = sum_k c b_k of the face classes as the tuple
+    of (i, j, k, c) for each nonzero Fraction c, sorted by (i, j, k). Both
+    are None when the face classes are not a basis."""
 
     presentation: object
     groebner: object
@@ -269,14 +258,11 @@ class BasisResult:
     std_monomials: tuple
     basis_monomials: tuple
     basis_facet_sets: tuple
-    change: tuple
     change_inverse: tuple
     change_det: object
     rank: int
     structure: tuple
     warnings: tuple
-    # _scaled_columns(change_inverse), built once; None with change_inverse
-    _scaled_inverse: tuple
     # the position of each standard monomial, keyed by packed monomial
     _std_index: dict
 
@@ -294,7 +280,7 @@ class BasisResult:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
         coords = _coords(self.groebner, self._std_index, x)
-        return _dense(*_accumulate(self._scaled_inverse, coords), self.m)
+        return _dense(*_accumulate(self.change_inverse, coords), self.m)
 
     def basis_coords(self, p):
         """coords of the Poly p: its one Poly edge."""
@@ -328,8 +314,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     pack = gb.order.pack
     index = {pack(mono): i for i, mono in enumerate(std)}
     packed = [pack(mono) for mono in basis_monos]
-    change = tuple(map(tuple, _coord_matrix(
-        gb, index, [(1, [(b, 1)]) for b in packed])))
+    change = _coord_matrix(gb, index, [(1, [(b, 1)]) for b in packed])
     rank = rat_rank(change)
     integral = pres.integral
 
@@ -342,17 +327,18 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         warnings.append(
             f"face classes have rank {rank} of {m}; no structure constants")
 
-    inv = det = scaled = structure = None
+    inv = det = structure = None
     if rank == m:
         det = rat_det(change)
-        inv = tuple(tuple(row) for row in rat_inverse(change))
-        scaled = _scaled_columns(inv)
+        den, rows = rat_inverse(change)
+        inv = den, [[(r, x) for r, x in enumerate(col) if x]
+                    for col in zip(*rows)]
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
         for i, bi in enumerate(packed):
             for j, bj in enumerate(packed):
                 den, entries = _accumulate(
-                    scaled, _coords(gb, index, (1, [(bi + bj, 1)])))
+                    inv, _coords(gb, index, (1, [(bi + bj, 1)])))
                 if integral and any(s % den for _, s in entries):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
@@ -361,8 +347,8 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         structure = tuple(structure)
 
     return BasisResult(pres, gb, vertex_order, std, tuple(basis_monos),
-                       tuple(basis_facet_sets), change, inv, det, rank,
-                       structure, tuple(warnings), scaled, index)
+                       tuple(basis_facet_sets), inv, det, rank,
+                       structure, tuple(warnings), index)
 
 
 def invert_unit(p, basis):
@@ -385,14 +371,18 @@ def invert_unit(p, basis):
     sol = rat_solve(mat, rhs)
     if sol is None:
         raise NotAUnitError("element is not invertible in the quotient")
-    return Poly(d, {std[j]: sol[j] for j in range(q)})
+    den, x = sol
+    return Poly(d, {std[j]: Fraction(x[j], den) for j in range(q)})
 
 
 def evaluate_in_quotient(p, images, gb):
     """Substitute images for the variables of p and reduce. The images, each
     value and the result are in the engine's form (see GroebnerBasis.reduce).
     Powers of each image are cached and reduced as they grow, which keeps
-    intermediate results inside the quotient's monomial span."""
+    intermediate results inside the quotient's monomial span. ValueError
+    unless there is one image per variable of p."""
+    if len(images) != p.nvars:
+        raise ValueError("one image per source variable required")
     order = gb.order
     one = order.pack(Monomial.one(order.nvars))
     powers = [[(1, [(one, 1)]), gb.reduce(im)] for im in images]
@@ -447,13 +437,11 @@ def ring_map_check(src, images, dst_basis, src_basis,
     basis on the target side; with all coefficients 1 the transition matrix
     must also be unimodular. The source's standard monomials are not always
     such a basis: those of a rational Groebner basis can span a strictly
-    finer lattice. The images are Polys over the target's variables, packed
-    once here; ValueError otherwise.
+    finer lattice. The images, one per source variable, are Polys over the
+    target's variables, packed once here; ValueError otherwise.
     """
     gb = dst_basis.groebner
     images = [_packed(im, gb.order) for im in images]
-    if len(images) != src.nvars:
-        raise ValueError("one image per source variable required")
     failed = [idx for idx, g in enumerate(src.ideal_gens)
               if evaluate_in_quotient(g, images, gb)[1]]
     src_rank = len(quotient_basis(src, budget)[1])

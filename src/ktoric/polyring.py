@@ -343,7 +343,10 @@ class _Budget:
 def _packed(p, order):
     """p as the engine holds it, (den, terms): its monomials packed by order,
     with nonzero int numerators over the lcm den of its denominators,
-    largest term first."""
+    largest term first. ValueError unless p, zero too, has order's nvars."""
+    if p.nvars != order.nvars:
+        raise ValueError(f"a Poly over {p.nvars} variables met an order over "
+                         f"{order.nvars}")
     pack, key = order.pack, order.packed_key
     den = lcm(*[c.denominator for c in p.terms.values()])
     terms = [(pack(m), c.numerator * (den // c.denominator))
@@ -509,18 +512,19 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(self.order.unpack(h[0]) for h in self.heads)
 
-    def reduce(self, x):
+    def reduce(self, x, budget=None):
         """Normal form of x = (den, terms), the engine's form that _packed
         makes: nonzero int numerators a over a positive int den, terms (m, a)
         with m packed by the basis's order, in any order, a repeated m's
-        numerators added. Returned in that form, largest term first."""
+        numerators added. Returned in that form, largest term first. budget,
+        a _Budget when given, is spent once per table entry made."""
         den, terms = x
-        common, terms = _reduce(terms, self.heads, self.order, None, self.table)
+        common, terms = _reduce(terms, self.heads, self.order, budget, self.table)
         return den * common, terms
 
-    def normal_form(self, p):
+    def normal_form(self, p, budget=None):
         """Normal form of the Poly p as a Poly: reduce's one Poly edge."""
-        return _unpacked(*self.reduce(_packed(p, self.order)), self.order)
+        return _unpacked(*self.reduce(_packed(p, self.order), budget), self.order)
 
 
 def buchberger(gens, order, budget=DEFAULT_BUDGET):
@@ -543,11 +547,12 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     pair it reduces; KtoricError means one of those passed DEGREE_LIMIT.
     """
     counter = _Budget(budget, "buchberger")
-    gens = [g for g in gens if not g.is_zero]
+    # zero generators are dropped once packed, so their variable count is checked
+    gens = [t for _, t in (_packed(p, order) for p in gens) if t]
     if not gens:
         raise ValueError("no nonzero generators")
 
-    heads = [_head(_packed(p, order)[1]) for p in gens]
+    heads = [_head(t) for t in gens]
     key, g = order.packed_key, order.guards
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue

@@ -3,9 +3,11 @@ from polynomials, monomial arithmetic and the DegRevLex order on exponent
 tuples, leading monomials, monic polynomials and S-polynomials in Fraction
 arithmetic, division by rescanning in Fraction arithmetic, a Groebner-basis
 check by S-polynomials and that division, standard monomials by enumerating
-a box, Gauss-Jordan elimination in Fraction arithmetic and the Bareiss
-determinant, the dense tensor of a basis's structure constants,
-substitution into a quotient in Poly arithmetic, and the
+a box, Gauss-Jordan elimination in Fraction arithmetic with the solutions,
+inverses and kernels it gives, the Bareiss determinant, the dense tensor of
+a basis's structure constants, coordinates in a basis's face classes from
+its normal forms alone, substitution into a quotient in Poly arithmetic,
+and the
 tower constructions cell by cell: the stage relations from Poly powers, the
 cube's facet vectors and a word's twists. The
 division and the Groebner-basis check share no code with the library's
@@ -13,6 +15,7 @@ Groebner engine, nor the two eliminations with its elimination."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from operator import le, sub
 
@@ -190,6 +193,42 @@ def fraction_rref(a):
     return m, pivots
 
 
+def fraction_solve(a, b):
+    """One solution of a*x == b by fraction_rref, free variables 0, or None
+    when the system is inconsistent."""
+    m, pivots = fraction_rref([list(row) + [x] for row, x in zip(a, b)])
+    cols = len(a[0])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][cols]
+    return x
+
+
+def fraction_inverse(a):
+    """The inverse by fraction_rref of [a | I], or None when a is singular."""
+    n = len(a)
+    m, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
+    return [row[n:] for row in m] if pivots == list(range(n)) else None
+
+
+def fraction_nullspace(a):
+    """Basis of the right kernel by fraction_rref, one vector per free
+    column."""
+    cols = len(a[0]) if a else 0
+    m, pivots = fraction_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        basis.append(vec)
+    return basis
+
+
 def bareiss_det(a):
     """Determinant of a square int matrix by Bareiss's fraction-free
     elimination (Math. Comp. 22, 1968), which shares no code with the
@@ -227,6 +266,32 @@ def dense_structure(b):
     for i, j, k, c in b.structure:
         cells[i][j][k] = c
     return tuple(tuple(map(tuple, row)) for row in cells)
+
+
+@cache
+def face_change_inverse(b):
+    """The inverse, by fraction_inverse, of the matrix whose column j holds
+    the normal form of the j-th face class of the BasisResult b over its
+    standard monomials; None when the face classes are not a basis."""
+    index = {mono: i for i, mono in enumerate(b.std_monomials)}
+    d = b.presentation.nvars
+    change = [[Fraction(0)] * b.m for _ in index]
+    for j, mono in enumerate(b.basis_monomials):
+        for s, c in b.normal_form(Poly(d, {mono: 1})).terms.items():
+            change[index[s]][j] = c
+    return fraction_inverse(change)
+
+
+def fraction_coords(b, p):
+    """Coordinates of the Poly p in the face classes of the BasisResult b,
+    accumulated in Fraction arithmetic from its normal form and
+    face_change_inverse(b)."""
+    index = {mono: i for i, mono in enumerate(b.std_monomials)}
+    out = [Fraction(0)] * b.m
+    for mono, c in b.normal_form(p).terms.items():
+        for r, row in enumerate(face_change_inverse(b)):
+            out[r] += row[index[mono]] * c
+    return tuple(out)
 
 
 def reference_evaluate_in_quotient(p, images, gb):

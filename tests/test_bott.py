@@ -6,12 +6,14 @@ import pytest
 
 from ktoric import (
     BottMatrix,
+    BudgetExceededError,
     CartanWord,
     DegRevLex,
     bott_charmap,
     bott_equivalence,
     bott_presentation,
     bott_samelson_presentation,
+    buchberger,
     cartan_matrix,
     involution_check,
     laurent_rank,
@@ -126,6 +128,17 @@ def test_involution():
     assert involution_check(bott_presentation(BottMatrix(1)))
     assert involution_check(bott_presentation(tower(2, (1, 2, 1))))
     assert involution_check(bott_presentation(tower(2, (1, 2, -2))))
+
+
+def test_involution_check_spends_its_own_budget():
+    # on the twist-60 tower a budget of 200 covers Buchberger's 128 steps,
+    # but 16 times it falls short of the 3773 the swapped relations take
+    pres = bott_presentation(tower(2, (1, 2, 60)))
+    buchberger(pres.ideal_gens, pres.order, 200)
+    with pytest.raises(BudgetExceededError, match="involution check budget "
+                       "exhausted after 3200 cancellation steps"):
+        involution_check(pres, budget=200)
+    assert involution_check(pres, budget=240)
 
 
 def test_laurent_rank_doubles_per_stage():

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -17,7 +18,8 @@ from ktoric import (
     simplex_charmap,
 )
 from ktoric.cli import main
-from ktoric.polyring import DEGREE_LIMIT
+from ktoric.bott import INVOLUTION_STEPS
+from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT
 
 from ladder import random_tower
 
@@ -150,6 +152,19 @@ def test_budget_error_names_the_stage(tower_files, capsys):
     assert main(["compare", tf, "--budget", "5"]) == 1
     err = capsys.readouterr().err
     assert "buchberger budget exhausted after 5 cancellation steps" in err
+
+
+def test_involution_check_is_budgeted(tower_files, capsys):
+    # bott's Buchberger on the twist-2000 tower fits the default budget; the
+    # reductions of its involution check then spend one of their own, where
+    # without it they ran for over a minute
+    tf = tower_files(2, [(1, 2, 2000)])
+    start = time.process_time()
+    assert main(["bott", tf]) == 1
+    assert time.process_time() - start < 20
+    err = capsys.readouterr().err
+    assert ("involution check budget exhausted after "
+            f"{INVOLUTION_STEPS * DEFAULT_BUDGET} cancellation steps") in err
 
 
 def test_tower_past_the_packing_limit_is_exit_one(tower_files, capsys):

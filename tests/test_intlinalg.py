@@ -2,21 +2,27 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from ktoric import NonSquareError, intlinalg
 from ktoric.intlinalg import (
+    _solved,
     det_int,
     rat_det,
     rat_inverse,
     rat_rank,
-    rat_rref,
     rat_solve,
 )
 
-from oracles import bareiss_det, fraction_rref
+from oracles import (
+    bareiss_det,
+    fraction_inverse,
+    fraction_nullspace,
+    fraction_rref,
+    fraction_solve,
+)
 
 
 def det_minors(a):
@@ -34,19 +40,20 @@ def det_minors(a):
     return total
 
 
-def rat_nullspace(a):
-    """Basis of the right kernel, one vector per free column."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m, pivots = rat_rref(a)
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        vec = [Fraction(0)] * cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        basis.append(vec)
-    return basis
+def over(den, entries):
+    """The Fractions behind int numerators over den, a vector or a matrix."""
+    if entries and isinstance(entries[0], list):
+        return [over(den, row) for row in entries]
+    return [Fraction(x, den) for x in entries]
+
+
+def assert_lowest_terms(den, entries):
+    """den > 0, every entry an int and, all taken together, prime to den."""
+    flat = [x for row in entries for x in row] if entries and isinstance(
+        entries[0], list) else list(entries)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for x in flat)
+    assert gcd(den, *flat) == 1
 
 
 def transpose(a):
@@ -115,7 +122,7 @@ def test_rat_solve_recovers_known_solution():
             continue
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        assert rat_solve(a, b) == x
+        assert over(*rat_solve(a, b)) == x
 
 
 def test_rat_solve_inconsistent_returns_none():
@@ -123,7 +130,8 @@ def test_rat_solve_inconsistent_returns_none():
 
 
 def test_rat_solve_underdetermined_sets_free_vars_to_zero():
-    assert rat_solve([[1, 1]], [3]) == [Fraction(3), Fraction(0)]
+    assert rat_solve([[1, 1]], [3]) == (1, [3, 0])
+    assert rat_solve([[2, 0], [0, 3]], [1, 1]) == (6, [3, 2])
 
 
 def test_rat_nullspace_annihilates():
@@ -132,7 +140,7 @@ def test_rat_nullspace_annihilates():
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         a = random_matrix(rng, rows, cols)
-        basis = rat_nullspace(a)
+        basis = fraction_nullspace(a)
         assert len(basis) == cols - rat_rank(a)
         for vec in basis:
             assert all(sum(a[i][j] * vec[j] for j in range(cols)) == 0
@@ -142,7 +150,8 @@ def test_rat_nullspace_annihilates():
 def test_rat_inverse_roundtrip_and_singular():
     a = [[1, 1], [0, 1]]
     inv = rat_inverse(a)
-    assert inv == [[1, -1], [0, 1]]
+    assert inv == (1, [[1, -1], [0, 1]])
+    assert rat_inverse([[0, -2], [3, 0]]) == (6, [[0, 2], [-3, 0]])
     assert rat_inverse([[1, 2], [2, 4]]) is None
     with pytest.raises(NonSquareError):
         rat_inverse([[1, 2]])
@@ -198,65 +207,63 @@ def elimination_cases():
     yield [[0], [Fraction(2, 3)], [5]]
 
 
-def fraction_solve(a, b):
-    m, pivots = fraction_rref([list(row) + [x] for row, x in zip(a, b)])
-    cols = len(a[0])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][cols]
-    return x
-
-
-def fraction_inverse(a):
-    n = len(a)
-    m, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(a)])
-    return [row[n:] for row in m] if pivots == list(range(n)) else None
-
-
-def all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row)
-
-
-def test_rat_rref_matches_fraction_elimination():
+def test_solved_matches_fraction_elimination():
     deficient = 0
     for a in elimination_cases():
         before = [list(row) for row in a]
-        m, pivots = rat_rref(a)
+        den, rows, pivots = _solved(a)
+        assert_lowest_terms(den, rows)
+        zero = [Fraction(0)] * len(a[0])
+        m = over(den, rows) + [zero] * (len(a) - len(rows))
         assert (m, pivots) == fraction_rref(a)
-        assert all_fractions(m)
         assert a == before
         assert rat_rank(a) == len(pivots)
         deficient += len(pivots) < min(len(a), len(a[0]))
     assert deficient > 30
 
 
-def test_rat_rref_integers_stay_within_hadamard_bound(monkeypatch):
+def test_elimination_integers_stay_within_hadamard_bound(monkeypatch):
     # a pivot row the elimination updated ends primitive and proportional
     # to its reduced row, so its ints are at most a minor of the row-scaled
     # matrix; an untouched row keeps its scaled entries. Neither exceeds the
     # product of the scaled rows' lengths (Hadamard), which the ints of an
-    # elimination without the content division soon do
+    # elimination without the content division soon do. Each of _solved,
+    # rat_solve and rat_inverse eliminates once, on the matrix it is given
+    # or on that matrix augmented
     seen = []
+    true_eliminate = intlinalg._eliminate
 
-    def spy(num=0, den=1):
-        seen.append(max(abs(num), abs(den)))
-        return Fraction(num, den)
+    def spy(m):
+        out = true_eliminate(m)
+        seen.append(max(abs(x) for row in m for x in row))
+        return out
 
-    monkeypatch.setattr(intlinalg, "Fraction", spy)
+    def hadamard_sq(a):
+        bound_sq = 1
+        for row in a:
+            den = lcm(*(Fraction(x).denominator for x in row))
+            norm_sq = sum((x * den) ** 2 for x in row)
+            bound_sq *= max(norm_sq, 1)
+        return bound_sq
+
+    monkeypatch.setattr(intlinalg, "_eliminate", spy)
     rng = random.Random(11)
     for _ in range(20):
         a = mixed_matrix(rng, 6, 8)
-        seen.clear()
-        rat_rref(a)
-        bound_sq = 1
-        for row in a:
-            den = lcm(*(x.denominator for x in row))
-            norm_sq = sum((x * den) ** 2 for x in row)
-            bound_sq *= max(norm_sq, 1)
-        assert max(seen) ** 2 <= bound_sq
+        square = [row[:6] for row in a]
+        calls = [
+            (lambda: _solved(a), a),
+            (lambda: rat_solve([row[:7] for row in a], [row[7] for row in a]),
+             a),
+            (lambda: rat_inverse(square),
+             [row + [int(i == j) for j in range(6)]
+              for i, row in enumerate(square)]),
+        ]
+        for call, eliminated in calls:
+            seen.clear()
+            call()
+            assert len(seen) == 1
+            assert seen[0] ** 2 <= hadamard_sq(eliminated)
 
 
 def test_rat_solve_matches_fraction_elimination():
@@ -269,11 +276,13 @@ def test_rat_solve_matches_fraction_elimination():
         arbitrary = [rng.choice((0, 1, Fraction(-2, 3))) for _ in a]
         for b in (consistent, arbitrary):
             got = rat_solve(a, b)
-            assert got == fraction_solve(a, b)
             if got is None:
+                assert fraction_solve(a, b) is None
                 inconsistent += 1
             else:
-                assert all(type(v) is Fraction for v in got)
+                assert_lowest_terms(*got)
+                got = over(*got)
+                assert got == fraction_solve(a, b)
                 assert all(sum(row[j] * got[j] for j in range(cols)) == rhs
                            for row, rhs in zip(a, b))
     assert inconsistent > 10
@@ -289,11 +298,12 @@ def test_rat_inverse_matches_fraction_elimination():
         if len(a) != len(a[0]):
             continue
         got = rat_inverse(a)
-        assert got == fraction_inverse(a)
         if got is None:
+            assert fraction_inverse(a) is None
             singular += 1
         else:
-            assert all_fractions(got)
+            assert_lowest_terms(*got)
+            assert over(*got) == fraction_inverse(a)
     assert singular > 3
 
 
@@ -335,6 +345,6 @@ def test_det_rank_and_inverse_agree():
         if inv is None:
             singular += 1
         else:
-            assert det * rat_det(inv) == 1
+            assert det * rat_det(over(*inv)) == 1
             invertible += 1
     assert singular > 3 and invertible > 3

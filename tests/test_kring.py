@@ -42,6 +42,8 @@ from ktoric.polytope import SimplePolytope
 from ladder import face_rungs, generic_functional, random_tower, twisted_square
 from oracles import (
     dense_structure,
+    face_change_inverse,
+    fraction_coords,
     polynomial_presentation,
     reference_evaluate_in_quotient,
 )
@@ -306,8 +308,8 @@ def test_ring_map_check_zero_map_fails_to_span():
     "normal_form", "basis_coords", "invert_unit", "ring_map_check",
     "buchberger"])
 def test_polys_over_another_variable_count_are_refused(entry, nvars):
-    # the triangle's order is over 3 variables, and packing a monomial
-    # checks its length against the order's, so each Poly entering the
+    # the triangle's order is over 3 variables, and packing a Poly checks
+    # its variable count against the order's, so each Poly entering the
     # engine is checked there
     pres, b = triangle_basis()
     x = var(nvars, nvars - 1)
@@ -319,9 +321,44 @@ def test_polys_over_another_variable_count_are_refused(entry, nvars):
                                                  b.std_monomials),
         "buchberger": lambda: buchberger([x - 1], DegRevLex.standard(3)),
     }
-    with pytest.raises(ValueError, match=f"a monomial over {nvars} variables "
+    with pytest.raises(ValueError, match=f"a Poly over {nvars} variables "
                        "met an order over 3"):
         calls[entry]()
+
+
+@pytest.mark.parametrize("nvars", [4, 2])
+def test_zero_polys_over_another_variable_count_are_refused(nvars):
+    # a zero Poly has no monomial to pack, so its variable count is checked
+    # on its own; a monomial packed by itself keeps its length check
+    pres, b = triangle_basis()
+    zero = Poly.zero(nvars)
+    match = f"a Poly over {nvars} variables met an order over 3"
+    with pytest.raises(ValueError, match=match):
+        b.normal_form(zero)
+    with pytest.raises(ValueError, match=match):
+        b.basis_coords(zero)
+    with pytest.raises(ValueError, match=match):
+        ring_map_check(pres, (zero,) * 3, b, b.std_monomials)
+    with pytest.raises(ValueError, match=match):
+        buchberger([zero, var(3, 0) - 1], DegRevLex.standard(3))
+    with pytest.raises(ValueError, match=f"a monomial over {nvars} variables "
+                       "met an order over 3"):
+        b.groebner.order.pack(Monomial((0,) * nvars))
+    assert b.normal_form(Poly.zero(3)) == Poly.zero(3)
+
+
+def test_evaluate_in_quotient_needs_one_image_per_variable():
+    _, b = triangle_basis()
+    gb = b.groebner
+    x0 = _packed(var(3, 0), gb.order)
+    with pytest.raises(ValueError, match="one image per source variable"):
+        evaluate_in_quotient(Poly.variable(2, 1), [], gb)
+    with pytest.raises(ValueError, match="one image per source variable"):
+        evaluate_in_quotient(Poly.variable(2, 1), [x0], gb)
+    with pytest.raises(ValueError, match="one image per source variable"):
+        evaluate_in_quotient(Poly.variable(2, 1), [x0] * 3, gb)
+    got = evaluate_in_quotient(Poly.variable(2, 1), [x0] * 2, gb)
+    assert _unpacked(*got, gb.order) == b.normal_form(var(3, 0))
 
 
 def test_evaluate_in_quotient():
@@ -474,17 +511,6 @@ def test_basis_coords_frozen():
     assert b.basis_coords(2 + 3 * x0) == (Fraction(2), Fraction(3), Fraction(0))
 
 
-def fraction_coords(b, p):
-    """Coordinates of p in the face basis, accumulated in Fraction arithmetic
-    from its normal form and the inverse change matrix."""
-    index = {mono: i for i, mono in enumerate(b.std_monomials)}
-    out = [Fraction(0)] * b.m
-    for mono, c in b.normal_form(p).terms.items():
-        for r, row in enumerate(b.change_inverse):
-            out[r] += row[index[mono]] * c
-    return tuple(out)
-
-
 def deformed_simplices():
     for n, r in ((2, (2, 3)), (3, (2, Fraction(1, 3), 5)), (4, (3, 7, 2, 9))):
         yield pytest.param(simplex(n), simplex_charmap(n), CoefficientSpec.of(r),
@@ -499,7 +525,9 @@ def test_structure_constants_and_coords_match_fraction_accumulation(p, lam, coef
     pres = build_presentation(p, lam, coeffs)
     b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
     if coeffs is not None:
-        assert any(x.denominator != 1 for row in b.change_inverse for x in row)
+        assert any(x.denominator != 1
+                   for row in face_change_inverse(b) for x in row)
+        assert b.change_inverse[0] != 1
     d, monos = pres.nvars, b.basis_monomials
     c = dense_structure(b)
     for i, mi in enumerate(monos):
@@ -606,8 +634,12 @@ def test_integrality_guard_fires(monkeypatch):
     # half the true inverse turns the integral triangle's x0^2 = b_2 into
     # b_2 / 2, which the guard must refuse
     true_inverse = kring.rat_inverse
-    monkeypatch.setattr(kring, "rat_inverse", lambda a: [
-        [x / 2 for x in row] for row in true_inverse(a)])
+
+    def halved(a):
+        den, rows = true_inverse(a)
+        return 2 * den, rows
+
+    monkeypatch.setattr(kring, "rat_inverse", halved)
     with pytest.raises(KtoricError, match="non integer structure constant"):
         triangle_basis()
 
