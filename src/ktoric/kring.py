@@ -10,7 +10,6 @@ integers, and the structure constants come out integral.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .charmap import dual_basis, reindex_to_base, validate_charmap
 from .errors import (
@@ -27,6 +26,7 @@ from .polyring import (
     DegRevLex,
     Monomial,
     Poly,
+    _combine,
     _packed,
     buchberger,
     standard_monomials,
@@ -188,36 +188,34 @@ def _coords(gb, index, x):
     each at the position i that index, keyed by packed monomial, gives."""
     den, terms = gb.reduce(x)
     try:
-        return den, [(index[m], a) for m, a in terms]
+        return den, [(index[m], a) for m, a in terms.items()]
     except KeyError:
         raise KtoricError("normal form left the standard monomial span") from None
 
 
 def _product(x, y, order):
-    """The product of x and y in the engine's form, each largest term
-    first; KtoricError, before any monomial is formed, when the product of
-    their largest terms is past DEGREE_LIMIT."""
+    """The product of x and y in the engine's form; KtoricError, before any
+    monomial is formed, when the sum of their largest degrees is past
+    DEGREE_LIMIT."""
     (dx, tx), (dy, ty) = x, y
-    if tx and ty:
-        within_degree_limit(order.degree(tx[0][0]) + order.degree(ty[0][0]))
+    within_degree_limit(max(map(order.degree, tx), default=0)
+                        + max(map(order.degree, ty), default=0))
     acc = {}
-    for m, a in tx:
-        for n, b in ty:
+    for m, a in tx.items():
+        for n, b in ty.items():
             acc[m + n] = acc.get(m + n, 0) + a * b
-    return dx * dy, [(m, c) for m, c in acc.items() if c]
-
-
-_ZERO = Fraction(0)
+    return dx * dy, {m: c for m, c in acc.items() if c}
 
 
 def _coord_matrix(gb, index, xs):
-    """The matrix of Fractions, one row per position in index, whose column
-    j holds the coordinates of the normal form of xs[j]; see _coords."""
-    mat = [[_ZERO] * len(xs) for _ in range(len(index))]
+    """The matrix, one row per position in index, whose column j holds the
+    coordinates of the normal form of xs[j] (see _coords): ints where the
+    denominator is 1, Fractions elsewhere."""
+    mat = [[0] * len(xs) for _ in range(len(index))]
     for j, x in enumerate(xs):
         den, coords = _coords(gb, index, x)
         for i, a in coords:
-            mat[i][j] = Fraction(a, den)
+            mat[i][j] = a if den == 1 else Fraction(a, den)
     return mat
 
 
@@ -236,7 +234,7 @@ def _accumulate(inverse, coords):
 
 def _dense(den, entries, m):
     """The m Fractions behind an _accumulate result."""
-    out = [_ZERO] * m
+    out = [Fraction(0)] * m
     for r, s in entries:
         out[r] = Fraction(s, den)
     return tuple(out)
@@ -314,7 +312,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     pack = gb.order.pack
     index = {pack(mono): i for i, mono in enumerate(std)}
     packed = [pack(mono) for mono in basis_monos]
-    change = _coord_matrix(gb, index, [(1, [(b, 1)]) for b in packed])
+    change = _coord_matrix(gb, index, [(1, {b: 1}) for b in packed])
     rank = rat_rank(change)
     integral = pres.integral
 
@@ -338,7 +336,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         for i, bi in enumerate(packed):
             for j, bj in enumerate(packed):
                 den, entries = _accumulate(
-                    inv, _coords(gb, index, (1, [(bi + bj, 1)])))
+                    inv, _coords(gb, index, (1, {bi + bj: 1})))
                 if integral and any(s % den for _, s in entries):
                     raise KtoricError(
                         "non integer structure constant with all coefficients 1; "
@@ -362,7 +360,7 @@ def invert_unit(p, basis):
     order, d = gb.order, gb.order.nvars
     index = basis._std_index
     u = _packed(p, order)
-    mat = _coord_matrix(gb, index, [_product(u, (1, [(s, 1)]), order)
+    mat = _coord_matrix(gb, index, [_product(u, (1, {s: 1}), order)
                                     for s in map(order.pack, std)])
     target = index.get(order.pack(Monomial.one(d)))
     if target is None:
@@ -385,7 +383,7 @@ def evaluate_in_quotient(p, images, gb):
         raise ValueError("one image per source variable required")
     order = gb.order
     one = order.pack(Monomial.one(order.nvars))
-    powers = [[(1, [(one, 1)]), gb.reduce(im)] for im in images]
+    powers = [[(1, {one: 1}), gb.reduce(im)] for im in images]
 
     def power(i, e):
         col = powers[i]
@@ -395,13 +393,12 @@ def evaluate_in_quotient(p, images, gb):
 
     vals = []
     for mono, coeff in p.terms.items():
-        val = (coeff.denominator, [(one, coeff.numerator)])
+        val = (coeff.denominator, {one: coeff.numerator})
         for i, e in mono.exponents:
             val = gb.reduce(_product(val, power(i, e), order))
         vals.append(val)
-    den = lcm(*[d for d, _ in vals])
-    total = [(m, a * (den // d)) for d, terms in vals for m, a in terms]
-    return gb.reduce((den, total))
+    # the sum of the values: _combine with the list vals as its table
+    return gb.reduce(_combine([(i, 1) for i in range(len(vals))], vals))
 
 
 @dataclass(frozen=True, eq=False)

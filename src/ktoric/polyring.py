@@ -341,67 +341,67 @@ class _Budget:
 
 
 def _packed(p, order):
-    """p as the engine holds it, (den, terms): its monomials packed by order,
-    with nonzero int numerators over the lcm den of its denominators,
-    largest term first. ValueError unless p, zero too, has order's nvars."""
+    """p as the engine holds it, (den, terms): terms maps its monomials,
+    packed by order, to nonzero int numerators over the lcm den of its
+    denominators. ValueError unless p, zero too, has order's nvars."""
     if p.nvars != order.nvars:
         raise ValueError(f"a Poly over {p.nvars} variables met an order over "
                          f"{order.nvars}")
-    pack, key = order.pack, order.packed_key
+    pack = order.pack
     den = lcm(*[c.denominator for c in p.terms.values()])
-    terms = [(pack(m), c.numerator * (den // c.denominator))
-             for m, c in p.terms.items()]
-    terms.sort(key=lambda t: key(t[0]), reverse=True)
-    return den, terms
+    return den, {pack(m): c.numerator * (den // c.denominator)
+                 for m, c in p.terms.items()}
 
 
 def _unpacked(den, terms, order):
-    """The Poly of the engine's int numerators terms over den, its
+    """The Poly of the engine's map terms of int numerators over den, its
     monomials packed by order."""
     unpack = order.unpack
     return Poly._raw(order.nvars,
-                     {unpack(m): Fraction(a, den) for m, a in terms})
+                     {unpack(m): Fraction(a, den) for m, a in terms.items()})
 
 
-def _head(terms):
-    """The head of the polynomial with nonzero int numerators terms, largest
-    term first: its leading monomial lm, a positive int den and the rule
-    ((t, a), ...) of its tail monomials t, so that modulo the polynomial lm
-    is the sum of the (a/den)*t. The gcd of the numerators, with the sign of
-    the leading one, brings the ratios a/den to lowest terms over their
-    least common denominator."""
-    (lm, a), *tail = terms
-    g = gcd(a, *[c for _, c in tail])
+def _head(terms, order):
+    """The head of the nonzero polynomial whose map terms takes its
+    monomials, packed by order, to int numerators: its leading monomial lm,
+    a positive int den and the rule ((t, a), ...) of its tail monomials t,
+    largest first, so that modulo the polynomial lm is the sum of the
+    (a/den)*t. The gcd of the numerators, with the sign of the leading one,
+    brings the ratios a/den to lowest terms over their least common
+    denominator. The one place that orders a polynomial's terms."""
+    lm, *tail = sorted(terms, key=order.packed_key, reverse=True)
+    a = terms[lm]
+    g = gcd(*terms.values())
     if a < 0:
         g = -g
-    return lm, a // g, tuple((t, -c // g) for t, c in tail)
+    return lm, a // g, tuple((t, -terms[t] // g) for t in tail)
 
 
-def _combine(pairs, table, key):
+def _combine(pairs, table):
     """The sum of a * table[t] over the pairs (t, a), each a a nonzero int,
-    as (den, terms): nonzero int numerators over the lcm den of the entries'
-    denominators, largest term first."""
+    as (den, terms): terms maps monomials to nonzero int numerators over the
+    lcm den of the entries' denominators. One pair (t, 1) gives the entry
+    table[t] itself."""
     if len(pairs) == 1:
         (t, a), = pairs
-        den, terms = table[t]
-        return den, [(m, a * c) for m, c in terms]
+        if a == 1:
+            return table[t]
     entries = [(a, table[t]) for t, a in pairs]
     den = lcm(*[d for _, (d, _) in entries])
     acc = {}
     for a, (d, terms) in entries:
         a *= den // d
-        for m, c in terms:
+        for m, c in terms.items():
             acc[m] = acc.get(m, 0) + a * c
-    return den, [(m, acc[m]) for m in sorted(acc, key=key, reverse=True)
-                 if acc[m]]
+    return den, {m: c for m, c in acc.items() if c}
 
 
 def _fill(table, monos, heads, order, budget):
     """Give each of monos, packed by order, an entry in table: its normal
-    form by heads, as (den, ((m, a), ...)), int numerators a over one
-    positive denominator den in lowest terms, largest term first; modulo
-    heads the monomial is the sum of the (a/den)*m, as a head's leading
-    monomial is.
+    form by heads, as (den, {m: a}), int numerators a over one positive
+    denominator den in lowest terms; modulo heads the monomial is the sum of
+    the (a/den)*m, as a head's leading monomial is. Entries are shared, by
+    _combine's results too, and never changed once made.
 
     Division that cancels the largest monomial against the first head
     dividing it is linear, and each monomial's remainder depends on the
@@ -411,7 +411,7 @@ def _fill(table, monos, heads, order, budget):
     smaller entries, made here bottom-up with an explicit stack. budget,
     when given, is spent once for each entry made for a reducible monomial.
     """
-    key, g = order.packed_key, order.guards
+    g = order.guards
     stack = list(monos)
     while stack:
         m = stack[-1]
@@ -422,7 +422,7 @@ def _fill(table, monos, heads, order, budget):
         # the first head whose leading monomial divides m; see DegRevLex
         head = next((h for h in heads if (mg - h[0]) & g == g), None)
         if head is None:
-            table[m] = (1, ((m, 1),))
+            table[m] = (1, {m: 1})
             stack.pop()
             continue
         lm, den, rule = head
@@ -434,26 +434,26 @@ def _fill(table, monos, heads, order, budget):
             continue
         if budget is not None:
             budget.spend()
-        common, terms = _combine(tail, table, key)
+        common, terms = _combine(tail, table)
         den *= common
-        c = gcd(den, *[a for _, a in terms])
-        table[m] = (den // c, tuple((t, a // c) for t, a in terms))
+        c = gcd(den, *terms.values())
+        table[m] = (den // c, {t: a // c for t, a in terms.items()})
         stack.pop()
 
 
-def _reduce(pairs, heads, order, budget, table):
+def _reduce(terms, heads, order, budget, table):
     """Normal form by heads, as built by _head, of the sum of the a*t
-    over pairs (t, a), each t packed and each a a nonzero int, as (den,
-    terms) from _combine: the entries of the t combined, made by _fill as
-    needed and kept in table. A table serves one head sequence, or one that
-    has grown by appending once the entries it made stale are dropped."""
-    _fill(table, [t for t, _ in pairs], heads, order, budget)
-    return _combine(pairs, table, order.packed_key)
+    over the map terms {t: a}, each t packed and each a a nonzero int, as
+    (den, terms) from _combine: the entries of the t combined, made by _fill
+    as needed and kept in table. A table serves one head sequence, or one
+    that has grown by appending once the entries it made stale are dropped."""
+    _fill(table, terms, heads, order, budget)
+    return _combine(terms.items(), table)
 
 
 def s_polynomial(hi, hj, l):
     """The S-polynomial of the monic generators of two heads whose leading
-    monomials have the lcm l, as pairs (m, a) of nonzero int numerators over
+    monomials have the lcm l, as a map {m: a} of nonzero int numerators over
     the lcm of the heads' denominators. The leading monomials cancel, which
     leaves each head's rule, negated for hi, times the cofactor of its
     leading monomial in l."""
@@ -469,7 +469,7 @@ def s_polynomial(hi, hj, l):
             out[m] = c
         else:
             del out[m]
-    return list(out.items())
+    return out
 
 
 def _interreduce(heads, order, table):
@@ -483,11 +483,9 @@ def _interreduce(heads, order, table):
     for lm, _, _ in sorted(heads, key=lambda h: key(h[0])):
         if not any(divides(k, lm) for k in kept):
             kept.append(lm)
-    out = []
-    for lm in kept:
-        den, terms = _reduce([(lm, 1)], heads, order, None, table)
-        out.append((lm, den, tuple(terms)))
-    return out
+    forms = [_reduce({lm: 1}, heads, order, None, table) for lm in kept]
+    return [_head({lm: den, **{t: -a for t, a in terms.items()}}, order)
+            for lm, (den, terms) in zip(kept, forms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,7 +504,7 @@ class GroebnerBasis:
     def generators(self):
         """The basis as monic Polys, built from the heads when first read."""
         return tuple(
-            _unpacked(den, [(lm, den), *[(t, -a) for t, a in rule]], self.order)
+            _unpacked(den, {lm: den, **{t: -a for t, a in rule}}, self.order)
             for lm, den, rule in self.heads)
 
     def leading_monomials(self):
@@ -514,9 +512,9 @@ class GroebnerBasis:
 
     def reduce(self, x, budget=None):
         """Normal form of x = (den, terms), the engine's form that _packed
-        makes: nonzero int numerators a over a positive int den, terms (m, a)
-        with m packed by the basis's order, in any order, a repeated m's
-        numerators added. Returned in that form, largest term first. budget,
+        makes: terms maps monomials packed by the basis's order to nonzero
+        int numerators over a positive int den. Returned in that form, its
+        map possibly a table entry's own, which must not be changed. budget,
         a _Budget when given, is spent once per table entry made."""
         den, terms = x
         common, terms = _reduce(terms, self.heads, self.order, budget, self.table)
@@ -552,7 +550,7 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     if not gens:
         raise ValueError("no nonzero generators")
 
-    heads = [_head(t) for t in gens]
+    heads = [_head(t, order) for t in gens]
     key, g = order.packed_key, order.guards
     queue = []         # (order key of the lcm, i, j, lcm), a heap
     pending = set()    # the pairs still in the queue
@@ -591,14 +589,14 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
                        counter, table)
         if not r:
             continue
-        heads.append(_head(r))
+        heads.append(_head(r, order))
         # an appended head is no monomial's first divisor where an earlier
         # head divides, so only entries holding a multiple of its leading
         # monomial are stale; every monomial an entry holds has an entry
         lm = heads[-1][0]
         dead = {t for t in table if ((t | g) - lm) & g == g}
         for m in [m for m, (_, terms) in table.items()
-                  if any(t in dead for t, _ in terms)]:
+                  if not dead.isdisjoint(terms)]:
             del table[m]
         add_pairs(len(heads) - 1)
 

@@ -7,17 +7,18 @@ a box, Gauss-Jordan elimination in Fraction arithmetic with the solutions,
 inverses and kernels it gives, the Bareiss determinant, the dense tensor of
 a basis's structure constants, coordinates in a basis's face classes from
 its normal forms alone, substitution into a quotient in Poly arithmetic,
-and the
-tower constructions cell by cell: the stage relations from Poly powers, the
-cube's facet vectors and a word's twists. The
-division and the Groebner-basis check share no code with the library's
+the tower constructions cell by cell: the stage relations from Poly powers,
+the cube's facet vectors and a word's twists, and the structure constants of
+a tower's cube ring by a triangular rewrite. The division, the
+Groebner-basis check and the rewrite share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from operator import le, sub
+from itertools import combinations, product
+from math import comb
+from operator import add, le, sub
 
 from ktoric import DegRevLex, Monomial, Poly
 
@@ -375,3 +376,71 @@ def reference_word_triples(cw):
             for i in range(n - 1)]
     return tuple((i + 1, i + 2 + k, v) for i, row in enumerate(rows)
                  for k, v in enumerate(row) if v)
+
+
+def tower_structure(c):
+    """The structure constants of the cube ring of the tower c, found with
+    no Groebner basis: {(S, T): {U: k}}, z_S z_T = sum of the k z_U over
+    frozensets S, T, U of stages 0..n-1, where z_i is the class of the upper
+    facet of stage i (facet 2i + 1 of bott_charmap(c)) and z_S the product
+    over S; a product that vanishes maps to {}.
+
+    At the origin the covector dual to the lower facet of stage k gives
+    1 - x_k = (1 - z_k) Q_k, Q_k the product over i < k of (1 - z_i)^c_ik,
+    and the nonface x_k z_k = 0 then gives z_k^2 = z_k R_k with
+    R_k = 1 - Q_k^-1. Each z_i lies in the augmentation ideal, so every
+    product of n + 1 of them vanishes: Q_k^-1 is a polynomial, and every
+    monomial past degree n is dropped. Rewriting the square of the latest
+    stage first lowers the exponent of that stage and changes no later one,
+    so it ends in squarefree products, with int coefficients throughout."""
+    n = c.n
+    twists = {(i - 1, j - 1): v for i, j, v in c.triples}
+
+    def unit_power(i, e):
+        """(1 - z_i)^e cut at degree n; for e < 0 the binomial series."""
+        if e >= 0:
+            coeffs = [(-1) ** k * comb(e, k) for k in range(min(e, n) + 1)]
+        else:
+            coeffs = [comb(k - e - 1, k) for k in range(n + 1)]
+        return {tuple(k if v == i else 0 for v in range(n)): a
+                for k, a in enumerate(coeffs)}
+
+    def times(p, q):
+        out = {}
+        for m1, a in p.items():
+            for m2, b in q.items():
+                m = tuple(map(add, m1, m2))
+                if sum(m) <= n:
+                    out[m] = out.get(m, 0) + a * b
+        return out
+
+    one = (0,) * n
+    rest = []  # R_k, one map per stage
+    for k in range(n):
+        inverse = {one: 1}
+        for i in range(k):
+            inverse = times(inverse, unit_power(i, -twists.get((i, k), 0)))
+        # Q_k^-1 has constant term 1, so R_k has none
+        rest.append({m: -a for m, a in inverse.items() if a and m != one})
+
+    def rewrite(work):
+        out = {}
+        while work:
+            m, a = work.popitem()
+            k = max((v for v, e in enumerate(m) if e > 1), default=None)
+            if k is None:
+                out[m] = out.get(m, 0) + a
+                continue
+            m = m[:k] + (m[k] - 1,) + m[k + 1:]
+            for t, b in times({m: a}, rest[k]).items():
+                work[t] = work.get(t, 0) + b
+        return {frozenset(v for v, e in enumerate(m) if e): a
+                for m, a in out.items() if a}
+
+    subsets = [frozenset(s) for r in range(n + 1)
+               for s in combinations(range(n), r)]
+
+    def mono(s, t):
+        return tuple((v in s) + (v in t) for v in range(n))
+
+    return {(s, t): rewrite({mono(s, t): 1}) for s in subsets for t in subsets}

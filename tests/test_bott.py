@@ -14,18 +14,23 @@ from ktoric import (
     bott_presentation,
     bott_samelson_presentation,
     buchberger,
+    build_presentation,
     cartan_matrix,
+    compute_basis,
     involution_check,
     laurent_rank,
+    order_vertices,
     quotient_basis,
     validate_charmap,
 )
 from ktoric.bott import cartan_word_matrix
 from ktoric.polyring import render_poly
+from ladder import generic_functional, random_tower
 from oracles import (
     reference_cube_vectors,
     reference_stage_relations,
     reference_word_triples,
+    tower_structure,
 )
 
 
@@ -306,21 +311,25 @@ def test_bott_matrix_from_triples_rejects_non_integers(n, triples):
         BottMatrix(n, triples)
 
 
+def cells(st, n, bound):
+    """A hypothesis strategy for (n, every cell (i, j, v) with
+    1 <= i < j <= n, zeros included), each twist v in [-bound, bound]."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return st.lists(st.integers(-bound, bound), min_size=len(pairs),
+                    max_size=len(pairs)).map(
+        lambda vals: (n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
+
+
 def test_tower_constructions_against_cells_property():
     # the one pass over the twists against the cell-by-cell constructions,
     # on towers given with every cell, zeros included, in shuffled order
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    def cells(n):
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        return st.lists(st.integers(-4, 4), min_size=len(pairs),
-                        max_size=len(pairs)).map(
-            lambda vals: (n, [(i, j, v) for (i, j), v in zip(pairs, vals)]))
-
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(st.integers(1, 5).flatmap(cells), st.randoms(use_true_random=False))
+    @hypothesis.given(st.integers(1, 5).flatmap(lambda n: cells(st, n, 4)),
+                      st.randoms(use_true_random=False))
     def check(case, rng):
         n, full = case
         nonzero = [t for t in full if t[2]]
@@ -334,6 +343,50 @@ def test_tower_constructions_against_cells_property():
         assert (p.dim, p.facet_count) == (n, 2 * n)
         assert lam.vectors == reference_cube_vectors(c)
         assert lam.base_vertex == 0
+
+    check()
+
+
+# --- the cube ring against the triangular rewrite ---------------------------
+
+
+def assert_structure_matches_rewrite(c):
+    # with the functional (1, 2, 4, ...) each face class is the product of
+    # the upper facets over a set of stages, the squarefree z_S of the
+    # rewrite; every nonzero constant must be the rewrite's, and no other
+    p, lam = bott_charmap(c)
+    b = compute_basis(build_presentation(p, lam),
+                      order_vertices(p, generic_functional(c.n)))
+    assert all(f % 2 for fs in b.basis_facet_sets for f in fs)
+    stages = [frozenset(f // 2 for f in fs) for fs in b.basis_facet_sets]
+    got = {}
+    for i, j, k, x in b.structure:
+        got.setdefault((stages[i], stages[j]), {})[stages[k]] = x
+    want = tower_structure(c)
+    assert len(want) == len(stages) ** 2
+    assert got == {st: cell for st, cell in want.items() if cell}
+
+
+@pytest.mark.parametrize("seed", [5, 17])
+def test_structure_matches_rewrite_at_height_five(seed):
+    # heights the sympy oracle, which stops at height 2, cannot reach
+    assert_structure_matches_rewrite(random_tower(5, random.Random(seed)))
+
+
+def test_structure_matches_rewrite_on_a3_longest_word():
+    assert_structure_matches_rewrite(cartan_word_matrix(
+        CartanWord(cartan_matrix("A", 3), (1, 2, 1, 3, 2, 1))))
+
+
+def test_structure_matches_rewrite_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda n: cells(st, n, 3)))
+    def check(case):
+        assert_structure_matches_rewrite(BottMatrix(*case))
 
     check()
 

@@ -60,7 +60,8 @@ def variables(n):
 def heads_of(gens, order):
     """One engine head per polynomial of gens, as buchberger makes the heads
     of its input."""
-    return tuple(polyring._head(polyring._packed(g, order)[1]) for g in gens)
+    return tuple(polyring._head(polyring._packed(g, order)[1], order)
+                 for g in gens)
 
 
 def basis_of(gens, order):
@@ -549,13 +550,25 @@ def test_heap_selection_matches_rescan(pres, monkeypatch):
     assert len(calls) == reduced
 
 
-def test_buchberger_budget_boundary():
-    # the exact number of reducible monomials whose normal form one
-    # height-3 tower's stagewise basis works out; a different pair order,
-    # reduction or stale-entry rule changes it
-    pres = bott_presentation(random_tower(3, random.Random(17)))
+def budget_cases():
+    """(presentation, the steps its Buchberger run takes) for towers of
+    heights 3 and 4 and the A3 longest word, none pinned by the benchmark."""
+    yield pytest.param(bott_presentation(random_tower(3, random.Random(17))),
+                       46, id="seed17-laurent3")
+    c = random_tower(4, random.Random(17))
+    yield pytest.param(bott_presentation(c), 133, id="seed17-laurent4")
+    yield pytest.param(build_presentation(*bott_charmap(c)), 99,
+                       id="seed17-cube4")
+    yield pytest.param(bott_samelson_presentation(CartanWord(
+        cartan_matrix("A", 3), (1, 2, 1, 3, 2, 1))), 1856, id="A3-longest")
+
+
+@pytest.mark.parametrize("pres, steps", list(budget_cases()))
+def test_buchberger_budget_boundary(pres, steps):
+    # the exact number of reducible monomials whose normal form the run
+    # works out; a different pair order, reduction or stale-entry rule
+    # changes it
     gens = list(pres.ideal_gens)
-    steps = 46
     buchberger(gens, pres.order, budget=steps)
     with pytest.raises(BudgetExceededError,
                        match=f"buchberger budget exhausted after {steps - 1} "):
@@ -637,7 +650,7 @@ def assert_same_as_division_loop(gb, p):
     got = gb.normal_form(p)
     want = reference_division(p.terms, reference_heads(gb.heads, gb.order),
                               gb.order)
-    assert list(got.terms.items()) == list(want.items())
+    assert got.terms == want
     assert got.nvars == p.nvars
 
 
@@ -671,7 +684,7 @@ def test_tabled_normal_forms_of_non_groebner_generators():
         # entries are int numerators over one denominator, in lowest terms
         entries = gb.table.values()
         assert any(den != 1 for den, _ in entries)
-        assert all(gcd(den, *(a for _, a in terms)) == 1 for den, terms in entries)
+        assert all(gcd(den, *terms.values()) == 1 for den, terms in entries)
 
 
 def test_tabled_normal_form_of_a_scaled_term():
@@ -698,7 +711,7 @@ def test_bases_never_share_a_table():
 
 
 def unpacked(order, terms):
-    """The engine's terms (packed monomial, a) as (Monomial, a)."""
+    """The engine's pairs (packed monomial, a) as (Monomial, a)."""
     return tuple((order.unpack(m), a) for m, a in terms)
 
 
@@ -732,10 +745,9 @@ class CheckedDivision:
     reduction, interreduction and reduction by a finished basis: requires
     nonzero int numerators in and out over a positive int denominator, the
     reference's remainder on the same input by the Polys rebuilt from the
-    heads, with the same terms in the same order, and one budget step for
-    each entry the call adds to the table for a reducible monomial, none
-    for a lookup. Counts the entries that leave a table between two calls
-    sharing it."""
+    heads, with the same terms, and one budget step for each entry the call
+    adds to the table for a reducible monomial, none for a lookup. Counts
+    the entries that leave a table between two calls sharing it."""
 
     def __init__(self, loop):
         self.loop = loop
@@ -743,21 +755,21 @@ class CheckedDivision:
         self.tables = {}  # id of a table -> (that table, its keys after a call)
         self.dropped = 0
 
-    def __call__(self, pairs, heads, order, budget, table):
+    def __call__(self, terms, heads, order, budget, table):
         before = self.tables.get(id(table), (table, set()))[1]
         self.dropped += len(before - table.keys())
         before = set(table)
-        assert all(type(a) is int and a for _, a in pairs)
+        assert all(type(a) is int and a for a in terms.values())
         steps = Steps(budget)
-        got = self.loop(pairs, heads, order, steps, table)
-        den, terms = got
+        got = self.loop(terms, heads, order, steps, table)
+        den, out = got
         assert type(den) is int and den > 0
-        assert all(type(a) is int and a for _, a in terms)
+        assert all(type(a) is int and a for a in out.values())
         want = reference_division(
-            {t: Fraction(a) for t, a in unpacked(order, pairs)},
+            {t: Fraction(a) for t, a in unpacked(order, terms.items())},
             reference_heads(heads, order), order)
-        assert ([(m, Fraction(a, den)) for m, a in unpacked(order, terms)]
-                == list(want.items()))
+        assert ({m: Fraction(a, den) for m, a in unpacked(order, out.items())}
+                == want)
         made = [m for m in table.keys() - before
                 if any(order.divides(h[0], m) for h in heads)]
         assert steps.spent == len(made)
@@ -871,7 +883,7 @@ def test_s_polynomial_of_heads_matches_fraction_oracle():
     gens = [2 * x * y + 3 * z, 3 * y ** 2 - x + 1, Fraction(2, 5) * x * z - y,
             Poly(3, dict(r))]
     heads = heads_of(gens, o)
-    head = polyring._head([(o.pack(m), a) for m, a in r])
+    head = polyring._head({o.pack(m): a for m, a in r}, o)
     assert head == heads[-1]
     lm, den, rule = head
     assert (o.unpack(lm), den, unpacked(o, rule)) == (
@@ -887,8 +899,9 @@ def test_s_polynomial_of_heads_matches_fraction_oracle():
             l = order.lcm(heads[i][0], heads[j][0])
             terms = polyring.s_polynomial(heads[i], heads[j], l)
             den = lcm(heads[i][1], heads[j][1])
-            assert all(type(a) is int and a for _, a in terms)
-            assert ({m: Fraction(a, den) for m, a in unpacked(order, terms)}
+            assert all(type(a) is int and a for a in terms.values())
+            assert ({m: Fraction(a, den)
+                     for m, a in unpacked(order, terms.items())}
                     == s_polynomial(gens[i], gens[j], order).terms)
             pairs += 1
     assert pairs > 100
