@@ -60,7 +60,6 @@ from .kring import (
 from .bott import (
     BottMatrix,
     CartanWord,
-    EquivalenceReport,
     LaurentPresentation,
     bott_charmap,
     bott_equivalence,

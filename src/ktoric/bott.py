@@ -22,7 +22,7 @@ from .kring import (
 )
 from .polyring import (
     DEFAULT_BUDGET, DegRevLex, Monomial, Poly, _Budget, buchberger)
-from .polytope import cube, order_vertices
+from .polytope import cube, generic_functional, order_vertices
 from .validation import strict_int
 
 
@@ -153,23 +153,6 @@ def involution_check(pres, budget=DEFAULT_BUDGET):
     return all(gb.normal_form(s, counter).is_zero for s in swapped)
 
 
-@dataclass(frozen=True, eq=False)
-class EquivalenceReport:
-    """Cross-check of the two presentations of one tower."""
-
-    n: int
-    expected_rank: int
-    polytope_rank: int
-    laurent_rank: int
-    iso: object
-
-    @property
-    def ok(self):
-        return (self.polytope_rank == self.expected_rank
-                and self.laurent_rank == self.expected_rank
-                and self.iso.ok)
-
-
 def _stage_products(lp):
     """The 2^n products of distinct generators, smallest sets first. These
     are a module basis of the quotient: each stage relation is a monic
@@ -187,17 +170,17 @@ def _stage_products(lp):
 
 def bott_equivalence(c, budget=DEFAULT_BUDGET):
     """Run the cube pipeline and the stage-generator relations side by side
-    and check they present the same ring.
+    and check they present the same ring: the IsoReport of the map, its
+    dst_rank the cube ring's rank and src_rank the stagewise ring's.
 
     Each generator maps to the inverse of the class 1 - x on the upper facet
-    of its direction, each inverse variable to that class itself. Both ranks
-    must equal 2^n and the map must carry the product basis of the stage
-    generators to a module basis, unimodularly.
+    of its direction, each inverse variable to that class itself. ok means
+    the map carries the product basis of the stage generators to a module
+    basis, unimodularly, and so both ranks are 2^n, the cube's vertex count.
     """
     p, lam = bott_charmap(c)
     pres = build_presentation(p, lam)
-    functional = tuple(1 << k for k in range(c.n))
-    vo = order_vertices(p, functional)
+    vo = order_vertices(p, generic_functional(c.n))
     basis = compute_basis(pres, vo, budget=budget)
     lp = bott_presentation(c)
     d = p.facet_count
@@ -206,9 +189,8 @@ def bott_equivalence(c, budget=DEFAULT_BUDGET):
         unit = 1 - Poly.variable(d, 2 * (i - 1) + 1)
         images[lp.y_inv(i)] = basis.normal_form(unit)
         images[lp.y(i)] = invert_unit(unit, basis)
-    iso = ring_map_check(lp, tuple(images), basis, _stage_products(lp),
-                         budget=budget)
-    return EquivalenceReport(c.n, 2 ** c.n, basis.rank, iso.src_rank, iso)
+    return ring_map_check(lp, tuple(images), basis, _stage_products(lp),
+                          budget=budget)
 
 
 def laurent_rank(pres, budget=DEFAULT_BUDGET):

@@ -23,7 +23,7 @@ from .charmap import validate_charmap
 from .errors import KtoricError
 from .kring import CoefficientSpec, build_presentation, compute_basis
 from .polyring import DEFAULT_BUDGET, Poly, render_poly
-from .polytope import order_vertices, validate_polytope
+from .polytope import generic_functional, order_vertices, validate_polytope
 
 
 def _load_json(path):
@@ -80,10 +80,6 @@ def _emit(report, fmt):
         sys.stdout.write("\n".join(_text_lines(report)) + "\n")
 
 
-def _default_functional(dim):
-    return tuple(Fraction(1 << k) for k in range(dim))
-
-
 def _projective_check(pres, basis):
     """When exactly one facet misses the base vertex and every dual covector
     takes -1 on its vector, the quotient satisfies one polynomial identity in
@@ -125,7 +121,7 @@ def cmd_kring(args):
         vo = jsonio.vertex_order_from_dict(_load_json(args.order_file))
     else:
         functional = (_fraction_list(args.functional, "--functional")
-                      if args.functional else _default_functional(p.dim))
+                      if args.functional else generic_functional(p.dim))
         vo = order_vertices(p, functional)
     base = lam.base_vertex if lam.base_vertex is not None else vo.order[0]
     pres = build_presentation(p, lam, coeffs, base)
@@ -137,22 +133,23 @@ def cmd_kring(args):
     return 1 if projective is not None and not projective["reduces_to_zero"] else 0
 
 
-def cmd_bott(args):
-    c = jsonio.bott_from_dict(_load_json(args.tower))
-    pres = bott_presentation(c)
+def _laurent_command(args, pres, report):
+    """bott and bott-samelson: emit report(pres, rank, inv_ok) of pres."""
     rank = laurent_rank(pres, budget=args.budget)
     inv_ok = involution_check(pres, budget=args.budget)
-    _emit(jsonio.bott_report(pres, rank, inv_ok), args.format)
-    return 0 if (inv_ok and rank == 2 ** c.n) else 1
+    _emit(report(pres, rank, inv_ok), args.format)
+    return 0 if (inv_ok and rank == 2 ** pres.n) else 1
+
+
+def cmd_bott(args):
+    pres = bott_presentation(jsonio.bott_from_dict(_load_json(args.tower)))
+    return _laurent_command(args, pres, jsonio.bott_report)
 
 
 def cmd_bott_samelson(args):
     cw = jsonio.cartan_word_from_dict(_load_json(args.cartan), args.convention)
-    pres = bott_samelson_presentation(cw)
-    rank = laurent_rank(pres, budget=args.budget)
-    inv_ok = involution_check(pres, budget=args.budget)
-    _emit(jsonio.samelson_report(cw, pres, rank, inv_ok), args.format)
-    return 0 if (inv_ok and rank == 2 ** pres.n) else 1
+    return _laurent_command(args, bott_samelson_presentation(cw),
+                            functools.partial(jsonio.samelson_report, cw))
 
 
 def cmd_compare(args):
@@ -227,7 +224,7 @@ def main(argv=None):
     except KtoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

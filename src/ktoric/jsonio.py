@@ -222,14 +222,14 @@ def compare_report(c, rep):
     return {
         "command": "compare",
         "input": bott_to_dict(c),
-        "expected_rank": rep.expected_rank,
-        "polytope_rank": rep.polytope_rank,
-        "laurent_rank": rep.laurent_rank,
-        "relations_zero": bool(rep.iso.relations_zero),
-        "failed_relations": list(rep.iso.failed_relations),
-        "transition_determinant": (None if rep.iso.change_det is None
-                                   else str(rep.iso.change_det)),
-        "unimodular": rep.iso.unimodular,
+        "expected_rank": 2 ** c.n,
+        "polytope_rank": rep.dst_rank,
+        "laurent_rank": rep.src_rank,
+        "relations_zero": bool(rep.relations_zero),
+        "failed_relations": list(rep.failed_relations),
+        "transition_determinant": (None if rep.change_det is None
+                                   else str(rep.change_det)),
+        "unimodular": rep.unimodular,
         "isomorphic": bool(rep.ok),
     }
 

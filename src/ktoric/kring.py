@@ -28,6 +28,7 @@ from .polyring import (
     Poly,
     _combine,
     _packed,
+    _unpacked,
     buchberger,
     standard_monomials,
     within_degree_limit,
@@ -221,15 +222,11 @@ def _coord_matrix(gb, index, xs):
 
 def _accumulate(inverse, coords):
     """The matrix behind inverse (see BasisResult) times coords from
-    _coords, summed in ints over one denominator: (den, entries), entries
-    the (row, numerator) of each nonzero sum, sorted by row."""
-    den, cols = inverse
+    _coords, summed by _combine: (den, entries), entries the (row,
+    numerator) of each nonzero sum over den, sorted by row."""
     e, coords = coords
-    sums = {}
-    for t, c in coords:
-        for r, x in cols[t]:
-            sums[r] = sums.get(r, 0) + x * c
-    return den * e, [(r, s) for r, s in sorted(sums.items()) if s]
+    den, sums = _combine(coords, inverse)
+    return den * e, sorted(sums.items())
 
 
 def _dense(den, entries, m):
@@ -244,8 +241,9 @@ def _dense(den, entries, m):
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
     quotient data, the face classes, and how the two express each other.
-    change_inverse, (den, columns), writes the standard monomials in the face
-    classes: column t lists (row, numerator) of its nonzero entries. structure
+    change_inverse writes the standard monomials in the face classes: column
+    t is the engine's table entry (den, {row: numerator}) of its nonzero
+    entries, every column over the one denominator of the inverse. structure
     holds the products b_i b_j = sum_k c b_k of the face classes as the tuple
     of (i, j, k, c) for each nonzero Fraction c, sorted by (i, j, k). Both
     are None when the face classes are not a basis."""
@@ -329,8 +327,8 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     if rank == m:
         det = rat_det(change)
         den, rows = rat_inverse(change)
-        inv = den, [[(r, x) for r, x in enumerate(col) if x]
-                    for col in zip(*rows)]
+        inv = tuple((den, {r: x for r, x in enumerate(col) if x})
+                    for col in zip(*rows))
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
         for i, bi in enumerate(packed):
@@ -352,25 +350,23 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
 def invert_unit(p, basis):
     """Inverse of the class of p in the quotient, by solving one linear
     system over the standard monomials."""
-    gb = basis.groebner
-    std = basis.std_monomials
-    q = len(std)
+    gb, index = basis.groebner, basis._std_index
+    q = len(index)
     if q == 0:
         raise NotAUnitError("the quotient ring is zero")
-    order, d = gb.order, gb.order.nvars
-    index = basis._std_index
+    order = gb.order
     u = _packed(p, order)
+    # index, keyed by packed standard monomial, iterates in their order
     mat = _coord_matrix(gb, index, [_product(u, (1, {s: 1}), order)
-                                    for s in map(order.pack, std)])
-    target = index.get(order.pack(Monomial.one(d)))
+                                    for s in index])
+    target = index.get(order.pack(Monomial.one(order.nvars)))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")
-    rhs = [Fraction(1) if i == target else Fraction(0) for i in range(q)]
-    sol = rat_solve(mat, rhs)
+    sol = rat_solve(mat, [int(i == target) for i in range(q)])
     if sol is None:
         raise NotAUnitError("element is not invertible in the quotient")
     den, x = sol
-    return Poly(d, {std[j]: Fraction(x[j], den) for j in range(q)})
+    return _unpacked(den, {s: x[i] for s, i in index.items() if x[i]}, order)
 
 
 def evaluate_in_quotient(p, images, gb):

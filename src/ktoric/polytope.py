@@ -221,6 +221,11 @@ def minimal_nonfaces(p):
     return sorted(out, key=lambda t: (len(t), t))
 
 
+def generic_functional(dim):
+    """(1, 2, 4, ...): no two 0/1 points of dimension dim share its height."""
+    return tuple(1 << k for k in range(dim))
+
+
 def order_vertices(p, functional):
     """Order vertices by a rational linear functional on their coordinates."""
     if p.coords is None:

@@ -15,6 +15,8 @@ from ktoric import (
     simplex,
     simplex_charmap,
 )
+# the test modules take the library's generic functional from here
+from ktoric.polytope import generic_functional
 
 
 def random_tower(n, rng):
@@ -44,7 +46,3 @@ def face_rungs():
         for n in (1, 2, 3):
             yield pytest.param(*bott_charmap(random_tower(n, rng)),
                                id=f"seed{seed}-tower{n}")
-
-
-def generic_functional(dim):
-    return tuple(1 << k for k in range(dim))

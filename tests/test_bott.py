@@ -156,24 +156,22 @@ def test_laurent_rank_doubles_per_stage():
 
 def test_equivalence_stage_one():
     rep = bott_equivalence(BottMatrix(1))
-    assert (rep.expected_rank, rep.polytope_rank, rep.laurent_rank) == (2, 2, 2)
-    assert rep.iso.ok and rep.iso.unimodular
+    assert (rep.dst_rank, rep.src_rank) == (2, 2)
+    assert rep.ok and rep.unimodular
 
 
 def test_equivalence_exhaustive_height_two():
     for v in range(-2, 3):
         rep = bott_equivalence(tower(2, (1, 2, v)))
-        assert rep.expected_rank == 4
-        assert rep.polytope_rank == 4 and rep.laurent_rank == 4
-        assert rep.iso.ok and rep.iso.relations_zero and rep.iso.spans
-        assert rep.iso.unimodular
+        assert rep.dst_rank == 4 and rep.src_rank == 4
+        assert rep.ok and rep.relations_zero and rep.spans
+        assert rep.unimodular
 
 
 def test_equivalence_height_three_sample():
     rep = bott_equivalence(tower(3, (1, 2, 2), (1, 3, -1), (2, 3, 1)))
-    assert rep.expected_rank == 8
-    assert rep.polytope_rank == 8 and rep.laurent_rank == 8
-    assert rep.iso.ok and rep.iso.unimodular
+    assert rep.dst_rank == 8 and rep.src_rank == 8
+    assert rep.ok and rep.unimodular
 
 
 # --- Cartan data ------------------------------------------------------------
@@ -280,8 +278,8 @@ def test_word_tower_equivalence():
     # the word data goes through the ordinary tower pipeline unchanged
     cw = CartanWord(cartan_matrix("B", 2), (1, 2, 1, 2))
     rep = bott_equivalence(cartan_word_matrix(cw))
-    assert rep.expected_rank == 16
-    assert rep.iso.ok and rep.iso.unimodular
+    assert rep.dst_rank == 16 and rep.src_rank == 16
+    assert rep.ok and rep.unimodular
 
 
 @pytest.mark.parametrize("n, rows", [

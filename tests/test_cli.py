@@ -514,6 +514,15 @@ def test_compare_report(tower_files, capsys):
     assert report["unimodular"] is True
 
 
+def test_compare_text_format(tower_files, capsys):
+    tf = tower_files(2, [(1, 2, 1)])
+    assert main(["compare", tf, "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "command: compare"
+    for line in ("isomorphic: true", "polytope_rank: 4", "laurent_rank: 4"):
+        assert line in lines
+
+
 def test_compare_on_a_large_twist(tower_files, capsys):
     # the covector relations hold (1 - x_j)^2000, expanded term by term
     tf = tower_files(2, [(1, 2, 2000)])

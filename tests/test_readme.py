@@ -47,7 +47,7 @@ def test_python_examples_give_the_values_their_comments_state():
     assert namespace["basis"].rank == 3
     assert namespace["basis"].basis_facet_sets == ((), (0,), (0, 1))
     assert namespace["square"] == [(2, Fraction(1))]
-    assert namespace["rep"].iso.ok is True
+    assert namespace["rep"].ok is True
 
 
 def test_json_input_examples_are_read():
