@@ -11,6 +11,7 @@ data, one stage per letter.
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, sub
 
 from .charmap import CharacteristicMap
 from .kring import (
@@ -127,30 +128,48 @@ def bott_presentation(c, notes=()):
     for i, exps in enumerate(powers):
         yi = Poly.variable(nv, i)
         defining.append((yi - 1) * (yi - Poly(nv, {Monomial(exps): 1})))
-    inverse_gens = tuple(
-        Poly.variable(nv, i - 1) * Poly.variable(nv, n + i - 1) - 1
-        for i in range(1, n + 1))
-    return LaurentPresentation(n, c, tuple(defining), inverse_gens,
+    return LaurentPresentation(n, c, tuple(defining), _inverse_relations(n),
                                DegRevLex.standard(nv), tuple(notes))
 
 
-# the involution check's allowance, in budgets: the swapped relation of a
-# twist v makes about v^2 table entries (90893 at v = 300), Buchberger 2v
-INVOLUTION_STEPS = 16
+def _inverse_relations(n):
+    """y_k * y_k_inv - 1 for k = 1..n."""
+    return tuple(Poly.variable(2 * n, k) * Poly.variable(2 * n, n + k) - 1
+                 for k in range(n))
+
+
+def _centred_swap(g, n):
+    """u * s(g), every y_k * y_k_inv cancelled, for the swap s of each y_k
+    with y_k_inv and the Laurent monomial u whose exponent is the sum of the
+    lexicographically largest and smallest Laurent exponents a - b of g's
+    monomials y_k^a * y_k_inv^b: g itself for a stage relation
+    (y_i - 1)(y_i - P_i), as s(g) = y_i^-2 P_i^-1 g, 0 for an inverse one."""
+    laurent = [(tuple(map(sub, m[:n], m[n:])), c) for m, c in g.terms.items()]
+    exps = [e for e, _ in laurent]
+    u = tuple(map(add, max(exps, default=()), min(exps, default=())))
+    out = {}
+    for e, c in laurent:
+        e = tuple(map(sub, u, e))
+        m = Monomial._raw([max(x, 0) for x in e] + [max(-x, 0) for x in e])
+        out[m] = out.get(m, 0) + c
+    return Poly._raw(g.nvars, {m: c for m, c in out.items() if c})
 
 
 def involution_check(pres, budget=DEFAULT_BUDGET):
-    """Swapping every generator with its inverse must preserve the ideal:
-    each relation, after the swap, reduces to zero. budget caps the
-    cancellation steps of Buchberger, and INVOLUTION_STEPS times budget
-    those of the reductions."""
+    """Swapping every generator with its inverse must preserve the ideal.
+    pres must hold the inverse relations y_k * y_k_inv - 1 (ValueError
+    otherwise): modulo them every monomial is a unit and equals its
+    cancelled form, so a relation's swap lies in the ideal exactly when its
+    centred swap does, and each centred swap must reduce to zero. budget
+    caps Buchberger's cancellation steps and, separately, the reductions'."""
     n = pres.n
+    if pres.inverse_gens != _inverse_relations(n):
+        raise ValueError("the involution check needs the inverse relations "
+                         "y_k * y_k_inv - 1")
     gb = buchberger(pres.ideal_gens, pres.order, budget)
-    counter = _Budget(INVOLUTION_STEPS * budget, "involution check")
-    # y_i, variable i - 1, and its inverse, variable n + i - 1, trade places
-    swapped = (Poly(g.nvars, {m[n:] + m[:n]: c for m, c in g.terms.items()})
+    counter = _Budget(budget, "involution check")
+    return all(gb.normal_form(_centred_swap(g, n), counter).is_zero
                for g in pres.ideal_gens)
-    return all(gb.normal_form(s, counter).is_zero for s in swapped)
 
 
 def _stage_products(lp):

@@ -8,8 +8,9 @@ inverses and kernels it gives, the Bareiss determinant, the dense tensor of
 a basis's structure constants, coordinates in a basis's face classes from
 its normal forms alone, substitution into a quotient in Poly arithmetic,
 the tower constructions cell by cell: the stage relations from Poly powers,
-the cube's facet vectors and a word's twists, and the structure constants of
-a tower's cube ring by a triangular rewrite. The division, the
+the cube's facet vectors and a word's twists, the structure constants of
+a tower's cube ring by a triangular rewrite, and the involution check by
+reducing each relation's plain swap. The division, the
 Groebner-basis check and the rewrite share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
@@ -20,7 +21,7 @@ from itertools import combinations, product
 from math import comb
 from operator import add, le, sub
 
-from ktoric import DegRevLex, Monomial, Poly
+from ktoric import DegRevLex, Monomial, Poly, buchberger
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,3 +445,17 @@ def tower_structure(c):
         return tuple((v in s) + (v in t) for v in range(n))
 
     return {(s, t): rewrite({mono(s, t): 1}) for s in subsets for t in subsets}
+
+
+def swapped_involution_check(pres):
+    """Whether swapping every generator y_i, variable i - 1, with its
+    inverse, variable n + i - 1, preserves the ideal of the presentation:
+    each relation's swap, uncentred, reduces to zero by the Groebner basis
+    of the ideal. A swap of a twist v holds monomials of degree about v, so
+    this is for small towers and words only."""
+    n = pres.n
+    gb = buchberger(pres.ideal_gens, pres.order)
+    return all(
+        gb.normal_form(Poly(g.nvars, {m[n:] + m[:n]: c
+                                      for m, c in g.terms.items()})).is_zero
+        for g in pres.ideal_gens)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ from ktoric import (
     BudgetExceededError,
     CartanWord,
     DegRevLex,
+    Poly,
     bott_charmap,
     bott_equivalence,
     bott_presentation,
@@ -23,13 +25,14 @@ from ktoric import (
     quotient_basis,
     validate_charmap,
 )
-from ktoric.bott import cartan_word_matrix
+from ktoric.bott import _centred_swap, cartan_word_matrix
 from ktoric.polyring import render_poly
 from ladder import generic_functional, random_tower
 from oracles import (
     reference_cube_vectors,
     reference_stage_relations,
     reference_word_triples,
+    swapped_involution_check,
     tower_structure,
 )
 
@@ -135,15 +138,83 @@ def test_involution():
     assert involution_check(bott_presentation(tower(2, (1, 2, -2))))
 
 
+def perturbed_twist_20():
+    # the twist-20 tower with y2^2 - y2*y1^20 - y2 + y1_inv^20 as its second
+    # relation: its centred swap y2_inv - y1_inv^20 - 1 + y1^20*y2 is no
+    # relation, and reducing it takes work
+    pres = bott_presentation(tower(2, (1, 2, 20)))
+    y1, y2, y1_inv = (Poly.variable(4, k) for k in (0, 1, 2))
+    g = y2 ** 2 - y2 * y1 ** 20 - y2 + y1_inv ** 20
+    return dataclasses.replace(pres, defining=(pres.defining[0], g))
+
+
 def test_involution_check_spends_its_own_budget():
-    # on the twist-60 tower a budget of 200 covers Buchberger's 128 steps,
-    # but 16 times it falls short of the 3773 the swapped relations take
-    pres = bott_presentation(tower(2, (1, 2, 60)))
-    buchberger(pres.ideal_gens, pres.order, 200)
-    with pytest.raises(BudgetExceededError, match="involution check budget "
-                       "exhausted after 3200 cancellation steps"):
-        involution_check(pres, budget=200)
-    assert involution_check(pres, budget=240)
+    # Buchberger takes 49 steps here, so a budget of 49 runs out in the
+    # involution check, which needs 228 to finish
+    pres = perturbed_twist_20()
+    buchberger(pres.ideal_gens, pres.order, 49)
+    with pytest.raises(BudgetExceededError, match="buchberger budget "
+                       "exhausted after 48 cancellation steps"):
+        buchberger(pres.ideal_gens, pres.order, 48)
+    for budget in (49, 227):
+        with pytest.raises(BudgetExceededError, match="involution check budget "
+                           f"exhausted after {budget} cancellation steps"):
+            involution_check(pres, budget=budget)
+    assert involution_check(pres, budget=228) is False
+
+
+def involution_cases():
+    # every tower of height <= 2 with twists in [-3, 3], and three words
+    towers = [pytest.param(bott_presentation(BottMatrix(1)), id="height1")]
+    towers += [pytest.param(bott_presentation(tower(2, (1, 2, v))),
+                            id=f"twist{v}") for v in range(-3, 4)]
+    words = [pytest.param(bott_samelson_presentation(
+        CartanWord(cartan_matrix(kind, 2), (1, 2, 1))), id=f"{kind}2-121")
+        for kind in ("A", "B", "G")]
+    return towers + words
+
+
+@pytest.mark.parametrize("pres", involution_cases())
+def test_involution_check_matches_swap_oracle(pres):
+    assert involution_check(pres) is swapped_involution_check(pres) is True
+
+
+def test_perturbed_relations_fail_the_involution_check():
+    pres = bott_presentation(tower(2, (1, 2, 1)))
+    y1 = Poly.variable(4, 0)
+    for defining in ((y1 ** 2 - 2, pres.defining[1]),
+                     (pres.defining[0], pres.defining[1] + y1)):
+        bad = dataclasses.replace(pres, defining=defining)
+        assert involution_check(bad) is swapped_involution_check(bad) is False
+
+
+def test_involution_check_needs_the_inverse_relations():
+    # the centred swap equals the swap up to a unit only modulo y_k*y_k_inv - 1
+    pres = bott_presentation(tower(2, (1, 2, 1)))
+    y1, y1_inv = Poly.variable(4, 0), Poly.variable(4, 2)
+    bad = dataclasses.replace(
+        pres, inverse_gens=(y1 * y1_inv - 2, pres.inverse_gens[1]))
+    with pytest.raises(ValueError, match="inverse relations"):
+        involution_check(bad)
+
+
+def test_centred_swap_of_tower_relations_property():
+    # each stage relation's centred swap is the relation, each inverse
+    # relation's is zero, so the involution check reduces only relations
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.integers(1, 3).flatmap(lambda n: cells(st, n, 3)))
+    def check(case):
+        pres = bott_presentation(BottMatrix(*case))
+        for g in pres.defining:
+            assert _centred_swap(g, pres.n) == g
+        for g in pres.inverse_gens:
+            assert _centred_swap(g, pres.n).is_zero
+
+    check()
 
 
 def test_laurent_rank_doubles_per_stage():

@@ -18,7 +18,6 @@ from ktoric import (
     simplex_charmap,
 )
 from ktoric.cli import main
-from ktoric.bott import INVOLUTION_STEPS
 from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT
 
 from ladder import random_tower
@@ -155,16 +154,30 @@ def test_budget_error_names_the_stage(tower_files, capsys):
 
 
 def test_involution_check_is_budgeted(tower_files, capsys):
-    # bott's Buchberger on the twist-2000 tower fits the default budget; the
-    # reductions of its involution check then spend one of their own, where
-    # without it they ran for over a minute
+    # the involution check reduces each relation's centred swap, v - 1 table
+    # entries on a tower of twist v, so the twist-2000 tower passes in the
+    # default budget; Buchberger needs about 2v steps, so at twist 4000 it is
+    # the stage that stops, in seconds, not the involution check
     tf = tower_files(2, [(1, 2, 2000)])
+    assert main(["bott", tf]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["involution_ok"] is True and report["rank"] == 4
+    tf = tower_files(2, [(1, 2, 4000)])
     start = time.process_time()
     assert main(["bott", tf]) == 1
     assert time.process_time() - start < 20
     err = capsys.readouterr().err
-    assert ("involution check budget exhausted after "
-            f"{INVOLUTION_STEPS * DEFAULT_BUDGET} cancellation steps") in err
+    assert (f"buchberger budget exhausted after {DEFAULT_BUDGET} "
+            "cancellation steps") in err
+
+
+def test_twist_400_passes_the_default_budget(tower_files, capsys):
+    # a twist between about 335 and 3500 once ran the swapped relations'
+    # v^2 table entries out of the involution check's allowance: exit 1
+    tf = tower_files(2, [(1, 2, 400)])
+    assert main(["bott", tf]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["involution_ok"] is True and report["rank"] == 4
 
 
 def test_tower_past_the_packing_limit_is_exit_one(tower_files, capsys):
