@@ -15,7 +15,6 @@ from .errors import (
 )
 from .validation import CheckResult, ValidationReport
 from .polytope import (
-    Face,
     SimplePolytope,
     VertexOrder,
     ascending_faces,

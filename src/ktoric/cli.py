@@ -27,8 +27,13 @@ from .polytope import generic_functional, order_vertices, validate_polytope
 
 
 def _load_json(path):
+    """The JSON document in the file at path. One nested past the
+    interpreter's recursion limit is unparsable input too: ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _fraction_list(text, field):
@@ -127,9 +132,7 @@ def cmd_kring(args):
     pres = build_presentation(p, lam, coeffs, base)
     basis = compute_basis(pres, vo, budget=args.budget)
     projective = _projective_check(pres, basis)
-    report = jsonio.kring_report(pres, basis, pres.polytope_report,
-                                 pres.charmap_report, projective)
-    _emit(report, args.format)
+    _emit(jsonio.kring_report(pres, basis, projective), args.format)
     return 1 if projective is not None and not projective["reduces_to_zero"] else 0
 
 

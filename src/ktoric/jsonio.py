@@ -134,7 +134,7 @@ def cartan_word_to_dict(cw):
 
 def vertex_order_from_dict(data):
     _require(data, "order")
-    return VertexOrder.from_sequence(_ints(data["order"], "order"))
+    return VertexOrder(_ints(data["order"], "order"))
 
 
 def _check_flags(report):
@@ -164,7 +164,7 @@ def _rendered_relations(pres):
     return [render_poly(g, pres.var_names, pres.order) for g in pres.ideal_gens]
 
 
-def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
+def kring_report(pres, basis, projective=None):
     report = {
         "command": "kring",
         "polytope": polytope_to_dict(pres.polytope),
@@ -175,7 +175,7 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
         "relations": _rendered_relations(pres),
         "vertex_count": basis.m,
         "rank": basis.rank,
-        "integral": pres.integral,
+        "integral": pres.coeffs.integral,
         "vertex_order": list(basis.vertex_order.order),
         "basis": [list(fs) for fs in basis.basis_facet_sets],
         "structure_constants": _sparse_structure(basis.structure),
@@ -186,8 +186,8 @@ def kring_report(pres, basis, polytope_rep, charmap_rep, projective=None):
     if projective is not None:
         report["projective_check"] = projective
     report["checks"] = {
-        "polytope": _check_flags(polytope_rep),
-        "lambda": _check_flags(charmap_rep),
+        "polytope": _check_flags(pres.polytope_report),
+        "lambda": _check_flags(pres.charmap_report),
     }
     return report
 

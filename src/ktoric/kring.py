@@ -133,10 +133,6 @@ class KRingPresentation:
     def var_names(self):
         return tuple(f"x{j}" for j in range(self.polytope.facet_count))
 
-    @property
-    def integral(self):
-        return self.coeffs.integral
-
 
 def build_presentation(p, lam, coeffs=None, base_vertex=None):
     """Assemble the ideal for a validated polytope and facet assignment.
@@ -303,7 +299,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     basis_facet_sets = []
     basis_monos = []
     for w in vertex_order.order:
-        fs = faces[w].facet_set
+        fs = faces[w]
         basis_facet_sets.append(tuple(sorted(fs)))
         basis_monos.append(Monomial(1 if j in fs else 0 for j in range(d)))
 
@@ -312,7 +308,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     packed = [pack(mono) for mono in basis_monos]
     change = _coord_matrix(gb, index, [(1, {b: 1}) for b in packed])
     rank = rat_rank(change)
-    integral = pres.integral
+    integral = pres.coeffs.integral
 
     warnings = []
     if rank < m:
@@ -451,6 +447,6 @@ def ring_map_check(src, images, dst_basis, src_basis,
         spans = det != 0
         integer_entries = all(x.denominator == 1 for row in mat for x in row)
         unimod = spans and integer_entries and abs(det) == 1
-    integral = dst_basis.presentation.integral
+    integral = dst_basis.presentation.coeffs.integral
     return IsoReport(not failed, tuple(failed), src_rank, dst_basis.rank,
                      spans, det, integral, unimod)

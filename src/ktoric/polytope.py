@@ -49,40 +49,18 @@ class SimplePolytope:
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face recorded by the facets containing it and the vertices in it."""
-
-    facet_set: frozenset
-    vertex_set: frozenset
-
-
-@dataclass(frozen=True)
 class VertexOrder:
-    """A linear order on vertices: order lists indices from lowest up,
-    heights holds one rational per vertex index."""
+    """A linear order on vertices: order lists the vertex indices from the
+    lowest up, a permutation of 0..m-1."""
 
     order: tuple
-    heights: tuple
 
     def __post_init__(self):
         order = tuple(map(strict_int, self.order))
-        heights = tuple(map(strict_rational, self.heights))
-        if sorted(order) != list(range(len(order))) or len(heights) != len(order):
-            raise ValueError("order must be a permutation with matching heights")
-        if len(set(heights)) != len(heights):
-            raise ValueError("heights must be distinct")
-        for a, b in zip(order, order[1:]):
-            if not heights[a] < heights[b]:
-                raise ValueError("order is not sorted by height")
+        if sorted(order) != list(range(len(order))):
+            raise ValueError(f"order {list(order)} is not a permutation "
+                             f"of 0..{len(order) - 1}")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "heights", heights)
-
-    @classmethod
-    def from_sequence(cls, seq):
-        seq = list(map(strict_int, seq))
-        if sorted(seq) != list(range(len(seq))):
-            raise ValueError(f"order {seq} is not a permutation of 0..{len(seq) - 1}")
-        return cls(tuple(seq), tuple(Fraction(seq.index(v)) for v in range(len(seq))))
 
     @property
     def positions(self):
@@ -239,8 +217,7 @@ def order_vertices(p, functional):
         if h in by_height:
             raise TieError(f"vertices {by_height[h]} and {i} share height {h}")
         by_height[h] = i
-    order = tuple(sorted(range(p.vertex_count), key=lambda i: heights[i]))
-    return VertexOrder(order, tuple(heights))
+    return VertexOrder(sorted(range(p.vertex_count), key=heights.__getitem__))
 
 
 def _ridge_map(p):
@@ -261,7 +238,7 @@ def ascending_faces(p, vertex_order):
     of the face must lie at or above w; if not, the order cannot come from a
     generic height function and OrderPropertyError is raised.
 
-    Returns a dict mapping vertex index to Face.
+    Returns a dict mapping vertex index to the facet set of its face.
     """
     pos = vertex_order.positions
     if len(pos) != p.vertex_count:
@@ -280,11 +257,11 @@ def ascending_faces(p, vertex_order):
             if pos[other] < pos[w]:
                 descending.append(f)
         fset = frozenset(descending)
-        vset = frozenset(i for i, g in enumerate(p.vertices) if fset <= g)
-        below = sorted(v for v in vset if pos[v] < pos[w])
+        below = [v for v, g in enumerate(p.vertices)
+                 if pos[v] < pos[w] and fset <= g]
         if below:
             raise OrderPropertyError(
                 f"face at vertex {w} contains lower vertices {below}; "
                 "the supplied order is not induced by a height function")
-        faces[w] = Face(fset, vset)
+        faces[w] = fset
     return faces

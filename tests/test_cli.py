@@ -64,6 +64,16 @@ def test_malformed_json_is_exit_two(json_file, simplex_files, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_deeply_nested_json_is_exit_two(tmp_path, capsys):
+    # json.load recurses once per bracket: past the recursion limit it raises
+    # RecursionError, which is unparsable input like any other
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["bott", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {deep}: JSON nested too deeply\n"
+
+
 def test_missing_file_is_exit_two(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["validate", "/nonexistent/p.json", lf]) == 2

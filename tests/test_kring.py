@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ktoric import (
     Poly,
     RankDeficientError,
     ValidationFailedError,
+    VertexOrder,
     ascending_faces,
     bott_charmap,
     buchberger,
@@ -476,8 +478,8 @@ def test_different_assignment_moves_classes_between_vertices():
     p = simplex(2)
     w1, w2 = order_vertices(p, (1, 2)), order_vertices(p, (3, 1))
     f1, f2 = ascending_faces(p, w1), ascending_faces(p, w2)
-    assert f1[1].facet_set == frozenset({0})
-    assert f2[1].facet_set == frozenset({0, 2})
+    assert f1[1] == frozenset({0})
+    assert f2[1] == frozenset({0, 2})
     assert f1 != f2
     pres = build_presentation(p, simplex_charmap(2))
     b1, b2 = compute_basis(pres, w1), compute_basis(pres, w2)
@@ -488,6 +490,58 @@ def test_different_assignment_moves_classes_between_vertices():
     assert b1.structure == b2.structure
     assert b1.rank == b2.rank
     assert b1.std_monomials == b2.std_monomials
+
+
+# --- closed-form oracles ----------------------------------------------------
+
+
+def simplex_orders():
+    """(n, order): every vertex order of the simplices of dimension 1-3, and
+    ten distinct seeded draws each on those of dimension 4 and 5."""
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n + 1)))
+        if n > 3:
+            perms = random.Random(n).sample(perms, 10)
+        for perm in perms:
+            yield n, perm
+
+
+@pytest.mark.parametrize("n, perm", [
+    pytest.param(n, perm, id=f"simplex{n}-" + "".join(map(str, perm)))
+    for n, perm in simplex_orders()])
+def test_simplex_structure_in_closed_form(n, perm):
+    # every order of the simplex's vertices comes from a height function, and
+    # the face at the i-th vertex from the bottom has i facets; with b_i its
+    # class, b_i b_j = b_{i+j}, and 0 past n
+    pres = build_presentation(simplex(n), simplex_charmap(n))
+    b = compute_basis(pres, VertexOrder(perm))
+    assert b.structure == tuple((i, j, i + j, 1) for i in range(n + 1)
+                                for j in range(n + 1 - i))
+
+
+@pytest.mark.parametrize("a, c", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_product_structure_is_the_tensor_product(a, c):
+    # the generic functional on P x Q is P's plus 2^a times Q's, so the face
+    # ascending from (v, w) is the product of those ascending from v and w,
+    # its class the product of their classes, and each structure constant
+    # the product of the factors' constants, matched by facet set
+    p, lam_p, q, lam_q = simplex(a), simplex_charmap(a), simplex(c), simplex_charmap(c)
+    fp, fq = (compute_basis(build_presentation(x, lam),
+                            order_vertices(x, generic_functional(x.dim)))
+              for x, lam in ((p, lam_p), (q, lam_q)))
+    pq = product(p, q)
+    pres = build_presentation(pq, product_charmap(p, lam_p, q, lam_q))
+    b = compute_basis(pres, order_vertices(pq, generic_functional(pq.dim)))
+    assert b.m == fp.m * fq.m
+    index = {fs: i for i, fs in enumerate(b.basis_facet_sets)}
+
+    def joint(i, j):
+        shifted = tuple(f + p.facet_count for f in fq.basis_facet_sets[j])
+        return index[fp.basis_facet_sets[i] + shifted]
+
+    assert b.structure == tuple(sorted(
+        (joint(i, j), joint(k, l), joint(r, s), x * y)
+        for i, k, r, x in fp.structure for j, l, s, y in fq.structure))
 
 
 # --- failure modes ----------------------------------------------------------
@@ -682,7 +736,7 @@ def assert_ring_axioms(pres, b):
         assert c[0][i] == unit[i] and c[i][0] == unit[i]
         for j in range(m):
             assert c[i][j] == c[j][i]
-            if pres.integral:
+            if pres.coeffs.integral:
                 assert all(x.denominator == 1 for x in c[i][j])
 
     def times(vec, k):  # (sum_l vec[l] b_l) * b_k in coordinates

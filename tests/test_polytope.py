@@ -175,9 +175,9 @@ def test_minimal_nonfaces_of_any_facet_family_property():
 
 
 def test_order_vertices_simplex():
-    vo = order_vertices(simplex(2), (1, 2))
-    assert vo.order == (0, 1, 2)
-    assert vo.heights == (0, 1, 2)
+    assert order_vertices(simplex(2), (1, 2)).order == (0, 1, 2)
+    # heights 0, -1 and 2: vertex 1 drops below the origin
+    assert order_vertices(simplex(2), (-1, 2)).order == (1, 0, 2)
 
 
 def test_order_vertices_tie_and_shape_errors():
@@ -192,12 +192,10 @@ def test_order_vertices_tie_and_shape_errors():
 
 def test_vertex_order_validation():
     with pytest.raises(ValueError):
-        VertexOrder((0, 0, 1), (0, 1, 2))
+        VertexOrder((0, 0, 1))
     with pytest.raises(ValueError):
-        VertexOrder((0, 1), (1, 1))
-    with pytest.raises(ValueError):
-        VertexOrder((1, 0), (0, 1))
-    vo = VertexOrder.from_sequence((2, 0, 1))
+        VertexOrder((1, 2))
+    vo = VertexOrder([2, 0, 1])
     assert vo.order == (2, 0, 1)
     assert vo.positions == (1, 2, 0)
 
@@ -205,22 +203,18 @@ def test_vertex_order_validation():
 def test_ascending_faces_simplex():
     p = simplex(2)
     af = ascending_faces(p, order_vertices(p, (1, 2)))
-    assert sorted(af[0].facet_set) == []
-    assert sorted(af[1].facet_set) == [0]
-    assert sorted(af[2].facet_set) == [0, 1]
-    # the empty face is the whole polytope, the top one a single vertex
-    assert af[0].vertex_set == frozenset({0, 1, 2})
-    assert af[2].vertex_set == frozenset({2})
+    assert af == {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1})}
+    # the empty facet set is the whole polytope, the top one a single vertex
+    assert [v for v in p.vertices if af[0] <= v] == list(p.vertices)
+    assert [v for v in p.vertices if af[2] <= v] == [p.vertices[2]]
 
 
 def test_ascending_faces_cube_by_coordinate_signs():
     p = cube(2)
     af = ascending_faces(p, order_vertices(p, (1, 2)))
     # a direction contributes its upper facet exactly when the bit is set
-    assert sorted(af[0].facet_set) == []
-    assert sorted(af[1].facet_set) == [1]
-    assert sorted(af[2].facet_set) == [3]
-    assert sorted(af[3].facet_set) == [1, 3]
+    assert af == {0: frozenset(), 1: frozenset({1}), 2: frozenset({3}),
+                  3: frozenset({1, 3})}
 
 
 def test_ascending_faces_counts_by_outdegree():
@@ -228,44 +222,44 @@ def test_ascending_faces_counts_by_outdegree():
     p = product(simplex(1), simplex(2))
     vo = order_vertices(p, (1, 2, 4))
     af = ascending_faces(p, vo)
-    sizes = sorted(len(af[w].facet_set) for w in range(p.vertex_count))
+    sizes = sorted(map(len, af.values()))
     assert sizes.count(0) == 1
     assert max(sizes) == p.dim
 
 
 def test_explicit_order_must_come_from_a_height_function():
-    with pytest.raises(OrderPropertyError):
-        ascending_faces(cube(2), VertexOrder.from_sequence((0, 3, 1, 2)))
+    # vertex 3, second from the bottom, has no descending edge, so its face
+    # is the whole square, which holds the lower vertex 0
+    message = ("face at vertex 3 contains lower vertices [0]; "
+               "the supplied order is not induced by a height function")
+    with pytest.raises(OrderPropertyError, match=re.escape(message)):
+        ascending_faces(cube(2), VertexOrder((0, 3, 1, 2)))
 
 
 def test_explicit_valid_order_accepted():
-    af = ascending_faces(cube(2), VertexOrder.from_sequence((0, 2, 1, 3)))
-    assert sorted(af[3].facet_set) == [1, 3]
+    af = ascending_faces(cube(2), VertexOrder((0, 2, 1, 3)))
+    assert af[3] == frozenset({1, 3})
 
 
-@pytest.mark.parametrize("order, heights", [
-    ((0.0, 1), (0, 1)),
-    ((0, Fraction(1)), (0, 1)),
-    ((False, 1), (0, 1)),
-])
-def test_vertex_order_rejects_non_integers(order, heights):
+@pytest.mark.parametrize("order", [(0.0, 1), (0, Fraction(1)), (False, 1)])
+def test_vertex_order_rejects_non_integers(order):
     with pytest.raises(TypeError):
-        VertexOrder(order, heights)
+        VertexOrder(order)
 
 
 @pytest.mark.parametrize("seq", [[0.2, 1.9], [0, 1.0], [0, "1"], [False, True]])
 def test_vertex_order_from_sequence_rejects_non_integers(seq):
     # [0.2, 1.9] used to truncate to the order (0, 1)
     with pytest.raises(TypeError):
-        VertexOrder.from_sequence(seq)
+        VertexOrder(seq)
 
 
 @pytest.mark.parametrize("seq", [[0, 1, 5], [-1, 0, 1], [0, 1, 3], [1, 1, 0]])
 def test_vertex_order_from_sequence_needs_a_permutation(seq):
-    # an entry past the last vertex or below 0 must not index the heights
+    # an entry past the last vertex or below 0 must not index the positions
     message = f"order {seq} is not a permutation of 0..2"
     with pytest.raises(ValueError, match=re.escape(message)):
-        VertexOrder.from_sequence(seq)
+        VertexOrder(seq)
 
 
 @pytest.mark.parametrize("dim, facets, vertices", [
@@ -283,7 +277,6 @@ def test_polytope_rejects_non_integers(dim, facets, vertices):
 @pytest.mark.parametrize("make", [
     pytest.param(lambda v: SimplePolytope(1, 2, ({1}, {0}), ((0,), (v,))),
                  id="coords"),
-    pytest.param(lambda v: VertexOrder((0, 1), (0, v)), id="heights"),
     pytest.param(lambda v: order_vertices(simplex(2), (1, v)), id="functional"),
 ])
 @pytest.mark.parametrize("value", [0.5, True])
