@@ -8,6 +8,7 @@ integer is meant: a float or a boolean is refused, not truncated.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bott import BottMatrix, CartanWord, cartan_matrix
 from .charmap import CharacteristicMap
@@ -46,7 +47,12 @@ def rational(x, field):
     naming field on anything else, a zero denominator included."""
     if type(x) not in (int, str):
         raise ValueError(f"{field}: expected an integer or a string, got {x!r}")
+    # "[-]digits", the common case, goes to int(): the Fraction string
+    # parser gives the same, more slowly
+    digits = x.removeprefix("-") if type(x) is str else ""
     try:
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(x))
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{field}: expected a fraction with a nonzero "
@@ -234,5 +240,35 @@ def compare_report(c, rep):
     }
 
 
+def _indented(x, nl):
+    """x as json.dumps(x, indent=2) renders it, each newline followed by the
+    indentation that nl holds."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    if t is bool:
+        return "true" if x else "false"
+    inner = nl + "  "
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        return ("[" + inner + ("," + inner).join([_indented(v, inner) for v in x])
+                + nl + "]")
+    if t is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _indented(v, inner)
+             for k, v in x.items()]) + nl + "}")
+    # other leaves and other keys render, or fail, as in json
+    return json.dumps(x, indent=2).replace("\n", nl)
+
+
 def dumps(report):
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) + "\n", byte for byte, without json's
+    pure-Python encoder, the one it takes whenever indent is set."""
+    return _indented(report, "\n") + "\n"

@@ -179,11 +179,11 @@ def quotient_basis(pres, budget=DEFAULT_BUDGET):
     return gb, std
 
 
-def _coords(gb, index, x):
-    """Sparse coordinates of the normal form of x, in the engine's form
-    (see GroebnerBasis.reduce): (den, [(i, a)]), int numerators a over den,
-    each at the position i that index, keyed by packed monomial, gives."""
-    den, terms = gb.reduce(x)
+def _coords(index, nf):
+    """Sparse coordinates of a normal form nf = (den, terms) from
+    GroebnerBasis.reduce: (den, [(i, a)]), int numerators a over den, each
+    at the position i that index, keyed by packed monomial, gives."""
+    den, terms = nf
     try:
         return den, [(index[m], a) for m, a in terms.items()]
     except KeyError:
@@ -210,7 +210,7 @@ def _coord_matrix(gb, index, xs):
     denominator is 1, Fractions elsewhere."""
     mat = [[0] * len(xs) for _ in range(len(index))]
     for j, x in enumerate(xs):
-        den, coords = _coords(gb, index, x)
+        den, coords = _coords(index, gb.reduce(x))
         for i, a in coords:
             mat[i][j] = a if den == 1 else Fraction(a, den)
     return mat
@@ -271,7 +271,7 @@ class BasisResult:
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        coords = _coords(self.groebner, self._std_index, x)
+        coords = _coords(self._std_index, self.groebner.reduce(x))
         return _dense(*_accumulate(self.change_inverse, coords), self.m)
 
     def basis_coords(self, p):
@@ -327,15 +327,22 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
                     for col in zip(*rows))
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
+        reduce = gb.reduce
+        seen = {}  # the constants (k, c) of each nonzero product, by monomial
         for i, bi in enumerate(packed):
             for j, bj in enumerate(packed):
-                den, entries = _accumulate(
-                    inv, _coords(gb, index, (1, {bi + bj: 1})))
-                if integral and any(s % den for _, s in entries):
-                    raise KtoricError(
-                        "non integer structure constant with all coefficients 1; "
-                        f"pair ({i},{j}) gave {_dense(den, entries, m)}")
-                structure.extend((i, j, k, Fraction(s, den)) for k, s in entries)
+                b = bi + bj
+                nf = reduce((1, {b: 1}))
+                if not nf[1]:
+                    continue  # b_i b_j is 0, as most are
+                if b not in seen:
+                    den, entries = _accumulate(inv, _coords(index, nf))
+                    if integral and any(s % den for _, s in entries):
+                        raise KtoricError(
+                            "non integer structure constant with all coefficients 1; "
+                            f"pair ({i},{j}) gave {_dense(den, entries, m)}")
+                    seen[b] = [(k, Fraction(s, den)) for k, s in entries]
+                structure.extend((i, j, k, c) for k, c in seen[b])
         structure = tuple(structure)
 
     return BasisResult(pres, gb, vertex_order, std, tuple(basis_monos),

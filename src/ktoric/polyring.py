@@ -420,12 +420,20 @@ def _fill(table, monos, heads, order, budget):
             continue
         mg = m | g
         # the first head whose leading monomial divides m; see DegRevLex
-        head = next((h for h in heads if (mg - h[0]) & g == g), None)
-        if head is None:
+        for lm, den, rule in heads:
+            if (mg - lm) & g == g:
+                break
+        else:
             table[m] = (1, {m: 1})
             stack.pop()
             continue
-        lm, den, rule = head
+        if not rule:
+            # a monomial head: m is 0 modulo it
+            if budget is not None:
+                budget.spend()
+            table[m] = (1, {})
+            stack.pop()
+            continue
         factor = m - lm
         tail = [(t + factor, a) for t, a in rule]
         missing = [t for t, _ in tail if t not in table]
@@ -437,7 +445,8 @@ def _fill(table, monos, heads, order, budget):
         common, terms = _combine(tail, table)
         den *= common
         c = gcd(den, *terms.values())
-        table[m] = (den // c, {t: a // c for t, a in terms.items()})
+        table[m] = ((den, terms) if c == 1 else
+                    (den // c, {t: a // c for t, a in terms.items()}))
         stack.pop()
 
 
@@ -447,7 +456,10 @@ def _reduce(terms, heads, order, budget, table):
     (den, terms) from _combine: the entries of the t combined, made by _fill
     as needed and kept in table. A table serves one head sequence, or one
     that has grown by appending once the entries it made stale are dropped."""
-    _fill(table, terms, heads, order, budget)
+    for t in terms:
+        if t not in table:
+            _fill(table, terms, heads, order, budget)
+            break
     return _combine(terms.items(), table)
 
 

@@ -8,6 +8,8 @@ functionals; geometric consistency with the incidence data is not checked.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 from .errors import OrderPropertyError, TieError
 from .validation import CheckResult, ValidationReport, strict_int, strict_rational
@@ -211,11 +213,21 @@ def order_vertices(p, functional):
     func = list(map(strict_rational, functional))
     if len(func) != p.dim:
         raise ValueError("functional arity must equal the dimension")
-    heights = [sum(a * c for a, c in zip(func, pt)) for pt in p.coords]
+    # heights in ints: with the functional and the coordinates over their
+    # one common denominator den, each is den**2 times the rational height
+    den = lcm(*(a.denominator for a in func),
+              *(c.denominator for pt in p.coords for c in pt))
+
+    def scaled(xs):
+        return [x.numerator * (den // x.denominator) for x in xs]
+
+    func = scaled(func)
+    heights = [sum(map(mul, func, scaled(pt))) for pt in p.coords]
     by_height = {}
     for i, h in enumerate(heights):
         if h in by_height:
-            raise TieError(f"vertices {by_height[h]} and {i} share height {h}")
+            raise TieError(f"vertices {by_height[h]} and {i} share height "
+                           f"{Fraction(h, den * den)}")
         by_height[h] = i
     return VertexOrder(sorted(range(p.vertex_count), key=heights.__getitem__))
 

@@ -23,6 +23,21 @@ from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT
 from ladder import random_tower
 
 
+@pytest.fixture(autouse=True)
+def dumps_is_json_dumps(monkeypatch):
+    """Every report a test here renders as JSON, checked as it is written:
+    jsonio.dumps must give json.dumps(report, indent=2) + "\n" byte for
+    byte."""
+    rendered = jsonio.dumps
+
+    def checked(report):
+        out = rendered(report)
+        assert out == json.dumps(report, indent=2) + "\n"
+        return out
+
+    monkeypatch.setattr(jsonio, "dumps", checked)
+
+
 def cube_files(json_file, a=1):
     p = cube(2)
     pd = {

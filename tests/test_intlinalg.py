@@ -233,9 +233,9 @@ def test_elimination_integers_stay_within_hadamard_bound(monkeypatch):
     seen = []
     true_eliminate = intlinalg._eliminate
 
-    def spy(m):
-        out = true_eliminate(m)
-        seen.append(max(abs(x) for row in m for x in row))
+    def spy(m, cols):
+        out = true_eliminate(m, cols)
+        seen.append(max((abs(x) for row in m for x in row.values()), default=0))
         return out
 
     def hadamard_sq(a):
@@ -348,3 +348,78 @@ def test_det_rank_and_inverse_agree():
             assert det * rat_det(over(*inv)) == 1
             invertible += 1
     assert singular > 3 and invertible > 3
+
+
+def test_sparse_elimination_matches_fraction_oracles_property():
+    # mostly-zero matrices, the shape the elimination's {column: int} rows
+    # are for: zero rows and columns, singular squares, Fraction entries,
+    # Fraction(0) among the zeros; every routine against the Fraction
+    # elimination or Bareiss, the inputs left as they were
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.one_of(
+        st.just(0), st.just(0), st.just(Fraction(0)), st.integers(-4, 4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    matrices = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]))
+    seen = {"singular": 0, "invertible": 0, "inconsistent": 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(matrices, st.data())
+    def check(a, data):
+        before = [list(row) for row in a]
+        den, rows, pivots = _solved(a)
+        assert_lowest_terms(den, rows)
+        zero = [Fraction(0)] * len(a[0])
+        assert (over(den, rows) + [zero] * (len(a) - len(rows)),
+                pivots) == fraction_rref(a)
+        assert rat_rank(a) == len(pivots)
+
+        b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+        got = rat_solve(a, b)
+        if got is None:
+            seen["inconsistent"] += 1
+            assert fraction_solve(a, b) is None
+        else:
+            assert_lowest_terms(*got)
+            assert over(*got) == fraction_solve(a, b)
+
+        n = min(len(a), len(a[0]))
+        sq = [row[:n] for row in a[:n]]
+        d = lcm(*(Fraction(x).denominator for row in sq for x in row))
+        det = Fraction(bareiss_det([[int(x * d) for x in row] for row in sq]),
+                       d ** n)
+        assert rat_det(sq) == det
+        if d == 1:
+            assert det_int([[int(x) for x in row] for row in sq]) == det
+        inv = rat_inverse(sq)
+        if inv is None:
+            seen["singular"] += 1
+            assert det == 0 and fraction_inverse(sq) is None
+        else:
+            seen["invertible"] += 1
+            assert_lowest_terms(*inv)
+            assert over(*inv) == fraction_inverse(sq)
+        assert a == before
+
+    check()
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("a", [
+    [[False]],
+    [[True]],
+    [[0.0]],
+    [[1.0]],
+    [[1, 0], [0, False]],
+    [[1, 0.0], [0, 1]],
+], ids=["false", "true", "zero-float", "float", "zero-bool-in-row",
+        "zero-float-in-row"])
+def test_det_int_rejects_bool_and_float_entries(a):
+    # strict_int reads every entry, zeros too, before the elimination skips
+    # them; a bool would count as 0 or 1 and a float is not exact
+    with pytest.raises(TypeError):
+        det_int(a)

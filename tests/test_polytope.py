@@ -1,5 +1,6 @@
 """Combinatorics layer: builders, validation, non-faces, vertex orders."""
 
+import random
 import re
 from fractions import Fraction
 from functools import reduce
@@ -188,6 +189,46 @@ def test_order_vertices_tie_and_shape_errors():
     bare = SimplePolytope(2, 3, simplex(2).vertices)
     with pytest.raises(ValueError):
         order_vertices(bare, (1, 2))
+
+
+def fraction_order(p, functional):
+    """The vertex order, or the tie message, of the heights in Fraction
+    arithmetic: the lowest vertex first, the first repeated height named."""
+    heights = [sum(Fraction(a) * c for a, c in zip(functional, pt))
+               for pt in p.coords]
+    first = {}
+    for i, h in enumerate(heights):
+        if h in first:
+            return f"vertices {first[h]} and {i} share height {h}"
+        first[h] = i
+    return tuple(sorted(range(len(heights)), key=heights.__getitem__))
+
+
+def test_order_vertices_matches_fraction_heights():
+    # order_vertices works in ints over one common denominator; its order
+    # and its tie message are those of the heights themselves
+    rng = random.Random(2718)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+
+    ties = 0
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        pts = tuple(tuple(rational() for _ in range(dim))
+                    for _ in range(rng.randint(1, 8)))
+        functional = [rng.choice((rng.randint(-5, 5), rational()))
+                      for _ in range(dim)]
+        p = SimplePolytope(dim, dim, (frozenset(range(dim)),) * len(pts), pts)
+        want = fraction_order(p, functional)
+        if isinstance(want, str):
+            ties += 1
+            with pytest.raises(TieError) as err:
+                order_vertices(p, functional)
+            assert str(err.value) == want
+        else:
+            assert order_vertices(p, functional).order == want
+    assert 20 < ties < 280
 
 
 def test_vertex_order_validation():
