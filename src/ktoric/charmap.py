@@ -86,13 +86,14 @@ def dual_basis(p, lam):
     rows of the inverse of the matrix whose columns are those vectors."""
     if lam.base_vertex is None:
         raise NoBaseVertexError("characteristic map has no base vertex")
-    inv = rat_inverse(_vertex_matrix(p, lam, lam.base_vertex))
+    mat = _vertex_matrix(p, lam, lam.base_vertex)
+    inv = rat_inverse([[(c, x) for c, x in enumerate(row) if x] for row in mat])
     if inv is None:
         raise ValueError("base vertex facet vectors are not invertible")
     den, rows = inv
     if den != 1:
         raise ValueError("base vertex facet vectors are not a lattice basis")
-    return tuple(map(Covector, rows))
+    return tuple(Covector(row.get(c, 0) for c in range(p.dim)) for row in rows)
 
 
 def reindex_to_base(p, lam, vertex):

@@ -37,8 +37,11 @@ def _load_json(path):
 
 
 def _fraction_list(text, field):
-    return tuple(jsonio.rational(part.strip(), field)
-                 for part in text.split(",") if part.strip())
+    """The comma-separated fractions of text; ValueError on an empty field."""
+    parts = [part.strip() for part in text.split(",")]
+    if "" in parts:
+        raise ValueError(f"{field}: empty field in {text!r}")
+    return tuple(jsonio.rational(part, field) for part in parts)
 
 
 def _budget(text):

@@ -1,11 +1,12 @@
 """Exact linear algebra on sparse rows.
 
-Matrices come in and go out as plain lists of row lists. Every routine is
-one Gauss-Jordan elimination in ints, `_eliminate`, on rows held as
-{column: int} maps of their nonzero entries, so it pays per nonzero entry:
-the change matrices of a face-class basis are mostly permutations, m x m
-with m up to a few hundred. The rational routines take int and Fraction
-entries and answer in ints over one positive denominator.
+A rational routine takes a matrix as the list of its rows, each the list of
+its nonzero (column, value) pairs in increasing column order, a value an int
+or a non-integral Fraction, so equal matrices give equal lists. It answers
+in ints over one positive denominator, rows as {column: int} maps. Each
+routine is one Gauss-Jordan elimination in ints, `_eliminate`, on such maps:
+it pays per nonzero entry, and a face-class change matrix, m x m with m up
+to a few hundred, is mostly a permutation.
 """
 
 from fractions import Fraction
@@ -16,15 +17,13 @@ from .validation import strict_int
 
 
 def _scaled_rows(a):
-    """The rows of a matrix of ints and Fractions as {column: int} maps of
-    their nonzero entries, each row scaled to ints by the lcm of its
-    denominators, and the list of those lcms. Every entry's denominator is
-    read, zeros too."""
+    """The rows of a matrix of (column, value) pairs as {column: int} maps,
+    each row scaled to ints by the lcm of its denominators, and the list of
+    those lcms."""
     m, dens = [], []
     for row in a:
-        den = lcm(*(x.denominator for x in row))
-        m.append({c: x.numerator * (den // x.denominator)
-                  for c, x in enumerate(row) if x})
+        den = lcm(*(x.denominator for _, x in row))
+        m.append({c: x.numerator * (den // x.denominator) for c, x in row})
         dens.append(den)
     return m, dens
 
@@ -82,10 +81,11 @@ def _eliminate(m, cols):
 
 
 def _square(a):
-    """The size of the square matrix a; NonSquareError unless it is square."""
+    """The row count n of the square matrix a of (column, value) rows;
+    NonSquareError for a column index outside 0..n-1."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise NonSquareError(f"matrix is {n}x{len(a[0]) if a else 0}, need square")
+    if any(not 0 <= c < n for row in a for c, _ in row):
+        raise NonSquareError(f"matrix has {n} rows and a column outside 0..{n - 1}")
     return n
 
 
@@ -99,8 +99,10 @@ def _det(m, n):
 
 
 def det_int(a):
-    """Exact determinant of a square int matrix."""
-    n = _square(a)
+    """Exact determinant of a square int matrix given as a list of row lists."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise NonSquareError(f"matrix is {n}x{len(a[0])}, need square")
     m = [{c: v for c, x in enumerate(row) if (v := strict_int(x))} for row in a]
     return _det(m, n)
 
@@ -120,70 +122,51 @@ def _reduced(m, cols):
     return den // g, rows, pivots
 
 
-def _as_lists(rows, cols, start=0):
-    """The {column: int} rows as lists of their entries in the cols columns
-    from start on."""
-    out = [[0] * cols for _ in rows]
-    for dense, row in zip(out, rows):
-        for k, x in row.items():
-            if k >= start:
-                dense[k - start] = x
-    return out
-
-
-def _solved(a):
-    """The reduced row echelon form of a matrix of ints and Fractions as
-    (den, rows, pivot_columns): rows its nonzero rows in int numerators over
-    one den > 0, with gcd(den, *entries) == 1. The form is unique, so this is
-    the Fraction elimination's result entry for entry."""
-    cols = len(a[0]) if a else 0
-    den, rows, pivots = _reduced(_scaled_rows(a)[0], cols)
-    return den, _as_lists(rows, cols), pivots
+def _width(a):
+    """One past the largest column index of the (column, value) rows a."""
+    return 1 + max((c for row in a for c, _ in row), default=-1)
 
 
 def rat_rank(a):
-    return len(_eliminate(_scaled_rows(a)[0], len(a[0]) if a else 0)[0])
+    return len(_eliminate(_scaled_rows(a)[0], _width(a))[0])
 
 
 def rat_solve(a, b):
-    """One solution of a*x == b as (den, xs), the int numerators xs over
-    one den > 0 in lowest terms, or None when the system is inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
+    """One solution of a*x == b, b one int or Fraction per row, as (den,
+    {column: numerator}) over one den > 0 in lowest terms, or None when the
+    system is inconsistent. Free variables, columns past a's last nonzero
+    included, are zero, so the answer is deterministic."""
     if len(b) != len(a):
         raise ValueError("right hand side length does not match")
-    if not a:
-        return 1, []
-    den, rows, pivots = _solved([list(row) + [x] for row, x in zip(a, b)])
-    cols = len(a[0])
+    cols = _width(a)
+    m = _scaled_rows([[*row, (cols, x)] if x else row
+                      for row, x in zip(a, b)])[0]
+    den, rows, pivots = _reduced(m, cols + 1)
     if cols in pivots:
         return None
-    x = [0] * cols
-    for row, c in zip(rows, pivots):
-        x[c] = row[cols]
-    g = gcd(den, *x)
-    return den // g, [v // g for v in x]
+    x = {c: v for row, c in zip(rows, pivots) if (v := row.get(cols))}
+    g = gcd(den, *x.values())
+    return den // g, {c: v // g for c, v in x.items()}
 
 
 def rat_inverse(a):
-    """Inverse matrix over the rationals as (den, rows), int entries over one
-    den > 0 in lowest terms, or None when singular."""
+    """Inverse of the square matrix a over the rationals as (den, rows), its
+    rows {column: int} maps of int numerators over one den > 0 in lowest
+    terms, or None when singular."""
     n = _square(a)
-    m, dens = _scaled_rows(a)
-    for i, (row, den) in enumerate(zip(m, dens)):
-        row[n + i] = den  # [a | 1] scaled: the identity's 1 becomes the lcm
+    # [a | 1]: the identity's 1 scales to its row's lcm
+    m = _scaled_rows([[*row, (n + i, 1)] for i, row in enumerate(a)])[0]
     den, rows, pivots = _reduced(m, 2 * n)
     if pivots != list(range(n)):
         return None
     # the left half is den times the identity: den stays in lowest terms
-    return den, _as_lists(rows, n, n)
+    return den, [{k - n: x for k, x in row.items() if k >= n} for row in rows]
 
 
 def rat_det(a):
-    """Determinant of a matrix of ints and Fractions: that of the matrix with
-    each row scaled to integers by the lcm of its denominators, divided by
-    the product of those lcms."""
+    """Determinant of the square matrix a: that of the matrix with each row
+    scaled to integers by the lcm of its denominators, divided by the product
+    of those lcms."""
     n = _square(a)
     m, dens = _scaled_rows(a)
     return Fraction(_det(m, n), prod(dens))

@@ -204,16 +204,21 @@ def _product(x, y, order):
     return dx * dy, {m: c for m, c in acc.items() if c}
 
 
+def _value(a, den):
+    """a / den: an int when den divides a, a Fraction otherwise."""
+    return Fraction(a, den) if a % den else a // den
+
+
 def _coord_matrix(gb, index, xs):
     """The matrix, one row per position in index, whose column j holds the
-    coordinates of the normal form of xs[j] (see _coords): ints where the
-    denominator is 1, Fractions elsewhere."""
-    mat = [[0] * len(xs) for _ in range(len(index))]
+    coordinates of the normal form of xs[j] (see _coords), as intlinalg
+    takes it: each row the list of its nonzero (column, value) pairs."""
+    rows = [[] for _ in index]
     for j, x in enumerate(xs):
         den, coords = _coords(index, gb.reduce(x))
         for i, a in coords:
-            mat[i][j] = a if den == 1 else Fraction(a, den)
-    return mat
+            rows[i].append((j, _value(a, den)))
+    return rows
 
 
 def _accumulate(inverse, coords):
@@ -323,8 +328,11 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     if rank == m:
         det = rat_det(change)
         den, rows = rat_inverse(change)
-        inv = tuple((den, {r: x for r, x in enumerate(col) if x})
-                    for col in zip(*rows))
+        cols = [{} for _ in range(m)]
+        for r, row in enumerate(rows):
+            for t, x in row.items():
+                cols[t][r] = x
+        inv = tuple((den, col) for col in cols)
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
         reduce = gb.reduce
@@ -369,7 +377,7 @@ def invert_unit(p, basis):
     if sol is None:
         raise NotAUnitError("element is not invertible in the quotient")
     den, x = sol
-    return _unpacked(den, {s: x[i] for s, i in index.items() if x[i]}, order)
+    return _unpacked(den, {s: x[i] for s, i in index.items() if i in x}, order)
 
 
 def evaluate_in_quotient(p, images, gb):
@@ -446,13 +454,16 @@ def ring_map_check(src, images, dst_basis, src_basis,
     det = None
     unimod = None
     if dst_basis.change_inverse is not None and len(src_basis) == m:
-        cols = [dst_basis.coords(evaluate_in_quotient(
-                    Poly(src.nvars, {mono: 1}), images, gb))
-                for mono in src_basis]
-        mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-        det = rat_det(mat)
+        inv, index = dst_basis.change_inverse, dst_basis._std_index
+        rows = [[] for _ in range(m)]
+        for j, mono in enumerate(src_basis):
+            image = evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
+            den, entries = _accumulate(inv, _coords(index, gb.reduce(image)))
+            for r, s in entries:
+                rows[r].append((j, _value(s, den)))
+        det = rat_det(rows)
         spans = det != 0
-        integer_entries = all(x.denominator == 1 for row in mat for x in row)
+        integer_entries = all(type(x) is int for row in rows for _, x in row)
         unimod = spans and integer_entries and abs(det) == 1
     integral = dst_basis.presentation.coeffs.integral
     return IsoReport(not failed, tuple(failed), src_rank, dst_basis.rank,

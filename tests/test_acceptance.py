@@ -210,11 +210,13 @@ def test_criterion_6_invariants():
             bott_presentation(BottMatrix(2, [(1, 2, v)])))
     ok = ok and involution_check(bott_samelson_presentation(
         CartanWord(cartan_matrix("A", 2), (1, 2, 1))))
-    # the rational determinant agrees with the int one on int matrices
+    # the rational determinant, on rows of nonzero (column, value) pairs,
+    # agrees with the int one on int matrices
     from ktoric.intlinalg import det_int, rat_det
     for _ in range(5):
         a = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        ok = ok and rat_det(a) == det_int(a)
+        pairs = [[(c, x) for c, x in enumerate(row) if x] for row in a]
+        ok = ok and rat_det(pairs) == det_int(a)
     # a finished basis reduces every S-polynomial to zero
     pres, _ = face_basis(simplex(2), simplex_charmap(2))
     gb = buchberger_of(pres)

@@ -308,6 +308,16 @@ def test_zero_denominator_is_exit_two(json_file, coords, options, field, capsys)
     assert f"input error: {field}: expected a fraction with a nonzero denominator" in err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ","])
+@pytest.mark.parametrize("option", ["--r", "--functional"])
+def test_empty_field_is_exit_two(simplex_files, option, text, capsys):
+    # an empty field is a typo, not a shorter list
+    pf, lf = simplex_files(2)
+    assert main(["kring", pf, lf, option, text]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {option}: empty field in {text!r}" in err
+
+
 def test_non_integer_order_file_is_exit_two(json_file, simplex_files, capsys):
     pf, lf = simplex_files(2)
     of = json_file({"order": [0, 2.0, 1]})

@@ -8,7 +8,8 @@ import pytest
 
 from ktoric import NonSquareError, intlinalg
 from ktoric.intlinalg import (
-    _solved,
+    _reduced,
+    _scaled_rows,
     det_int,
     rat_det,
     rat_inverse,
@@ -56,6 +57,43 @@ def assert_lowest_terms(den, entries):
     assert gcd(den, *flat) == 1
 
 
+def pairs(a):
+    """The dense matrix a as the rational routines take it: each row the
+    list of its nonzero (column, value) pairs."""
+    return [[(c, x) for c, x in enumerate(row) if x] for row in a]
+
+
+def dense(rows, cols):
+    """{column: int} rows, or one such row, as lists of cols entries."""
+    if isinstance(rows, dict):
+        return [rows.get(c, 0) for c in range(cols)]
+    return [dense(row, cols) for row in rows]
+
+
+def solve(a, b):
+    """rat_solve on the dense matrix a, its solution read back densely."""
+    got = rat_solve(pairs(a), b)
+    if got is None:
+        return None
+    return got[0], dense(got[1], len(a[0]) if a else 0)
+
+
+def inverse(a):
+    """rat_inverse on the dense matrix a, its rows read back densely."""
+    got = rat_inverse(pairs(a))
+    if got is None:
+        return None
+    return got[0], dense(got[1], len(a))
+
+
+def reduced(a):
+    """The reduced row echelon form of the dense matrix a by _reduced on
+    its row-scaled rows, as (den, dense rows, pivot_columns)."""
+    cols = len(a[0]) if a else 0
+    den, rows, pivots = _reduced(_scaled_rows(pairs(a))[0], cols)
+    return den, dense(rows, cols), pivots
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -92,24 +130,24 @@ def test_rat_det_matches_cofactor_expansion():
     for _ in range(25):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
-        assert rat_det(a) == det_minors(a)
+        assert rat_det(pairs(a)) == det_minors(a)
     # Fraction entries with mixed denominators, row by row
     for _ in range(25):
         n = rng.randint(1, 4)
         a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(n)]
              for _ in range(n)]
-        assert rat_det(a) == det_minors(a)
+        assert rat_det(pairs(a)) == det_minors(a)
     # singular: a repeated row
     a = [[Fraction(1, 2), Fraction(2, 3), 5],
          [Fraction(-3, 4), 1, Fraction(1, 6)],
          [Fraction(1, 2), Fraction(2, 3), 5]]
-    assert rat_det(a) == det_minors(a) == 0
+    assert rat_det(pairs(a)) == det_minors(a) == 0
     # a zero leading entry forces a row swap
     a = [[0, Fraction(1, 3), Fraction(2, 5)],
          [Fraction(3, 2), Fraction(-1, 7), 1],
          [Fraction(5, 4), 2, Fraction(-2, 9)]]
-    assert rat_det(a) == det_minors(a) != 0
-    assert isinstance(rat_det(a), Fraction)
+    assert rat_det(pairs(a)) == det_minors(a) != 0
+    assert isinstance(rat_det(pairs(a)), Fraction)
     assert rat_det([]) == 1
 
 
@@ -118,20 +156,20 @@ def test_rat_solve_recovers_known_solution():
     for _ in range(20):
         n = rng.randint(1, 4)
         a = random_matrix(rng, n, n)
-        if rat_det(a) == 0:
+        if rat_det(pairs(a)) == 0:
             continue
         x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
         b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
-        assert over(*rat_solve(a, b)) == x
+        assert over(*solve(a, b)) == x
 
 
 def test_rat_solve_inconsistent_returns_none():
-    assert rat_solve([[1, 1], [1, 1]], [0, 1]) is None
+    assert rat_solve([[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [0, 1]) is None
 
 
 def test_rat_solve_underdetermined_sets_free_vars_to_zero():
-    assert rat_solve([[1, 1]], [3]) == (1, [3, 0])
-    assert rat_solve([[2, 0], [0, 3]], [1, 1]) == (6, [3, 2])
+    assert rat_solve([[(0, 1), (1, 1)]], [3]) == (1, {0: 3})
+    assert rat_solve([[(0, 2)], [(1, 3)]], [1, 1]) == (6, {0: 3, 1: 2})
 
 
 def test_rat_nullspace_annihilates():
@@ -141,20 +179,30 @@ def test_rat_nullspace_annihilates():
         cols = rng.randint(1, 4)
         a = random_matrix(rng, rows, cols)
         basis = fraction_nullspace(a)
-        assert len(basis) == cols - rat_rank(a)
+        assert len(basis) == cols - rat_rank(pairs(a))
         for vec in basis:
             assert all(sum(a[i][j] * vec[j] for j in range(cols)) == 0
                        for i in range(rows))
 
 
 def test_rat_inverse_roundtrip_and_singular():
-    a = [[1, 1], [0, 1]]
-    inv = rat_inverse(a)
-    assert inv == (1, [[1, -1], [0, 1]])
-    assert rat_inverse([[0, -2], [3, 0]]) == (6, [[0, 2], [-3, 0]])
-    assert rat_inverse([[1, 2], [2, 4]]) is None
+    assert rat_inverse([[(0, 1), (1, 1)], [(1, 1)]]) == (1, [{0: 1, 1: -1}, {1: 1}])
+    assert rat_inverse([[(1, -2)], [(0, 3)]]) == (6, [{1: 2}, {0: -3}])
+    assert rat_inverse([[(0, 1), (1, 2)], [(0, 2), (1, 4)]]) is None
+
+
+@pytest.mark.parametrize("a", [
+    [[(0, 1), (1, 2)]],
+    [[(0, 1)], [(2, 1)]],
+    [[(1, Fraction(1, 2))], [(0, 1), (3, 1)]],
+    [[(-1, 1)]],
+], ids=["one-row", "column-2-of-2", "column-3-of-2", "negative"])
+@pytest.mark.parametrize("routine", [rat_det, rat_inverse],
+                         ids=["rat_det", "rat_inverse"])
+def test_square_routines_reject_a_column_past_the_row_count(routine, a):
+    # a square routine takes its size from the row count
     with pytest.raises(NonSquareError):
-        rat_inverse([[1, 2]])
+        routine(a)
 
 
 def test_transpose_and_integrality():
@@ -207,17 +255,17 @@ def elimination_cases():
     yield [[0], [Fraction(2, 3)], [5]]
 
 
-def test_solved_matches_fraction_elimination():
+def test_reduced_matches_fraction_elimination():
     deficient = 0
     for a in elimination_cases():
         before = [list(row) for row in a]
-        den, rows, pivots = _solved(a)
+        den, rows, pivots = reduced(a)
         assert_lowest_terms(den, rows)
         zero = [Fraction(0)] * len(a[0])
         m = over(den, rows) + [zero] * (len(a) - len(rows))
         assert (m, pivots) == fraction_rref(a)
         assert a == before
-        assert rat_rank(a) == len(pivots)
+        assert rat_rank(pairs(a)) == len(pivots)
         deficient += len(pivots) < min(len(a), len(a[0]))
     assert deficient > 30
 
@@ -227,7 +275,7 @@ def test_elimination_integers_stay_within_hadamard_bound(monkeypatch):
     # to its reduced row, so its ints are at most a minor of the row-scaled
     # matrix; an untouched row keeps its scaled entries. Neither exceeds the
     # product of the scaled rows' lengths (Hadamard), which the ints of an
-    # elimination without the content division soon do. Each of _solved,
+    # elimination without the content division soon do. Each of _reduced,
     # rat_solve and rat_inverse eliminates once, on the matrix it is given
     # or on that matrix augmented
     seen = []
@@ -252,10 +300,10 @@ def test_elimination_integers_stay_within_hadamard_bound(monkeypatch):
         a = mixed_matrix(rng, 6, 8)
         square = [row[:6] for row in a]
         calls = [
-            (lambda: _solved(a), a),
-            (lambda: rat_solve([row[:7] for row in a], [row[7] for row in a]),
+            (lambda: reduced(a), a),
+            (lambda: solve([row[:7] for row in a], [row[7] for row in a]),
              a),
-            (lambda: rat_inverse(square),
+            (lambda: inverse(square),
              [row + [int(i == j) for j in range(6)]
               for i, row in enumerate(square)]),
         ]
@@ -275,7 +323,7 @@ def test_rat_solve_matches_fraction_elimination():
         consistent = [sum(row[j] * x[j] for j in range(cols)) for row in a]
         arbitrary = [rng.choice((0, 1, Fraction(-2, 3))) for _ in a]
         for b in (consistent, arbitrary):
-            got = rat_solve(a, b)
+            got = solve(a, b)
             if got is None:
                 assert fraction_solve(a, b) is None
                 inconsistent += 1
@@ -288,8 +336,8 @@ def test_rat_solve_matches_fraction_elimination():
     assert inconsistent > 10
     # inconsistent [A | b]: the rows of A are proportional, those of b not
     a = [[Fraction(1, 2), Fraction(1, 3)], [3, 2]]
-    assert rat_solve(a, [1, 6]) is not None
-    assert rat_solve(a, [1, 5]) is fraction_solve(a, [1, 5]) is None
+    assert solve(a, [1, 6]) is not None
+    assert solve(a, [1, 5]) is fraction_solve(a, [1, 5]) is None
 
 
 def test_rat_inverse_matches_fraction_elimination():
@@ -297,7 +345,7 @@ def test_rat_inverse_matches_fraction_elimination():
     for a in elimination_cases():
         if len(a) != len(a[0]):
             continue
-        got = rat_inverse(a)
+        got = inverse(a)
         if got is None:
             assert fraction_inverse(a) is None
             singular += 1
@@ -327,7 +375,7 @@ def test_det_matches_bareiss_oracle():
         d = lcm(*(Fraction(x).denominator for row in a for x in row))
         want = Fraction(bareiss_det([[int(x * d) for x in row] for row in a]),
                         d ** n)
-        assert rat_det(a) == want
+        assert rat_det(pairs(a)) == want
         if d == 1:
             assert det_int(a) == want
         singular += want == 0
@@ -340,12 +388,12 @@ def test_det_rank_and_inverse_agree():
         n = len(a)
         if len(a[0]) != n:
             continue
-        det, inv = rat_det(a), rat_inverse(a)
-        assert (det != 0) == (inv is not None) == (rat_rank(a) == n)
+        det, inv = rat_det(pairs(a)), inverse(a)
+        assert (det != 0) == (inv is not None) == (rat_rank(pairs(a)) == n)
         if inv is None:
             singular += 1
         else:
-            assert det * rat_det(over(*inv)) == 1
+            assert det * rat_det(pairs(over(*inv))) == 1
             invertible += 1
     assert singular > 3 and invertible > 3
 
@@ -371,15 +419,15 @@ def test_sparse_elimination_matches_fraction_oracles_property():
     @hypothesis.given(matrices, st.data())
     def check(a, data):
         before = [list(row) for row in a]
-        den, rows, pivots = _solved(a)
+        den, rows, pivots = reduced(a)
         assert_lowest_terms(den, rows)
         zero = [Fraction(0)] * len(a[0])
         assert (over(den, rows) + [zero] * (len(a) - len(rows)),
                 pivots) == fraction_rref(a)
-        assert rat_rank(a) == len(pivots)
+        assert rat_rank(pairs(a)) == len(pivots)
 
         b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
-        got = rat_solve(a, b)
+        got = solve(a, b)
         if got is None:
             seen["inconsistent"] += 1
             assert fraction_solve(a, b) is None
@@ -392,10 +440,10 @@ def test_sparse_elimination_matches_fraction_oracles_property():
         d = lcm(*(Fraction(x).denominator for row in sq for x in row))
         det = Fraction(bareiss_det([[int(x * d) for x in row] for row in sq]),
                        d ** n)
-        assert rat_det(sq) == det
+        assert rat_det(pairs(sq)) == det
         if d == 1:
             assert det_int([[int(x) for x in row] for row in sq]) == det
-        inv = rat_inverse(sq)
+        inv = inverse(sq)
         if inv is None:
             seen["singular"] += 1
             assert det == 0 and fraction_inverse(sq) is None
@@ -404,6 +452,11 @@ def test_sparse_elimination_matches_fraction_oracles_property():
             assert_lowest_terms(*inv)
             assert over(*inv) == fraction_inverse(sq)
         assert a == before
+        # the pair rows too: the right-hand side and the identity ride in
+        # copies of them
+        rows, square = pairs(a), pairs(sq)
+        rat_rank(rows), rat_solve(rows, b), rat_det(square), rat_inverse(square)
+        assert (rows, square) == (pairs(a), pairs(sq))
 
     check()
     assert min(seen.values()) > 20, seen

@@ -22,6 +22,7 @@ from ktoric import (
     VertexOrder,
     ascending_faces,
     bott_charmap,
+    bott_equivalence,
     buchberger,
     build_presentation,
     compute_basis,
@@ -699,6 +700,42 @@ def test_integrality_guard_fires(monkeypatch):
     monkeypatch.setattr(kring, "rat_inverse", halved)
     with pytest.raises(KtoricError, match="non integer structure constant"):
         triangle_basis()
+
+
+def test_intlinalg_gets_sorted_nonzero_pair_rows(monkeypatch):
+    # perfbench keys intlinalg's distinct inputs on the rows kring hands
+    # over, so equal matrices must give equal rows: each row its nonzero
+    # (column, value) pairs in increasing column order, a value an int or a
+    # Fraction that is not one
+    seen = []
+    for name in ("rat_rank", "rat_det", "rat_inverse", "rat_solve"):
+        def spy(a, *rest, true=getattr(kring, name), name=name):
+            seen.append((name, a))
+            return true(a, *rest)
+        monkeypatch.setattr(kring, name, spy)
+
+    def handed(call):
+        start = len(seen)
+        call()
+        return [name for name, _ in seen[start:]]
+
+    pres, b = triangle_basis(CoefficientSpec.of([2, 3]))
+    assert [name for name, _ in seen] == ["rat_rank", "rat_det", "rat_inverse"]
+    assert handed(lambda: invert_unit(1 - var(3, 0), b)) == ["rat_solve"]
+    images = tuple(var(3, j) for j in range(3))
+    assert handed(lambda: ring_map_check(pres, images, b, b.std_monomials)) == [
+        "rat_det"]
+    assert handed(lambda: bott_equivalence(random_tower(3, random.Random(1))))
+    fractions = 0
+    for name, a in seen:
+        for row in a:
+            cols = [c for c, _ in row]
+            assert cols == sorted(set(cols)), (name, row)
+            for _, x in row:
+                assert type(x) is int and x != 0 or (
+                    type(x) is Fraction and x.denominator != 1), (name, row)
+                fractions += type(x) is Fraction
+    assert fractions
 
 
 def test_basis_coords_need_invertible_change():

@@ -615,12 +615,12 @@ def sympy_oracle_cases():
         yield pytest.param(bott_presentation(c), id=f"tower{v}-laurent")
 
 
-@pytest.mark.parametrize("pres", list(sympy_oracle_cases()))
-def test_buchberger_matches_sympy(pres):
-    sympy = pytest.importorskip("sympy")
-    order = pres.order
-    syms = sympy.symbols(f"v0:{pres.nvars}")
-    gens = [syms[i] for i in order.priority]  # most significant first
+def sympy_reduced_basis(sympy, gens, order):
+    """sympy's reduced grevlex basis of the Polys gens under order, each
+    generator monic, sorted by leading monomial as buchberger lists them."""
+    nvars = order.nvars
+    syms = sympy.symbols(f"v0:{nvars}")
+    ordered = [syms[i] for i in order.priority]  # most significant first
 
     def to_sympy(p):
         return sum(sympy.Rational(c.numerator, c.denominator)
@@ -629,21 +629,62 @@ def test_buchberger_matches_sympy(pres):
 
     def from_sympy(g):
         terms = {}
-        for exps, c in sympy.Poly(g, *gens).terms():
-            mono = [0] * pres.nvars
+        for exps, c in sympy.Poly(g, *ordered).terms():
+            mono = [0] * nvars
             for var, e in zip(order.priority, exps):
                 mono[var] = e
             terms[tuple(mono)] = Fraction(int(c.p), int(c.q))
-        return monic(Poly(pres.nvars, terms), order)
+        return monic(Poly(nvars, terms), order)
 
-    theirs = sympy.groebner([to_sympy(g) for g in pres.ideal_gens], *gens,
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *ordered,
                             order="grevlex", domain=sympy.QQ)
     key = degrevlex_key(order)
-    theirs = sorted((from_sympy(g) for g in theirs.exprs),
-                    key=lambda p: key(leading_monomial(p, order)))
+    return sorted((from_sympy(g) for g in theirs.exprs),
+                  key=lambda p: key(leading_monomial(p, order)))
+
+
+@pytest.mark.parametrize("pres", list(sympy_oracle_cases()))
+def test_buchberger_matches_sympy(pres):
+    sympy = pytest.importorskip("sympy")
+    order = pres.order
     ours = [monic(g, order)
             for g in buchberger(list(pres.ideal_gens), order).generators]
-    assert ours == theirs
+    assert ours == sympy_reduced_basis(sympy, pres.ideal_gens, order)
+
+
+def test_buchberger_matches_sympy_on_random_ideals_property():
+    # ideals no polytope gives: 2-4 variables, degree at most 3, a random
+    # variable priority, most of them positive-dimensional
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"finite": 0, "positive-dimensional": 0}
+
+    @st.composite
+    def ideals(draw):
+        n = draw(st.integers(2, 4))
+        order = DegRevLex(draw(st.permutations(range(n))))
+        monos = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(
+            lambda exps: sum(exps) <= 3).map(tuple)
+        coeffs = st.one_of(st.integers(-3, 3),
+                           st.fractions(-2, 2, max_denominator=3)).filter(bool)
+        polys = st.dictionaries(monos, coeffs, min_size=1, max_size=4).map(
+            lambda terms: Poly(n, terms))
+        return draw(st.lists(polys, min_size=1, max_size=3)), order
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(ideals())
+    def check(ideal):
+        gens, order = ideal
+        gb = buchberger(list(gens), order)
+        assert ([monic(g, order) for g in gb.generators]
+                == sympy_reduced_basis(sympy, gens, order))
+        finite = standard_monomials(gb) is not None
+        seen["finite" if finite else "positive-dimensional"] += 1
+
+    check()
+    assert min(seen.values()) >= 10, seen
 
 
 def assert_same_as_division_loop(gb, p):
