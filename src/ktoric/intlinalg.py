@@ -101,8 +101,9 @@ def _det(m, n):
 def det_int(a):
     """Exact determinant of a square int matrix given as a list of row lists."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise NonSquareError(f"matrix is {n}x{len(a[0])}, need square")
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise NonSquareError(f"row {i} has {len(row)} entries, need {n}")
     m = [{c: v for c, x in enumerate(row) if (v := strict_int(x))} for row in a]
     return _det(m, n)
 

@@ -7,7 +7,6 @@ functionals; geometric consistency with the incidence data is not checked.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -119,15 +118,23 @@ def product(p, q):
     )
 
 
-def _adjacency(p):
-    n = p.dim
-    m = p.vertex_count
-    adj = [[] for _ in range(m)]
-    for i, j in combinations(range(m), 2):
-        if len(p.vertices[i] & p.vertices[j]) == n - 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    return adj
+def _edges(p):
+    """For each vertex w, a map from each facet f of w to the other end of
+    the edge on the ridge V_w - {f}: the one other vertex whose facet set is
+    the ridge and one more facet, or None when no other vertex or more than
+    one is, which no simple polytope has. Ridges are keyed by bit mask."""
+    ridges = {}
+    for v, fs in enumerate(p.vertices):
+        mask = sum(1 << f for f in fs)
+        for f in fs:
+            ridges.setdefault(mask ^ 1 << f, []).append((v, f))
+    edges = [dict.fromkeys(fs) for fs in p.vertices]
+    for pair in ridges.values():
+        if len(pair) == 2:
+            (v, f), (w, g) = pair
+            edges[v][f] = w
+            edges[w][g] = v
+    return edges
 
 
 def validate_polytope(p):
@@ -158,7 +165,7 @@ def validate_polytope(p):
         "facet_coverage", not missing,
         f"facets on no vertex: {missing}" if missing else ""))
 
-    adj = _adjacency(p)
+    adj = [[v for v in ends.values() if v is not None] for ends in _edges(p)]
     wrong = [i for i in range(m) if len(adj[i]) != n]
     checks.append(CheckResult(
         "edge_count", not wrong,
@@ -232,14 +239,6 @@ def order_vertices(p, functional):
     return VertexOrder(sorted(range(p.vertex_count), key=heights.__getitem__))
 
 
-def _ridge_map(p):
-    out = {}
-    for idx, fs in enumerate(p.vertices):
-        for f in fs:
-            out.setdefault(fs - {f}, []).append(idx)
-    return out
-
-
 def ascending_faces(p, vertex_order):
     """The face spanned at each vertex by its ascending edges.
 
@@ -255,17 +254,16 @@ def ascending_faces(p, vertex_order):
     pos = vertex_order.positions
     if len(pos) != p.vertex_count:
         raise ValueError("vertex order size does not match the polytope")
-    ridges = _ridge_map(p)
+    edges = _edges(p)
     faces = {}
     for w, fs in enumerate(p.vertices):
         descending = []
         for f in sorted(fs):
-            pair = ridges.get(fs - {f}, [])
-            if len(pair) != 2:
+            other = edges[w][f]
+            if other is None:
                 raise ValueError(
                     f"facets of vertex {w} minus {f} do not span an edge; "
                     "polytope is not a valid simple polytope")
-            other = pair[0] if pair[1] == w else pair[1]
             if pos[other] < pos[w]:
                 descending.append(f)
         fset = frozenset(descending)

@@ -9,8 +9,9 @@ a basis's structure constants, coordinates in a basis's face classes from
 its normal forms alone, substitution into a quotient in Poly arithmetic,
 the tower constructions cell by cell: the stage relations from Poly powers,
 the cube's facet vectors and a word's twists, the structure constants of
-a tower's cube ring by a triangular rewrite, and the involution check by
-reducing each relation's plain swap. The division, the
+a tower's cube ring by a triangular rewrite, the involution check by
+reducing each relation's plain swap, and the vertices adjacent to each
+vertex of an incidence table by the pairwise scan. The division, the
 Groebner-basis check and the rewrite share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
@@ -459,3 +460,14 @@ def swapped_involution_check(pres):
         gb.normal_form(Poly(g.nvars, {m[n:] + m[:n]: c
                                       for m, c in g.terms.items()})).is_zero
         for g in pres.ideal_gens)
+
+
+def pairwise_adjacency(p):
+    """For each vertex of the incidence table p, the vertices sharing
+    dim - 1 of its facets, found by testing every pair of vertices."""
+    adj = [[] for _ in range(p.vertex_count)]
+    for i, j in combinations(range(p.vertex_count), 2):
+        if len(p.vertices[i] & p.vertices[j]) == p.dim - 1:
+            adj[i].append(j)
+            adj[j].append(i)
+    return adj

@@ -102,16 +102,34 @@ def test_missing_key_is_exit_two(json_file, simplex_files, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_internal_key_error_is_not_an_input_error(simplex_files, monkeypatch):
-    # the readers name a missing key in a ValueError, so a KeyError can only
-    # come from a bug, which must surface rather than read as exit 2
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_internal_key_error_is_not_an_input_error(simplex_files, monkeypatch,
+                                                  error):
+    # the readers name a missing key in a ValueError and type-check every
+    # JSON value, so a KeyError or a TypeError can only come from a bug,
+    # which must surface rather than read as exit 2
     def broken(*args, **kwargs):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr(cli, "compute_basis", broken)
     pf, lf = simplex_files(2)
-    with pytest.raises(KeyError, match="internal"):
+    with pytest.raises(error, match="internal"):
         main(["kring", pf, lf])
+
+
+def test_three_vertices_on_a_facet_are_exit_one(json_file, capsys):
+    # the star: three vertices on facet 0, which no polygon has; kring must
+    # stop at validation, not reach ascending_faces
+    pf = json_file({"dim": 2, "facets": 4, "vertices": [[0, 1], [0, 2], [0, 3]],
+                    "coords": [[0, 0], [1, 0], [0, 1]]})
+    lf = json_file({"lambda": [[1, 0], [0, 1], [1, 1], [1, -1]],
+                    "base_vertex": 0})
+    assert main(["validate", pf, lf]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = {name for name, c in report["polytope"].items() if not c["ok"]}
+    assert failed == {"edge_count", "connected"}
+    assert main(["kring", pf, lf]) == 1
+    assert capsys.readouterr().err.startswith("error: polytope failed validation")
 
 
 SIMPLEX2 = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]]}

@@ -123,6 +123,9 @@ def test_det_bareiss_stays_integer():
 def test_det_bareiss_rejects_nonsquare():
     with pytest.raises(NonSquareError):
         det_int([[1, 2, 3], [4, 5, 6]])
+    # a ragged matrix whose first row is as long as the matrix is tall
+    with pytest.raises(NonSquareError, match="row 1 has 1 entries, need 2"):
+        det_int([[1, 2], [3]])
 
 
 def test_rat_det_matches_cofactor_expansion():

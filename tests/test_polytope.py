@@ -21,6 +21,13 @@ from ktoric import (
     simplex,
     validate_polytope,
 )
+from ktoric.polytope import _edges
+
+from oracles import pairwise_adjacency
+
+# three vertices on facet 0, which no polygon has: the ridge {0} holds all
+# three, and each of {1}, {2}, {3} only the vertex it came from
+STAR = SimplePolytope(2, 4, ({0, 1}, {0, 2}, {0, 3}))
 
 
 def brute_minimal_nonfaces(p):
@@ -124,6 +131,87 @@ def test_validate_flags_disconnected():
     assert not rep.ok
     failed = {c.name for c in rep.failures()}
     assert "connected" in failed or "edge_count" in failed
+
+
+def test_validate_flags_three_vertices_on_a_facet():
+    # any two of the star's vertices share dim - 1 facets, so a pairwise
+    # scan would give each vertex two neighbors
+    failed = {c.name for c in validate_polytope(STAR).failures()}
+    assert failed == {"edge_count", "connected"}
+
+
+def test_edges_match_the_pairwise_scan_property():
+    # small incidence tables: random ones, and simple polytopes with their
+    # facets relabelled and their vertices shuffled, up to two vertices
+    # replaced and the last one dropped; dim 1-3, at most 9 vertices and at
+    # most dim + 4 facets
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polygons = [SimplePolytope(2, k, tuple({i, (i + 1) % k} for i in range(k)))
+                for k in (5, 6)]
+    bases = [simplex(1), simplex(2), simplex(3), cube(2), cube(3),
+             product(simplex(1), simplex(2)), *polygons]
+
+    def vertex(dim, facets):
+        return st.one_of(
+            st.sets(st.integers(0, facets - 1), min_size=dim, max_size=dim),
+            st.sets(st.integers(0, facets - 1), max_size=dim + 1))
+
+    @st.composite
+    def random_tables(draw):
+        dim = draw(st.integers(1, 3))
+        facets = draw(st.integers(dim, dim + 4))
+        return dim, facets, draw(st.lists(vertex(dim, facets), min_size=1,
+                                          max_size=9))
+
+    @st.composite
+    def edited_polytopes(draw):
+        p = draw(st.sampled_from(bases))
+        relabel = draw(st.permutations(range(p.facet_count)))
+        vertices = draw(st.permutations([{relabel[f] for f in v}
+                                         for v in p.vertices]))
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(vertices) - 1))
+            vertices[i] = draw(vertex(p.dim, p.facet_count))
+        if draw(st.booleans()):
+            vertices.pop()
+        return p.dim, p.facet_count, vertices
+
+    @st.composite
+    def tables(draw):
+        dim, facets, vertices = draw(st.one_of(edited_polytopes(),
+                                               random_tables()))
+        order = draw(st.permutations(range(len(vertices))))
+        return SimplePolytope(dim, facets, tuple(vertices)), VertexOrder(order)
+
+    def two_on_every_ridge(p):
+        return all(sum(v >= w - {f} for v in p.vertices) == 2
+                   for w in p.vertices for f in w)
+
+    compared = []
+    valid = []
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(tables())
+    def check(table):
+        p, order = table
+        if (len(set(p.vertices)) == p.vertex_count
+                and all(len(v) == p.dim for v in p.vertices)
+                and two_on_every_ridge(p)):
+            compared.append(p)
+            neighbors = [sorted(ends.values()) for ends in _edges(p)]
+            assert neighbors == [sorted(a) for a in pairwise_adjacency(p)]
+        if validate_polytope(p).ok:
+            valid.append(p)
+            try:
+                ascending_faces(p, order)
+            except OrderPropertyError:
+                pass
+
+    check()
+    # the property must have met tables of both kinds
+    assert compared and valid
 
 
 def test_minimal_nonfaces_simplex_is_full_set():
@@ -275,6 +363,14 @@ def test_explicit_order_must_come_from_a_height_function():
                "the supplied order is not induced by a height function")
     with pytest.raises(OrderPropertyError, match=re.escape(message)):
         ascending_faces(cube(2), VertexOrder((0, 3, 1, 2)))
+
+
+def test_ascending_faces_needs_an_edge_on_every_ridge():
+    # a caller may pass a polytope that was never validated
+    message = ("facets of vertex 0 minus 0 do not span an edge; "
+               "polytope is not a valid simple polytope")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ascending_faces(STAR, VertexOrder((0, 1, 2)))
 
 
 def test_explicit_valid_order_accepted():
