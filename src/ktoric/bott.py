@@ -14,6 +14,7 @@ from itertools import combinations
 from operator import add, sub
 
 from .charmap import CharacteristicMap
+from .errors import BudgetExceededError
 from .kring import (
     build_presentation,
     compute_basis,
@@ -22,7 +23,7 @@ from .kring import (
     ring_map_check,
 )
 from .polyring import (
-    DEFAULT_BUDGET, DegRevLex, Monomial, Poly, _Budget, buchberger)
+    DEFAULT_BUDGET, RANK_CAP, DegRevLex, Monomial, Poly, _Budget, buchberger)
 from .polytope import cube, generic_functional, order_vertices
 from .validation import strict_int
 
@@ -33,7 +34,7 @@ class BottMatrix:
     with 1 <= i < j <= n, sorted by (i, j). The diagonal is implicitly 1 and
     every other entry 0; twists given as 0 are dropped, so two towers are
     equal exactly when their matrices are. BottMatrix(n) is the untwisted
-    tower."""
+    tower. Past height 16 the rank 2^n passes RANK_CAP: BudgetExceededError."""
 
     n: int
     triples: tuple = ()
@@ -42,6 +43,9 @@ class BottMatrix:
         n = strict_int(self.n)
         if n < 1:
             raise ValueError("tower height must be at least 1")
+        if n >= RANK_CAP.bit_length():  # before triples is read; no 2^n formed
+            raise BudgetExceededError(
+                f"a tower of height {n} has rank 2^{n}, more than {RANK_CAP}")
         twists = {}
         for i, j, value in self.triples:
             i, j = strict_int(i), strict_int(j)
@@ -177,14 +181,9 @@ def _stage_products(lp):
     are a module basis of the quotient: each stage relation is a monic
     quadratic over the ring of the earlier stages."""
     n = lp.n
-    out = []
-    for size in range(n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            exps = [0] * (2 * n)
-            for i in combo:
-                exps[lp.y(i)] = 1
-            out.append(Monomial(tuple(exps)))
-    return tuple(out)
+    gens = [lp.y(i) for i in range(1, n + 1)]
+    return tuple(Monomial(1 if k in combo else 0 for k in range(2 * n))
+                 for size in range(n + 1) for combo in combinations(gens, size))
 
 
 def bott_equivalence(c, budget=DEFAULT_BUDGET):
@@ -218,43 +217,33 @@ def laurent_rank(pres, budget=DEFAULT_BUDGET):
     return len(std)
 
 
+# kind: (its least rank, whether that is its only rank, the entries (i, j, a)
+# set on the path 1-2-...-l of single bonds, 0-based, negative from the end)
+_CARTAN_KINDS = {
+    "A": (1, False, ()),
+    "B": (2, False, ((-1, -2, -2),)),
+    "C": (2, False, ((-2, -1, -2),)),
+    "D": (3, False, ((-2, -1, 0), (-1, -2, 0), (-3, -1, -1), (-1, -3, -1))),
+    "F": (4, True, ((2, 1, -2),)),
+    "G": (2, True, ((1, 0, -3),)),
+}
+
+
 def cartan_matrix(kind, rank):
     """Built-in generalized Cartan matrices of the classical kinds, plus the
-    two exceptional ones of rank 2 and 4."""
+    two exceptional ones of rank 2 and 4, each by _CARTAN_KINDS."""
     kind = str(kind).upper()
     l = strict_int(rank)
-    if kind == "A":
-        if l < 1:
-            raise ValueError("kind A needs rank >= 1")
-        return tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                           for j in range(l)) for i in range(l))
-    if kind in ("B", "C"):
-        if l < 2:
-            raise ValueError(f"kind {kind} needs rank >= 2")
-        m = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-              for j in range(l)] for i in range(l)]
-        if kind == "B":
-            m[l - 1][l - 2] = -2
-        else:
-            m[l - 2][l - 1] = -2
-        return tuple(tuple(row) for row in m)
-    if kind == "D":
-        if l < 3:
-            raise ValueError("kind D needs rank >= 3")
-        m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-        for i in range(l - 2):
-            m[i][i + 1] = m[i + 1][i] = -1
-        m[l - 3][l - 1] = m[l - 1][l - 3] = -1
-        return tuple(tuple(row) for row in m)
-    if kind == "G":
-        if l != 2:
-            raise ValueError("kind G needs rank 2")
-        return ((2, -1), (-3, 2))
-    if kind == "F":
-        if l != 4:
-            raise ValueError("kind F needs rank 4")
-        return ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _CARTAN_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    least, only, bonds = _CARTAN_KINDS[kind]
+    if l < least or only and l != least:
+        raise ValueError(f"kind {kind} needs rank {'' if only else '>= '}{least}")
+    m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(l)]
+         for i in range(l)]
+    for i, j, a in bonds:
+        m[i][j] = a
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
@@ -306,8 +295,8 @@ def cartan_word_matrix(cw):
     the i-th and j-th letters."""
     w = cw.word
     n = len(w)
-    return BottMatrix(n, tuple((i + 1, j + 1, cw.pairing(w[i], w[j]))
-                               for i in range(n) for j in range(i + 1, n)))
+    return BottMatrix(n, ((i + 1, j + 1, cw.pairing(w[i], w[j]))
+                          for i in range(n) for j in range(i + 1, n)))
 
 
 def bott_samelson_presentation(cw):

@@ -61,23 +61,19 @@ def _scalar(v):
 
 def _text_lines(obj, indent=0):
     pad = "  " * indent
-    lines = []
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_scalar(v)}")
+        items = ((f"{k}:", v) for k, v in obj.items())
     elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(v)}")
+        items = (("-", v) for v in obj)
     else:
-        lines.append(f"{pad}{_scalar(obj)}")
+        return [f"{pad}{_scalar(obj)}"]
+    lines = []
+    for label, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines.append(f"{pad}{label}")
+            lines.extend(_text_lines(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_scalar(v)}")
     return lines
 
 

@@ -204,20 +204,15 @@ def _product(x, y, order):
     return dx * dy, {m: c for m, c in acc.items() if c}
 
 
-def _value(a, den):
-    """a / den: an int when den divides a, a Fraction otherwise."""
-    return Fraction(a, den) if a % den else a // den
-
-
-def _coord_matrix(gb, index, xs):
-    """The matrix, one row per position in index, whose column j holds the
-    coordinates of the normal form of xs[j] (see _coords), as intlinalg
-    takes it: each row the list of its nonzero (column, value) pairs."""
-    rows = [[] for _ in index]
-    for j, x in enumerate(xs):
-        den, coords = _coords(index, gb.reduce(x))
-        for i, a in coords:
-            rows[i].append((j, _value(a, den)))
+def _matrix(columns, height):
+    """The matrix of height rows whose column j is the j-th sparse vector
+    (den, [(i, a)]) of columns, from _coords or _accumulate, as intlinalg
+    takes it: each row its nonzero (column, value) pairs, sorted by column,
+    a / den an int where den divides a and a Fraction elsewhere."""
+    rows = [[] for _ in range(height)]
+    for j, (den, entries) in enumerate(columns):
+        for i, a in entries:
+            rows[i].append((j, Fraction(a, den) if a % den else a // den))
     return rows
 
 
@@ -270,18 +265,14 @@ class BasisResult:
     def normal_form(self, p):
         return self.groebner.normal_form(p)
 
-    def coords(self, x):
-        """The m Fractions that write x, in the engine's form (see
-        GroebnerBasis.reduce), in the face classes."""
+    def basis_coords(self, p):
+        """The m Fractions that write the Poly p in the face classes."""
+        x = _packed(p, self.groebner.order)
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
         coords = _coords(self._std_index, self.groebner.reduce(x))
         return _dense(*_accumulate(self.change_inverse, coords), self.m)
-
-    def basis_coords(self, p):
-        """coords of the Poly p: its one Poly edge."""
-        return self.coords(_packed(p, self.groebner.order))
 
 
 def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
@@ -311,7 +302,8 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     pack = gb.order.pack
     index = {pack(mono): i for i, mono in enumerate(std)}
     packed = [pack(mono) for mono in basis_monos]
-    change = _coord_matrix(gb, index, [(1, {b: 1}) for b in packed])
+    reduce = gb.reduce
+    change = _matrix((_coords(index, reduce((1, {b: 1}))) for b in packed), q)
     rank = rat_rank(change)
     integral = pres.coeffs.integral
 
@@ -335,7 +327,6 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         inv = tuple((den, col) for col in cols)
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
-        reduce = gb.reduce
         seen = {}  # the constants (k, c) of each nonzero product, by monomial
         for i, bi in enumerate(packed):
             for j, bj in enumerate(packed):
@@ -368,8 +359,8 @@ def invert_unit(p, basis):
     order = gb.order
     u = _packed(p, order)
     # index, keyed by packed standard monomial, iterates in their order
-    mat = _coord_matrix(gb, index, [_product(u, (1, {s: 1}), order)
-                                    for s in index])
+    mat = _matrix((_coords(index, gb.reduce(_product(u, (1, {s: 1}), order)))
+                   for s in index), q)
     target = index.get(order.pack(Monomial.one(order.nvars)))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")
@@ -455,12 +446,10 @@ def ring_map_check(src, images, dst_basis, src_basis,
     unimod = None
     if dst_basis.change_inverse is not None and len(src_basis) == m:
         inv, index = dst_basis.change_inverse, dst_basis._std_index
-        rows = [[] for _ in range(m)]
-        for j, mono in enumerate(src_basis):
-            image = evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
-            den, entries = _accumulate(inv, _coords(index, gb.reduce(image)))
-            for r, s in entries:
-                rows[r].append((j, _value(s, den)))
+        values = (evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
+                  for mono in src_basis)
+        rows = _matrix((_accumulate(inv, _coords(index, gb.reduce(v)))
+                        for v in values), m)
         det = rat_det(rows)
         spans = det != 0
         integer_entries = all(type(x) is int for row in rows for _, x in row)

@@ -10,8 +10,9 @@ its normal forms alone, substitution into a quotient in Poly arithmetic,
 the tower constructions cell by cell: the stage relations from Poly powers,
 the cube's facet vectors and a word's twists, the structure constants of
 a tower's cube ring by a triangular rewrite, the involution check by
-reducing each relation's plain swap, and the vertices adjacent to each
-vertex of an incidence table by the pairwise scan. The division, the
+reducing each relation's plain swap, the built-in Cartan matrices kind by
+kind, and the vertices adjacent to each vertex of an incidence table by the
+pairwise scan. The division, the
 Groebner-basis check and the rewrite share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
@@ -23,6 +24,7 @@ from math import comb
 from operator import add, le, sub
 
 from ktoric import DegRevLex, Monomial, Poly, buchberger
+from ktoric.validation import strict_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,6 +380,45 @@ def reference_word_triples(cw):
             for i in range(n - 1)]
     return tuple((i + 1, i + 2 + k, v) for i, row in enumerate(rows)
                  for k, v in enumerate(row) if v)
+
+
+def reference_cartan_matrix(kind, rank):
+    """cartan_matrix(kind, rank) written out kind by kind, each with its own
+    rank check and its own matrix."""
+    kind = str(kind).upper()
+    l = strict_int(rank)
+    if kind == "A":
+        if l < 1:
+            raise ValueError("kind A needs rank >= 1")
+        return tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
+                           for j in range(l)) for i in range(l))
+    if kind in ("B", "C"):
+        if l < 2:
+            raise ValueError(f"kind {kind} needs rank >= 2")
+        m = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
+              for j in range(l)] for i in range(l)]
+        if kind == "B":
+            m[l - 1][l - 2] = -2
+        else:
+            m[l - 2][l - 1] = -2
+        return tuple(tuple(row) for row in m)
+    if kind == "D":
+        if l < 3:
+            raise ValueError("kind D needs rank >= 3")
+        m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+        for i in range(l - 2):
+            m[i][i + 1] = m[i + 1][i] = -1
+        m[l - 3][l - 1] = m[l - 1][l - 3] = -1
+        return tuple(tuple(row) for row in m)
+    if kind == "G":
+        if l != 2:
+            raise ValueError("kind G needs rank 2")
+        return ((2, -1), (-3, 2))
+    if kind == "F":
+        if l != 4:
+            raise ValueError("kind F needs rank 4")
+        return ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def tower_structure(c):

@@ -26,9 +26,10 @@ from ktoric import (
     validate_charmap,
 )
 from ktoric.bott import _centred_swap, cartan_word_matrix
-from ktoric.polyring import render_poly
+from ktoric.polyring import RANK_CAP, render_poly
 from ladder import generic_functional, random_tower
 from oracles import (
+    reference_cartan_matrix,
     reference_cube_vectors,
     reference_stage_relations,
     reference_word_triples,
@@ -69,6 +70,35 @@ def test_matrix_rejects_bad_entries():
         tower(2, (1, 2, 1), (1, 2, 2))
     with pytest.raises(ValueError, match="at least 1"):
         BottMatrix(0)
+
+
+def test_tower_height_is_checked_before_the_twists():
+    # rank 2^n passes RANK_CAP from height 17 on; the height is refused
+    # before a twist is read, and 2^n is never formed, so 2^70 stops as fast
+    assert BottMatrix(16, [(1, 16, 3)]).triples == ((1, 16, 3),)
+
+    def unread():
+        raise AssertionError("twists read")
+        yield
+
+    for n in (17, 2 ** 70):
+        with pytest.raises(BudgetExceededError) as exc:
+            BottMatrix(n, unread())
+        assert str(exc.value) == (
+            f"a tower of height {n} has rank 2^{n}, more than {RANK_CAP}")
+
+
+def pairing_formed(self, a, b):
+    raise AssertionError("a pairing was formed")
+
+
+def test_long_word_is_refused_before_its_pairings(monkeypatch):
+    # a word of 40000 letters has about 8 * 10^8 pairings of letters; none is
+    # formed once the tower's height is refused
+    monkeypatch.setattr(CartanWord, "pairing", pairing_formed)
+    cw = CartanWord(cartan_matrix("A", 2), (1, 2) * 20000)
+    with pytest.raises(BudgetExceededError, match="height 40000 has rank"):
+        cartan_word_matrix(cw)
 
 
 # --- the labeled cube -------------------------------------------------------
@@ -258,6 +288,23 @@ def test_cartan_tables_frozen():
         (2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
     assert cartan_matrix("D", 4) == (
         (2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["A", "B", "C", "D", "F", "G", "d", "E", "BC"])
+def test_cartan_matrix_against_the_kind_by_kind_tables(kind):
+    # the path of single bonds with each kind's entries set on it gives the
+    # same matrix, or the same exception and message, as one table per kind
+    for rank in range(-1, 41):
+        assert (outcome(cartan_matrix, kind, rank)
+                == outcome(reference_cartan_matrix, kind, rank))
 
 
 def test_cartan_table_bounds():

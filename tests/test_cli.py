@@ -8,6 +8,7 @@ import pytest
 
 from ktoric import (
     BottMatrix,
+    CartanWord,
     bott_charmap,
     cli,
     cube,
@@ -18,7 +19,7 @@ from ktoric import (
     simplex_charmap,
 )
 from ktoric.cli import main
-from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT
+from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT, RANK_CAP
 
 from ladder import random_tower
 
@@ -233,6 +234,31 @@ def test_tower_past_the_packing_limit_is_exit_one(tower_files, capsys):
         err = capsys.readouterr().err
         assert f"degree limit {DEGREE_LIMIT}" in err
         assert "Traceback" not in err
+
+
+def reached(*args):
+    raise AssertionError("a stage past the tower's height check was reached")
+
+
+@pytest.mark.parametrize("command, doc, n", [
+    ("bott", {"n": 2 ** 70}, 2 ** 70),
+    ("compare", {"n": 2 ** 70}, 2 ** 70),
+    ("compare", {"n": 17}, 17),
+    ("bott-samelson", {"type": "A", "rank": 2, "word": [1, 2] * 20000}, 40000),
+], ids=["bott-2^70", "compare-2^70", "compare-17", "bott-samelson-40000"])
+def test_tower_past_the_rank_cap_is_exit_one(json_file, monkeypatch, capsys,
+                                              command, doc, n):
+    # rank 2^n passes RANK_CAP from height 17 on; the height is refused
+    # before 2^n, the cube, the presentation or the pairings of a word are
+    # formed. Each later stage fails the test at once should it be reached
+    for name in ("bott_presentation", "bott_equivalence"):
+        monkeypatch.setattr(cli, name, reached)
+    monkeypatch.setattr(CartanWord, "pairing", reached)
+    start = time.process_time()
+    assert main([command, json_file(doc)]) == 1
+    assert time.process_time() - start < 10
+    assert capsys.readouterr().err == (
+        f"error: a tower of height {n} has rank 2^{n}, more than {RANK_CAP}\n")
 
 
 def test_negative_budget_is_exit_two(tower_files, capsys):
@@ -697,4 +723,44 @@ def test_kring_report_digest(json_file, capsys, docs, options, digest):
     # byte-identical kring reports; the digests were taken while the
     # structure constants were still a dense tensor
     assert main(["kring", *map(json_file, docs), *options]) == 0
+    assert sha256(capsys.readouterr().out) == digest
+
+
+TOWER3 = {"n": 3, "c": [[1, 2, 1], [1, 3, -2], [2, 3, 1]]}
+STAR = ({"dim": 2, "facets": 4, "vertices": [[0, 1], [0, 2], [0, 3]],
+         "coords": [[0, 0], [1, 0], [0, 1]]},
+        {"lambda": [[1, 0], [0, 1], [1, 1], [1, -1]], "base_vertex": 0})
+
+
+@pytest.mark.parametrize("command, docs, options, code, digest", [
+    # fractions in nested rows of structure constants
+    pytest.param("kring", polytope_docs(simplex(3), simplex_charmap(3)),
+                 ["--r", "2,1/3,5"], 0,
+                 "d0747b5fad529ef9fd5272e28e368d127f16f3561499c0ee6298062586b53f8e",
+                 id="kring-deformed-simplex3"),
+    pytest.param("kring", polytope_docs(*simplex_cubed()), [], 0,
+                 "9e58643e79690e71bb0fbb108c398545f30f780c28cdaa12c1f720aa802842df",
+                 id="kring-simplex222"),
+    pytest.param("compare", [TOWER3], [], 0,
+                 "6f454fd4f912bcd489e64e3e31b3e488c01eeec780b81b6de9389568c0573f0b",
+                 id="compare-tower3"),
+    pytest.param("bott", [TOWER3], [], 0,
+                 "c70127811a26f1c7ed1222fc6d26929e36c7066c6c264e47734412fe9dc3e07d",
+                 id="bott-tower3"),
+    pytest.param("bott-samelson", [{"type": "G", "rank": 2, "word": [1, 2, 1, 2]}],
+                 [], 0,
+                 "30a200c1ca3c1ee11f762abc2d1ce251ca6c46936507437b5a65742759e84a0c",
+                 id="bott-samelson-G2"),
+    # failing checks with their details, passing ones with empty details
+    pytest.param("validate", STAR, [], 1,
+                 "97025ed9c17e892bfba95fe13051bfb6079a89fed95262804e91913948f26574",
+                 id="validate-star"),
+])
+def test_text_report_digest(json_file, capsys, command, docs, options, code,
+                            digest):
+    # --format text byte for byte: a dict's "key:" labels and a list's "-"
+    # labels, nested values on the lines below their label, scalars after it;
+    # the digests were taken while the renderer had one loop per container
+    assert main([command, *map(json_file, docs), *options,
+                 "--format", "text"]) == code
     assert sha256(capsys.readouterr().out) == digest
