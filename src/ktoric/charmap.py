@@ -69,10 +69,9 @@ def validate_charmap(p, lam):
         "primitive_vectors", not bad,
         f"facet vectors with a common divisor: {bad}" if bad else ""))
 
-    nonunit = []
-    for w in range(p.vertex_count):
-        if abs(det_int(_vertex_matrix(p, lam, w))) != 1:
-            nonunit.append(w)
+    # a vertex on other than dim facets has no square matrix, so no basis
+    nonunit = [w for w, fs in enumerate(p.vertices) if len(fs) != p.dim
+               or abs(det_int(_vertex_matrix(p, lam, w))) != 1]
     checks.append(CheckResult(
         "vertex_determinants", not nonunit,
         f"vertices whose facet vectors are not a basis: {nonunit}" if nonunit else ""))

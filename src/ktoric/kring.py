@@ -179,17 +179,6 @@ def quotient_basis(pres, budget=DEFAULT_BUDGET):
     return gb, std
 
 
-def _coords(index, nf):
-    """Sparse coordinates of a normal form nf = (den, terms) from
-    GroebnerBasis.reduce: (den, [(i, a)]), int numerators a over den, each
-    at the position i that index, keyed by packed monomial, gives."""
-    den, terms = nf
-    try:
-        return den, [(index[m], a) for m, a in terms.items()]
-    except KeyError:
-        raise KtoricError("normal form left the standard monomial span") from None
-
-
 def _product(x, y, order):
     """The product of x and y in the engine's form; KtoricError, before any
     monomial is formed, when the sum of their largest degrees is past
@@ -204,31 +193,40 @@ def _product(x, y, order):
     return dx * dy, {m: c for m, c in acc.items() if c}
 
 
-def _matrix(columns, height):
-    """The matrix of height rows whose column j is the j-th sparse vector
-    (den, [(i, a)]) of columns, from _coords or _accumulate, as intlinalg
-    takes it: each row its nonzero (column, value) pairs, sorted by column,
-    a / den an int where den divides a and a Fraction elsewhere."""
-    rows = [[] for _ in range(height)]
-    for j, (den, entries) in enumerate(columns):
-        for i, a in entries:
-            rows[i].append((j, Fraction(a, den) if a % den else a // den))
+def _matrix(columns, index):
+    """The matrix whose column j is the j-th normal form (den, {key: a}) of
+    columns, from GroebnerBasis.reduce or _accumulate, as intlinalg takes
+    it: one row per key of index, row index[key] holding (j, a / den), an
+    int where den divides a and a Fraction elsewhere, each row sorted by
+    column. KtoricError for a key that index lacks."""
+    rows = [[] for _ in index]
+    for j, (den, terms) in enumerate(columns):
+        for key, a in terms.items():
+            try:
+                row = rows[index[key]]
+            except LookupError:
+                raise KtoricError("normal form left the standard monomial span") from None
+            row.append((j, Fraction(a, den) if a % den else a // den))
     return rows
 
 
-def _accumulate(inverse, coords):
-    """The matrix behind inverse (see BasisResult) times coords from
-    _coords, summed by _combine: (den, entries), entries the (row,
-    numerator) of each nonzero sum over den, sorted by row."""
-    e, coords = coords
-    den, sums = _combine(coords, inverse)
-    return den * e, sorted(sums.items())
+def _accumulate(inverse, nf):
+    """The face-class coordinates of a normal form nf = (den, terms) from
+    GroebnerBasis.reduce: the matrix behind inverse (see BasisResult) times
+    nf's terms, summed by _combine, as (den, {row: numerator}) of the
+    nonzero sums. KtoricError for a monomial that inverse lacks."""
+    e, terms = nf
+    try:
+        den, sums = _combine(terms.items(), inverse)
+    except KeyError:
+        raise KtoricError("normal form left the standard monomial span") from None
+    return den * e, sums
 
 
-def _dense(den, entries, m):
+def _dense(den, sums, m):
     """The m Fractions behind an _accumulate result."""
     out = [Fraction(0)] * m
-    for r, s in entries:
+    for r, s in sums.items():
         out[r] = Fraction(s, den)
     return tuple(out)
 
@@ -237,12 +235,13 @@ def _dense(den, entries, m):
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
     quotient data, the face classes, and how the two express each other.
-    change_inverse writes the standard monomials in the face classes: column
-    t is the engine's table entry (den, {row: numerator}) of its nonzero
-    entries, every column over the one denominator of the inverse. structure
-    holds the products b_i b_j = sum_k c b_k of the face classes as the tuple
-    of (i, j, k, c) for each nonzero Fraction c, sorted by (i, j, k). Both
-    are None when the face classes are not a basis."""
+    change_inverse writes the standard monomials in the face classes: keyed
+    by each one's packed int, the engine's table entry (den, {row:
+    numerator}) of its column's nonzero entries, every column over the one
+    denominator of the inverse. structure holds the products b_i b_j = sum_k
+    c b_k of the face classes as the tuple of (i, j, k, c) for each nonzero
+    Fraction c, sorted by (i, j, k). Both are None when the face classes are
+    not a basis."""
 
     presentation: object
     groebner: object
@@ -250,13 +249,11 @@ class BasisResult:
     std_monomials: tuple
     basis_monomials: tuple
     basis_facet_sets: tuple
-    change_inverse: tuple
+    change_inverse: dict
     change_det: object
     rank: int
     structure: tuple
     warnings: tuple
-    # the position of each standard monomial, keyed by packed monomial
-    _std_index: dict
 
     @property
     def m(self):
@@ -271,8 +268,8 @@ class BasisResult:
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        coords = _coords(self._std_index, self.groebner.reduce(x))
-        return _dense(*_accumulate(self.change_inverse, coords), self.m)
+        return _dense(*_accumulate(self.change_inverse, self.groebner.reduce(x)),
+                      self.m)
 
 
 def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
@@ -303,7 +300,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     index = {pack(mono): i for i, mono in enumerate(std)}
     packed = [pack(mono) for mono in basis_monos]
     reduce = gb.reduce
-    change = _matrix((_coords(index, reduce((1, {b: 1}))) for b in packed), q)
+    change = _matrix((reduce((1, {b: 1})) for b in packed), index)
     rank = rat_rank(change)
     integral = pres.coeffs.integral
 
@@ -324,7 +321,8 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         for r, row in enumerate(rows):
             for t, x in row.items():
                 cols[t][r] = x
-        inv = tuple((den, col) for col in cols)
+        # index, keyed by packed standard monomial, iterates in column order
+        inv = {s: (den, col) for s, col in zip(index, cols)}
         structure = []
         within_degree_limit(2 * max(map(gb.order.degree, packed)))
         seen = {}  # the constants (k, c) of each nonzero product, by monomial
@@ -335,32 +333,32 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
                 if not nf[1]:
                     continue  # b_i b_j is 0, as most are
                 if b not in seen:
-                    den, entries = _accumulate(inv, _coords(index, nf))
-                    if integral and any(s % den for _, s in entries):
+                    den, sums = _accumulate(inv, nf)
+                    if integral and any(s % den for s in sums.values()):
                         raise KtoricError(
                             "non integer structure constant with all coefficients 1; "
-                            f"pair ({i},{j}) gave {_dense(den, entries, m)}")
-                    seen[b] = [(k, Fraction(s, den)) for k, s in entries]
+                            f"pair ({i},{j}) gave {_dense(den, sums, m)}")
+                    seen[b] = [(k, Fraction(s, den)) for k, s in sorted(sums.items())]
                 structure.extend((i, j, k, c) for k, c in seen[b])
         structure = tuple(structure)
 
     return BasisResult(pres, gb, vertex_order, std, tuple(basis_monos),
                        tuple(basis_facet_sets), inv, det, rank,
-                       structure, tuple(warnings), index)
+                       structure, tuple(warnings))
 
 
 def invert_unit(p, basis):
     """Inverse of the class of p in the quotient, by solving one linear
     system over the standard monomials."""
-    gb, index = basis.groebner, basis._std_index
+    gb, order = basis.groebner, basis.groebner.order
+    index = {order.pack(mono): i for i, mono in enumerate(basis.std_monomials)}
     q = len(index)
     if q == 0:
         raise NotAUnitError("the quotient ring is zero")
-    order = gb.order
     u = _packed(p, order)
     # index, keyed by packed standard monomial, iterates in their order
-    mat = _matrix((_coords(index, gb.reduce(_product(u, (1, {s: 1}), order)))
-                   for s in index), q)
+    mat = _matrix((gb.reduce(_product(u, (1, {s: 1}), order)) for s in index),
+                  index)
     target = index.get(order.pack(Monomial.one(order.nvars)))
     if target is None:
         raise NotAUnitError("1 is not a standard monomial here")
@@ -445,11 +443,10 @@ def ring_map_check(src, images, dst_basis, src_basis,
     det = None
     unimod = None
     if dst_basis.change_inverse is not None and len(src_basis) == m:
-        inv, index = dst_basis.change_inverse, dst_basis._std_index
+        inv = dst_basis.change_inverse
         values = (evaluate_in_quotient(Poly(src.nvars, {mono: 1}), images, gb)
                   for mono in src_basis)
-        rows = _matrix((_accumulate(inv, _coords(index, gb.reduce(v)))
-                        for v in values), m)
+        rows = _matrix((_accumulate(inv, gb.reduce(v)) for v in values), range(m))
         det = rat_det(rows)
         spans = det != 0
         integer_entries = all(type(x) is int for row in rows for _, x in row)

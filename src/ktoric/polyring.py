@@ -10,7 +10,7 @@ identical bases.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import add
 
@@ -81,19 +81,6 @@ class Monomial(tuple):
         return nz[0] if len(nz) == 1 else None
 
 
-class _Memo(dict):
-    """The values of fn, each computed on its key's first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class DegRevLex:
     """Degree order refined reverse-lexicographically.
 
@@ -126,9 +113,9 @@ class DegRevLex:
         self._rev = tuple(reversed(priority))
         # pack(mono): the packed int of an exponent tuple, ValueError unless
         # it has nvars exponents, KtoricError past DEGREE_LIMIT; unpack(p):
-        # the Monomial of a packed int
-        self.pack = _Memo(self._pack).__getitem__
-        self.unpack = _Memo(self._unpack).__getitem__
+        # the Monomial of a packed int; each memoized
+        self.pack = cache(self._pack)
+        self.unpack = cache(self._unpack)
         top = self.nvars * FIELD_BITS
         ones = sum(1 << k for k in range(0, top, FIELD_BITS))
         self.guards = ones << FIELD_BITS - 1

@@ -9,6 +9,7 @@ from ktoric import (
     CharacteristicMap,
     Covector,
     NoBaseVertexError,
+    SimplePolytope,
     cube,
     dual_basis,
     product,
@@ -42,6 +43,17 @@ def test_repeated_vector_on_adjacent_facets_fails():
     assert not rep.ok
     bad = [c for c in rep.failures() if c.name == "vertex_determinants"]
     assert bad and "0" in bad[0].detail and "1" in bad[0].detail
+
+
+def test_vertex_off_dim_facets_fails_determinants():
+    # vertex 0 lies on three facets of a 2-polytope: its three vectors are
+    # no lattice basis, and no square matrix to take a determinant of
+    p = SimplePolytope(2, 4, ({0, 1, 2}, {1, 2}, {2, 3}, {3, 0}))
+    lam = CharacteristicMap(((1, 0), (0, 1), (-1, 0), (0, -1)), base_vertex=1)
+    rep = validate_charmap(p, lam)
+    assert [c.name for c in rep.failures()] == ["vertex_determinants"]
+    assert rep.failures()[0].detail == (
+        "vertices whose facet vectors are not a basis: [0]")
 
 
 def test_repeated_vector_on_opposite_facets_is_fine():

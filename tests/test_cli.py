@@ -133,6 +133,27 @@ def test_three_vertices_on_a_facet_are_exit_one(json_file, capsys):
     assert capsys.readouterr().err.startswith("error: polytope failed validation")
 
 
+def test_vertex_off_dim_facets_is_reported(json_file, capsys):
+    # vertex 0 lies on three facets of a 2-polytope; validate must report
+    # every check, its determinant among the failures, not stop on a
+    # non-square matrix
+    pf = json_file({"dim": 2, "facets": 4,
+                    "vertices": [[0, 1, 2], [1, 2], [2, 3], [3, 0]],
+                    "coords": [[0, 0], [1, 0], [1, 1], [0, 1]]})
+    lf = json_file({"lambda": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                    "base_vertex": 1})
+    assert main(["validate", pf, lf]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    failed = {name for part in ("polytope", "lambda")
+              for name, c in report[part].items() if not c["ok"]}
+    assert failed == {"vertex_simplicity", "edge_count", "connected",
+                      "vertex_determinants"}
+    assert main(["kring", pf, lf]) == 1
+    assert capsys.readouterr().err.startswith("error: polytope failed validation")
+
+
 SIMPLEX2 = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2], [0, 1]]}
 SIMPLEX2_LAM = {"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0}
 

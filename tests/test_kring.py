@@ -745,6 +745,27 @@ def test_basis_coords_need_invertible_change():
         crippled.basis_coords(var(3, 0))
 
 
+def test_normal_forms_outside_the_standard_span_are_refused():
+    # x0^3 leads a basis generator, so the triangle's standard monomials and
+    # the inverse change matrix, keyed by them, both lack it
+    _, b = triangle_basis()
+    pack = b.groebner.order.pack
+    index = {pack(mono): i for i, mono in enumerate(b.std_monomials)}
+    outside = pack(Monomial((3, 0, 0)))
+    assert outside not in index and outside not in b.change_inverse
+    one, x0 = pack(Monomial.one(3)), pack(Monomial((1, 0, 0)))
+    assert kring._matrix([(2, {one: 4, x0: 1})], index) == [
+        [(0, 2)], [(0, Fraction(1, 2))], []]
+    assert kring._accumulate(b.change_inverse, (3, {x0: 1})) == (3, {1: 1})
+    span = "normal form left the standard monomial span"
+    with pytest.raises(KtoricError, match=span):
+        kring._matrix([(1, {one: 1}), (1, {outside: 1})], index)
+    with pytest.raises(KtoricError, match=span):
+        kring._matrix([(1, {3: 1})], range(3))
+    with pytest.raises(KtoricError, match=span):
+        kring._accumulate(b.change_inverse, (1, {one: 1, outside: 1}))
+
+
 def test_budget_propagates_through_compute_basis():
     p = cube(2)
     pres = build_presentation(p, hirzebruch(1))

@@ -203,6 +203,30 @@ def test_packed_monomials_agree_with_exponent_tuples():
     check()
 
 
+def test_packing_is_memoized():
+    # pack runs _pack once per distinct monomial, a Monomial and the plain
+    # tuple of its exponents being one, and unpack runs _unpack once per
+    # distinct int
+    calls = []
+
+    class Counted(DegRevLex):
+        def _pack(self, mono):
+            calls.append(("pack", mono))
+            return super()._pack(mono)
+
+        def _unpack(self, p):
+            calls.append(("unpack", p))
+            return super()._unpack(p)
+
+    o = Counted((1, 0))
+    monos = [Monomial((a, b)) for a in range(3) for b in range(3)]
+    for _ in range(3):
+        packed = [o.pack(m) for m in monos] + [o.pack(tuple(m)) for m in monos]
+        assert [o.unpack(p) for p in packed] == monos + monos
+    assert sorted(calls) == sorted([("pack", m) for m in monos]
+                                   + [("unpack", p) for p in packed[:9]])
+
+
 def test_packing_past_the_degree_limit_raises():
     o = DegRevLex.standard(2)
     limit = polyring.DEGREE_LIMIT
