@@ -30,7 +30,6 @@ from .charmap import (
     Covector,
     dual_basis,
     product_charmap,
-    reindex_to_base,
     simplex_charmap,
     validate_charmap,
 )

@@ -11,6 +11,7 @@ data, one stage per letter.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from operator import add, sub
 
 from .charmap import CharacteristicMap
@@ -231,7 +232,9 @@ _CARTAN_KINDS = {
 
 def cartan_matrix(kind, rank):
     """Built-in generalized Cartan matrices of the classical kinds, plus the
-    two exceptional ones of rank 2 and 4, each by _CARTAN_KINDS."""
+    two exceptional ones of rank 2 and 4, each by _CARTAN_KINDS. A rank whose
+    matrix has more than RANK_CAP entries, 317 and up, raises
+    BudgetExceededError before any row is built."""
     kind = str(kind).upper()
     l = strict_int(rank)
     if kind not in _CARTAN_KINDS:
@@ -239,6 +242,9 @@ def cartan_matrix(kind, rank):
     least, only, bonds = _CARTAN_KINDS[kind]
     if l < least or only and l != least:
         raise ValueError(f"kind {kind} needs rank {'' if only else '>= '}{least}")
+    if l > isqrt(RANK_CAP):  # l * l is never formed
+        raise BudgetExceededError(
+            f"a Cartan matrix of rank {l} has more than {RANK_CAP} entries")
     m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(l)]
          for i in range(l)]
     for i, j, a in bonds:

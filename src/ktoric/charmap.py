@@ -95,13 +95,6 @@ def dual_basis(p, lam):
     return tuple(Covector(row.get(c, 0) for c in range(p.dim)) for row in rows)
 
 
-def reindex_to_base(p, lam, vertex):
-    """The same map with a different preferred vertex."""
-    if not 0 <= vertex < p.vertex_count:
-        raise ValueError("base vertex index out of range")
-    return CharacteristicMap(lam.vectors, vertex)
-
-
 def simplex_charmap(n):
     """The standard assignment on the n-simplex: facet i >= 1 gets the i-th
     basis vector, facet 0 gets minus their sum; preferred vertex 0."""

@@ -19,7 +19,7 @@ from .bott import (
     involution_check,
     laurent_rank,
 )
-from .charmap import validate_charmap
+from .charmap import CharacteristicMap, validate_charmap
 from .errors import KtoricError
 from .kring import CoefficientSpec, build_presentation, compute_basis
 from .polyring import DEFAULT_BUDGET, Poly, render_poly
@@ -92,7 +92,7 @@ def _projective_check(pres, basis):
     if p.facet_count != p.dim + 1:
         return None
     outside = [f for f in range(p.facet_count)
-               if f not in p.vertices[pres.base_vertex]]
+               if f not in p.vertices[pres.charmap.base_vertex]]
     f0 = outside[0]
     v0 = pres.charmap.vectors[f0]
     if any(u(v0) != -1 for u in pres.dual_covectors):
@@ -127,8 +127,9 @@ def cmd_kring(args):
         functional = (_fraction_list(args.functional, "--functional")
                       if args.functional else generic_functional(p.dim))
         vo = order_vertices(p, functional)
-    base = lam.base_vertex if lam.base_vertex is not None else vo.order[0]
-    pres = build_presentation(p, lam, coeffs, base)
+    if lam.base_vertex is None:
+        lam = CharacteristicMap(lam.vectors, vo.order[0])
+    pres = build_presentation(p, lam, coeffs)
     basis = compute_basis(pres, vo, budget=args.budget)
     projective = _projective_check(pres, basis)
     _emit(jsonio.kring_report(pres, basis, projective), args.format)

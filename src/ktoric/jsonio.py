@@ -176,7 +176,7 @@ def kring_report(pres, basis, projective=None):
         "polytope": polytope_to_dict(pres.polytope),
         "lambda": charmap_to_dict(pres.charmap),
         "coefficients": [str(v) for v in pres.coeffs.values],
-        "base_vertex": pres.base_vertex,
+        "base_vertex": pres.charmap.base_vertex,
         "variables": list(pres.var_names),
         "relations": _rendered_relations(pres),
         "vertex_count": basis.m,

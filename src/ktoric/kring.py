@@ -11,11 +11,10 @@ integers, and the structure constants come out integral.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charmap import dual_basis, reindex_to_base, validate_charmap
+from .charmap import dual_basis, validate_charmap
 from .errors import (
     InfiniteDimensionError,
     KtoricError,
-    NoBaseVertexError,
     NotAUnitError,
     RankDeficientError,
     ValidationFailedError,
@@ -111,7 +110,6 @@ class KRingPresentation:
     polytope: object
     charmap: object
     coeffs: CoefficientSpec
-    base_vertex: int
     base_facets: tuple
     dual_covectors: tuple
     order: DegRevLex
@@ -134,8 +132,9 @@ class KRingPresentation:
         return tuple(f"x{j}" for j in range(self.polytope.facet_count))
 
 
-def build_presentation(p, lam, coeffs=None, base_vertex=None):
-    """Assemble the ideal for a validated polytope and facet assignment.
+def build_presentation(p, lam, coeffs=None):
+    """Assemble the ideal for a validated polytope and facet assignment, at
+    the assignment's base vertex (NoBaseVertexError when it has none).
 
     Variables are ordered so the base vertex facets dominate; relations are
     the square-free monomials of the minimal empty-intersection facet sets
@@ -147,25 +146,20 @@ def build_presentation(p, lam, coeffs=None, base_vertex=None):
     l_rep = validate_charmap(p, lam)
     if not l_rep.ok:
         raise ValidationFailedError("facet vectors failed validation:\n" + str(l_rep))
-    if base_vertex is None:
-        base_vertex = lam.base_vertex
-    if base_vertex is None:
-        raise NoBaseVertexError(
-            "no base vertex on the facet assignment and none supplied")
+    duals = dual_basis(p, lam)
     if coeffs is None:
         coeffs = CoefficientSpec.ones(p.dim)
     if len(coeffs.values) != p.dim:
         raise ValueError("one coefficient per base facet required")
-    lam = reindex_to_base(p, lam, base_vertex)
-    base_facets = tuple(sorted(p.vertices[base_vertex]))
-    duals = dual_basis(p, lam)
-    rest = tuple(j for j in range(p.facet_count) if j not in p.vertices[base_vertex])
+    base = p.vertices[lam.base_vertex]
+    base_facets = tuple(sorted(base))
+    rest = tuple(j for j in range(p.facet_count) if j not in base)
     order = DegRevLex(base_facets + rest)
     d = p.facet_count
     nonface_gens = tuple(_square_free(d, nf) for nf in minimal_nonfaces(p))
     covector_gens = tuple(
         covector_relation(lam, u, coeffs, base_facets) for u in duals)
-    return KRingPresentation(p, lam, coeffs, base_vertex, base_facets, duals,
+    return KRingPresentation(p, lam, coeffs, base_facets, duals,
                              order, nonface_gens, covector_gens, p_rep, l_rep)
 
 

@@ -7,11 +7,15 @@ functionals; geometric consistency with the incidence data is not checked.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import mul
 
 from .errors import OrderPropertyError, TieError
 from .validation import CheckResult, ValidationReport, strict_int, strict_rational
+
+# validate_polytope lists at most this many of the facets on no vertex
+MISSING_SHOWN = 20
 
 
 @dataclass(frozen=True)
@@ -159,11 +163,16 @@ def validate_polytope(p):
         "distinct_vertices", not dups,
         f"duplicate vertex pairs: {dups}" if dups else ""))
 
+    # every facet index is in range, so the unused ones are counted, and
+    # the scan for the first of them stops after MISSING_SHOWN
     used = frozenset().union(*p.vertices)
-    missing = sorted(set(range(p.facet_count)) - used)
-    checks.append(CheckResult(
-        "facet_coverage", not missing,
-        f"facets on no vertex: {missing}" if missing else ""))
+    unused = p.facet_count - len(used)
+    shown = list(islice((f for f in range(p.facet_count) if f not in used),
+                        MISSING_SHOWN))
+    detail = f"facets on no vertex: {shown}" if unused else ""
+    if unused > MISSING_SHOWN:
+        detail = f"{unused} facets on no vertex, the first {MISSING_SHOWN}: {shown}"
+    checks.append(CheckResult("facet_coverage", not unused, detail))
 
     adj = [[v for v in ends.values() if v is not None] for ends in _edges(p)]
     wrong = [i for i in range(m) if len(adj[i]) != n]

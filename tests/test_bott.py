@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -288,6 +289,18 @@ def test_cartan_tables_frozen():
         (2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
     assert cartan_matrix("D", 4) == (
         (2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def test_cartan_rank_past_the_entry_cap_is_refused():
+    # rank 316 has 99856 <= RANK_CAP entries and 317 has 100489; the rank is
+    # refused before a row is built, and l * l is never formed
+    assert math.isqrt(RANK_CAP) == 316
+    assert len(cartan_matrix("A", 316)) == 316
+    for kind, rank in (("A", 317), ("D", 20000), ("B", 2 ** 70), ("C", 10 ** 288)):
+        with pytest.raises(BudgetExceededError) as exc:
+            cartan_matrix(kind, rank)
+        assert str(exc.value) == (
+            f"a Cartan matrix of rank {rank} has more than {RANK_CAP} entries")
 
 
 def outcome(f, *args):

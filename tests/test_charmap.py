@@ -14,7 +14,6 @@ from ktoric import (
     dual_basis,
     product,
     product_charmap,
-    reindex_to_base,
     simplex,
     simplex_charmap,
     validate_charmap,
@@ -142,15 +141,14 @@ def test_dual_basis_nonunimodular_base_rejected():
         dual_basis(simplex(2), lam)
 
 
-def test_reindex_keeps_vectors():
-    lam = simplex_charmap(2)
-    moved = reindex_to_base(simplex(2), lam, 1)
-    assert moved.vectors == lam.vectors
-    assert moved.base_vertex == 1
-    again = reindex_to_base(simplex(2), moved, 1)
-    assert again == moved
-    with pytest.raises(ValueError):
-        reindex_to_base(simplex(2), lam, 7)
+@pytest.mark.parametrize("base", [-1, 3, 7])
+def test_validate_charmap_base_vertex_out_of_range(base):
+    # the triangle has vertices 0, 1 and 2; the one range check of a base
+    # vertex is validate_charmap's
+    lam = CharacteristicMap(simplex_charmap(2).vectors, base)
+    with pytest.raises(ValueError, match="base vertex index out of range"):
+        validate_charmap(simplex(2), lam)
+    assert validate_charmap(simplex(2), CharacteristicMap(lam.vectors, 2)).ok
 
 
 def test_product_charmap_blocks():

@@ -282,6 +282,47 @@ def test_tower_past_the_rank_cap_is_exit_one(json_file, monkeypatch, capsys,
         f"error: a tower of height {n} has rank 2^{n}, more than {RANK_CAP}\n")
 
 
+@pytest.mark.parametrize("rank, code", [
+    (316, 0), (317, 1), (2 ** 70, 1), (10 ** 288, 1)],
+    ids=["316", "317", "2^70", "10^288"])
+def test_cartan_rank_past_the_entry_cap_is_exit_one(json_file, capsys, rank, code):
+    # the report echoes the whole matrix, so a named rank is refused once
+    # its rank x rank matrix has more than RANK_CAP entries, before a row
+    start = time.process_time()
+    assert main(["bott-samelson",
+                 json_file({"type": "A", "rank": rank, "word": [1]})]) == code
+    assert time.process_time() - start < 10
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert len(json.loads(out)["input"]["matrix"]) == 316
+    else:
+        assert err == (f"error: a Cartan matrix of rank {rank} has more "
+                       f"than {RANK_CAP} entries\n")
+
+
+def test_base_vertex_out_of_range_is_exit_two(json_file, capsys):
+    tri = {**SIMPLEX2, "coords": [[0, 0], [1, 0], [0, 1]]}
+    assert main(["kring", json_file(tri), json_file({**SIMPLEX2_LAM,
+                                                      "base_vertex": 7})]) == 2
+    assert capsys.readouterr().err == (
+        "input error: base vertex index out of range\n")
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("validate", 2, "input error: one vector per facet required\n"),
+    ("kring", 1, "error: polytope failed validation:\n"),
+], ids=["validate", "kring"])
+def test_thirty_million_facets_are_counted_not_listed(json_file, capsys,
+                                                      command, code, err):
+    # the unused facets are counted and the first MISSING_SHOWN of them
+    # listed; a set of all 30000000 indices once took about 2 GB
+    tri = {**SIMPLEX2, "facets": 30000000, "coords": [[0, 0], [1, 0], [0, 1]]}
+    start = time.process_time()
+    assert main([command, json_file(tri), json_file(SIMPLEX2_LAM)]) == code
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err.startswith(err)
+
+
 def test_negative_budget_is_exit_two(tower_files, capsys):
     tf = tower_files(2, [(1, 2, 1)])
     with pytest.raises(SystemExit) as exc:

@@ -21,6 +21,7 @@ from ktoric import (
     simplex,
     validate_polytope,
 )
+from ktoric import polytope
 from ktoric.polytope import _edges
 
 from oracles import pairwise_adjacency
@@ -120,6 +121,34 @@ def test_validate_flags_uncovered_facet():
     p = SimplePolytope(2, 4, (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})))
     rep = validate_polytope(p)
     assert any(c.name == "facet_coverage" for c in rep.failures())
+
+
+def coverage_detail(p):
+    [check] = [c for c in validate_polytope(p).checks if c.name == "facet_coverage"]
+    return check.detail
+
+
+TRIANGLE_ON = [frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1})]
+
+
+def test_uncovered_facets_listed_in_full_up_to_the_cap():
+    # the triangle's vertices use facets 0, 1 and 2; the rest are unused
+    shown = polytope.MISSING_SHOWN
+    p = SimplePolytope(2, 3 + shown, TRIANGLE_ON)
+    assert coverage_detail(p) == (
+        f"facets on no vertex: {list(range(3, 3 + shown))}")
+    assert coverage_detail(SimplePolytope(2, 5, TRIANGLE_ON)) == (
+        "facets on no vertex: [3, 4]")
+
+
+@pytest.mark.parametrize("facets", [polytope.MISSING_SHOWN + 4, 30000000, 2 ** 70],
+                         ids=["cap+4", "3e7", "2^70"])
+def test_uncovered_facets_past_the_cap_are_counted(facets):
+    # no set of every facet index is formed, so 2^70 facets are as quick
+    shown = polytope.MISSING_SHOWN
+    detail = coverage_detail(SimplePolytope(2, facets, TRIANGLE_ON))
+    assert detail == (f"{facets - 3} facets on no vertex, the first {shown}: "
+                      f"{list(range(3, 3 + shown))}")
 
 
 def test_validate_flags_disconnected():

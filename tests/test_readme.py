@@ -1,11 +1,13 @@
 """The README's examples run and say what they show."""
 
+import argparse
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 from ktoric import jsonio
+from ktoric.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
     encoding="utf-8")
@@ -57,3 +59,25 @@ def test_json_input_examples_are_read():
     for doc in docs:
         [key] = [k for k in READERS if k in doc]
         READERS[key](doc)
+
+
+def synopsis():
+    """{command: its options} from the block under "## Command line", a
+    command's continuation lines indented below it."""
+    block = README.split("## Command line", 1)[1].split("```\n")[1]
+    out = {}
+    for line in block.splitlines():
+        if line.startswith("ktoric "):
+            command = line.split()[1]
+            out[command] = set()
+        out[command] |= set(re.findall(r"\[(--[a-z-]+)", line))
+    return out
+
+
+def test_synopsis_lists_every_option_of_every_command():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    parsed = {name: {o for a in sp._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+              for name, sp in commands.choices.items()}
+    assert synopsis() == parsed
