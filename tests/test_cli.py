@@ -282,12 +282,12 @@ def test_tower_past_the_rank_cap_is_exit_one(json_file, monkeypatch, capsys,
         f"error: a tower of height {n} has rank 2^{n}, more than {RANK_CAP}\n")
 
 
-@pytest.mark.parametrize("rank, code", [
-    (316, 0), (317, 1), (2 ** 70, 1), (10 ** 288, 1)],
-    ids=["316", "317", "2^70", "10^288"])
+@pytest.mark.parametrize("rank, code", [(316, 0), (317, 1), (1000, 1)])
 def test_cartan_rank_past_the_entry_cap_is_exit_one(json_file, capsys, rank, code):
     # the report echoes the whole matrix, so a named rank is refused once
-    # its rank x rank matrix has more than RANK_CAP entries, before a row
+    # its rank x rank matrix has more than RANK_CAP entries, before a row.
+    # Ranks whose matrix would not fit in memory run in test_fuzz's child,
+    # under an address-space limit
     start = time.process_time()
     assert main(["bott-samelson",
                  json_file({"type": "A", "rank": rank, "word": [1]})]) == code
@@ -315,7 +315,8 @@ def test_base_vertex_out_of_range_is_exit_two(json_file, capsys):
 def test_thirty_million_facets_are_counted_not_listed(json_file, capsys,
                                                       command, code, err):
     # the unused facets are counted and the first MISSING_SHOWN of them
-    # listed; a set of all 30000000 indices once took about 2 GB
+    # listed; a set of all 30000000 indices once took about 2 GB. Facet
+    # counts past memory run in test_fuzz's child
     tri = {**SIMPLEX2, "facets": 30000000, "coords": [[0, 0], [1, 0], [0, 1]]}
     start = time.process_time()
     assert main([command, json_file(tri), json_file(SIMPLEX2_LAM)]) == code

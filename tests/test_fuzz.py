@@ -1,5 +1,6 @@
 """The input boundary, fuzzed: every mutated input file ends in exit 0, 1
-or 2, never in another exception, a memory error or a run without end.
+or 2, never in another exception, a memory error or a run without end, and
+each fixed input past a size bound ends in its own exit code.
 
 The cases are drawn from a fixed seed. They all run in one child
 interpreter under a 2 GiB address-space limit and an alarm per case, so an
@@ -105,16 +106,17 @@ COMMAND_OPTIONS = {
 }
 
 # each a document that makes the program build something as large as a
-# number it holds, unless that size is bounded first
+# number it holds, unless that size is bounded first, with its exit code
 BIG_TRIANGLE = {**TRIANGLE, "facets": 30000000}
 FIXED = [
-    ("validate", [BIG_TRIANGLE, TRIANGLE_LAM], []),
-    ("kring", [BIG_TRIANGLE, TRIANGLE_LAM], []),
-    ("kring", [TRIANGLE, {**TRIANGLE_LAM, "base_vertex": 7}], []),
-    ("bott-samelson", [{"type": "A", "rank": 317, "word": [1]}], []),
-    ("bott-samelson", [{"type": "A", "rank": 20000, "word": [1]}], []),
-    ("bott-samelson", [{"type": "A", "rank": 2 ** 70, "word": [1]}], []),
-    ("bott-samelson", [{"type": "A", "rank": 10 ** 288, "word": [1]}], []),
+    ("validate", [BIG_TRIANGLE, TRIANGLE_LAM], [], 2),
+    ("kring", [BIG_TRIANGLE, TRIANGLE_LAM], [], 1),
+    ("validate", [{**TRIANGLE, "facets": 2 ** 70}, TRIANGLE_LAM], [], 2),
+    ("kring", [TRIANGLE, {**TRIANGLE_LAM, "base_vertex": 7}], [], 2),
+    ("bott-samelson", [{"type": "A", "rank": 317, "word": [1]}], [], 1),
+    ("bott-samelson", [{"type": "A", "rank": 20000, "word": [1]}], [], 1),
+    ("bott-samelson", [{"type": "A", "rank": 2 ** 70, "word": [1]}], [], 1),
+    ("bott-samelson", [{"type": "A", "rank": 10 ** 288, "word": [1]}], [], 1),
 ]
 
 
@@ -184,7 +186,7 @@ def draw(rng):
 
 def test_every_fuzzed_input_exits_0_1_or_2(tmp_path):
     rng = random.Random(SEED)
-    cases = FIXED + [draw(rng) for _ in range(CASES)]
+    cases = [case[:3] for case in FIXED] + [draw(rng) for _ in range(CASES)]
     written = itertools.count()
 
     def file_of(doc):
@@ -209,3 +211,4 @@ def test_every_fuzzed_input_exits_0_1_or_2(tmp_path):
     bad = [(case, r) for case, r in zip(cases, results)
            if type(r) is not int or r not in (0, 1, 2)]
     assert not bad
+    assert results[:len(FIXED)] == [case[3] for case in FIXED]
