@@ -10,6 +10,7 @@ data, one stage per letter.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import isqrt
 from operator import add, sub
@@ -85,22 +86,24 @@ def bott_charmap(c):
 @dataclass(frozen=True, eq=False)
 class LaurentPresentation:
     """One invertible generator per stage. Variables 0..n-1 are the
-    generators, n..2n-1 their formal inverses."""
+    generators, n..2n-1 their formal inverses; the inverse relations
+    y_k * y_k_inv - 1 follow from the height n."""
 
-    n: int
     matrix: BottMatrix
     defining: tuple
-    inverse_gens: tuple
     order: DegRevLex
-    notes: tuple = ()
+
+    @property
+    def n(self):
+        return self.matrix.n
 
     @property
     def nvars(self):
         return 2 * self.n
 
-    @property
+    @cached_property
     def ideal_gens(self):
-        return self.defining + self.inverse_gens
+        return self.defining + _inverse_relations(self.n)
 
     @property
     def var_names(self):
@@ -117,7 +120,7 @@ class LaurentPresentation:
         return self.n + i - 1
 
 
-def bott_presentation(c, notes=()):
+def bott_presentation(c):
     """Relations of the tower ring: stage i satisfies (y_i - 1)(y_i - P_i) = 0
     with P_i the monomial prod over j < i of y_j^(-c[j][i]), negative powers
     realized through the inverse variables, plus y_i * y_i_inv = 1 for every
@@ -133,8 +136,7 @@ def bott_presentation(c, notes=()):
     for i, exps in enumerate(powers):
         yi = Poly.variable(nv, i)
         defining.append((yi - 1) * (yi - Poly(nv, {Monomial(exps): 1})))
-    return LaurentPresentation(n, c, tuple(defining), _inverse_relations(n),
-                               DegRevLex.standard(nv), tuple(notes))
+    return LaurentPresentation(c, tuple(defining), DegRevLex.standard(nv))
 
 
 def _inverse_relations(n):
@@ -162,18 +164,14 @@ def _centred_swap(g, n):
 
 def involution_check(pres, budget=DEFAULT_BUDGET):
     """Swapping every generator with its inverse must preserve the ideal.
-    pres must hold the inverse relations y_k * y_k_inv - 1 (ValueError
-    otherwise): modulo them every monomial is a unit and equals its
-    cancelled form, so a relation's swap lies in the ideal exactly when its
-    centred swap does, and each centred swap must reduce to zero. budget
-    caps Buchberger's cancellation steps and, separately, the reductions'."""
-    n = pres.n
-    if pres.inverse_gens != _inverse_relations(n):
-        raise ValueError("the involution check needs the inverse relations "
-                         "y_k * y_k_inv - 1")
+    Modulo the inverse relations y_k * y_k_inv - 1 every monomial is a unit
+    and equals its cancelled form, so a relation's swap lies in the ideal
+    exactly when its centred swap does, and each centred swap must reduce to
+    zero. budget caps Buchberger's cancellation steps and, separately, the
+    reductions'."""
     gb = buchberger(pres.ideal_gens, pres.order, budget)
     counter = _Budget(budget, "involution check")
-    return all(gb.normal_form(_centred_swap(g, n), counter).is_zero
+    return all(gb.normal_form(_centred_swap(g, pres.n), counter).is_zero
                for g in pres.ideal_gens)
 
 
@@ -306,11 +304,7 @@ def cartan_word_matrix(cw):
 
 
 def bott_samelson_presentation(cw):
-    """The tower presentation of a word, with a note pinning down what each
-    generator is: the class of the line bundle O(-M_i) on the subvariety
-    M_i carved out by the first i letters."""
-    c = cartan_word_matrix(cw)
-    notes = tuple(
-        f"y{i} is the class of the line bundle O(-M{i}) of the stage-{i} subvariety"
-        for i in range(1, c.n + 1))
-    return bott_presentation(c, notes)
+    """The tower presentation of a word: generator y_i is the class of the
+    line bundle O(-M_i) on the subvariety M_i carved out by the first i
+    letters."""
+    return bott_presentation(cartan_word_matrix(cw))

@@ -123,6 +123,8 @@ def cmd_kring(args):
     coeffs = CoefficientSpec.of(_fraction_list(args.r, "--r")) if args.r else None
     if args.order_file:
         vo = jsonio.vertex_order_from_dict(_load_json(args.order_file))
+        if len(vo.order) != p.vertex_count:
+            raise ValueError("vertex order size does not match the polytope")
     else:
         functional = (_fraction_list(args.functional, "--functional")
                       if args.functional else generic_functional(p.dim))
@@ -150,7 +152,7 @@ def cmd_bott(args):
 
 
 def cmd_bott_samelson(args):
-    cw = jsonio.cartan_word_from_dict(_load_json(args.cartan), args.convention)
+    cw = jsonio.cartan_word_from_dict(_load_json(args.cartan))
     return _laurent_command(args, bott_samelson_presentation(cw),
                             functools.partial(jsonio.samelson_report, cw))
 
@@ -201,8 +203,6 @@ def build_parser():
 
     s = sub.add_parser("bott-samelson", help="tower relations from a word of simple roots")
     s.add_argument("cartan", help="Cartan data JSON file")
-    s.add_argument("--convention", choices=("row", "col"), default=None,
-                   help="pairing convention, overrides the file")
     add_common(s)
 
     c = sub.add_parser("compare", help="cross-check the two presentations of a tower")

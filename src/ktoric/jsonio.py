@@ -110,11 +110,9 @@ def bott_to_dict(c):
     return {"n": c.n, "c": [list(t) for t in c.triples]}
 
 
-def cartan_word_from_dict(data, convention=None):
+def cartan_word_from_dict(data):
     _require(data, "type", "word")
     kind = str(data["type"])
-    if convention is None:
-        convention = data.get("convention", "row")
     word = _ints(data["word"], "word")
     if kind == "matrix":
         _require(data, "matrix")
@@ -125,7 +123,7 @@ def cartan_word_from_dict(data, convention=None):
     else:
         _require(data, "rank")
         mat = cartan_matrix(kind, _int(data["rank"], "rank"))
-    return CartanWord(mat, word, convention)
+    return CartanWord(mat, word, data.get("convention", "row"))
 
 
 def cartan_word_to_dict(cw):
@@ -217,7 +215,8 @@ def samelson_report(cw, pres, rank, involution_ok):
         "matrix": bott_to_dict(pres.matrix),
         "variables": list(pres.var_names),
         "relations": _rendered_relations(pres),
-        "notes": list(pres.notes),
+        "notes": [f"y{i} is the class of the line bundle O(-M{i}) of the "
+                  f"stage-{i} subvariety" for i in range(1, pres.n + 1)],
         "rank": rank,
         "expected_rank": 2 ** pres.n,
         "involution_ok": bool(involution_ok),

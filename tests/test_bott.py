@@ -21,12 +21,13 @@ from ktoric import (
     cartan_matrix,
     compute_basis,
     involution_check,
+    jsonio,
     laurent_rank,
     order_vertices,
     quotient_basis,
     validate_charmap,
 )
-from ktoric.bott import _centred_swap, cartan_word_matrix
+from ktoric.bott import _centred_swap, _inverse_relations, cartan_word_matrix
 from ktoric.polyring import RANK_CAP, render_poly
 from ladder import generic_functional, random_tower
 from oracles import (
@@ -158,9 +159,25 @@ def test_presentation_twisted_stage():
 
 
 def test_presentation_variable_helpers():
-    lp = bott_presentation(BottMatrix(2), notes=("a note",))
+    lp = bott_presentation(BottMatrix(2))
     assert (lp.y(1), lp.y(2), lp.y_inv(1), lp.y_inv(2)) == (0, 1, 2, 3)
-    assert lp.notes == ("a note",)
+    assert [f.name for f in dataclasses.fields(lp)] == [
+        "matrix", "defining", "order"]
+    assert (lp.n, lp.nvars) == (2, 4)
+    # the inverse relations follow from the height, built once per record;
+    # a copy with other stage relations builds its own
+    assert lp.ideal_gens is lp.ideal_gens
+    assert lp.ideal_gens == lp.defining + _inverse_relations(2)
+    one = dataclasses.replace(lp, defining=lp.defining[:1])
+    assert one.ideal_gens == lp.defining[:1] + _inverse_relations(2)
+    # letters 1 and 3 of A3 pair to 0: the word gives the untwisted tower,
+    # and its report notes what each generator is
+    cw = CartanWord(cartan_matrix("A", 3), (1, 3))
+    assert bott_samelson_presentation(cw).matrix == lp.matrix
+    assert jsonio.samelson_report(cw, lp, 4, True)["notes"] == [
+        "y1 is the class of the line bundle O(-M1) of the stage-1 subvariety",
+        "y2 is the class of the line bundle O(-M2) of the stage-2 subvariety",
+    ]
 
 
 def test_involution():
@@ -219,16 +236,6 @@ def test_perturbed_relations_fail_the_involution_check():
         assert involution_check(bad) is swapped_involution_check(bad) is False
 
 
-def test_involution_check_needs_the_inverse_relations():
-    # the centred swap equals the swap up to a unit only modulo y_k*y_k_inv - 1
-    pres = bott_presentation(tower(2, (1, 2, 1)))
-    y1, y1_inv = Poly.variable(4, 0), Poly.variable(4, 2)
-    bad = dataclasses.replace(
-        pres, inverse_gens=(y1 * y1_inv - 2, pres.inverse_gens[1]))
-    with pytest.raises(ValueError, match="inverse relations"):
-        involution_check(bad)
-
-
 def test_centred_swap_of_tower_relations_property():
     # each stage relation's centred swap is the relation, each inverse
     # relation's is zero, so the involution check reduces only relations
@@ -242,7 +249,7 @@ def test_centred_swap_of_tower_relations_property():
         pres = bott_presentation(BottMatrix(*case))
         for g in pres.defining:
             assert _centred_swap(g, pres.n) == g
-        for g in pres.inverse_gens:
+        for g in _inverse_relations(pres.n):
             assert _centred_swap(g, pres.n).is_zero
 
     check()
@@ -383,17 +390,19 @@ def test_cartan_word_validation():
 
 
 def test_word_presentation_frozen():
-    bs = bott_samelson_presentation(CartanWord(cartan_matrix("A", 2), (1, 2)))
+    cw = CartanWord(cartan_matrix("A", 2), (1, 2))
+    bs = bott_samelson_presentation(cw)
     assert gens_rendered(bs) == [
         "y1^2 - 2*y1 + 1",
         "-y1*y2 + y2^2 + y1 - y2",
         "y1*y1_inv - 1",
         "y2*y2_inv - 1",
     ]
-    assert len(bs.notes) == 2
-    assert "stage-1" in bs.notes[0] and "stage-2" in bs.notes[1]
     _, std = quotient_basis(bs)
     assert len(std) == 4
+    notes = jsonio.samelson_report(cw, bs, len(std), True)["notes"]
+    assert len(notes) == 2
+    assert "stage-1" in notes[0] and "stage-2" in notes[1]
 
 
 def test_word_presentation_ranks():

@@ -308,6 +308,27 @@ def test_base_vertex_out_of_range_is_exit_two(json_file, capsys):
         "input error: base vertex index out of range\n")
 
 
+@pytest.mark.parametrize("order", [[3, 0, 1, 2], [1, 0]])
+@pytest.mark.parametrize("base", [None, 0])
+def test_order_file_of_the_wrong_size_is_exit_two(json_file, order, base,
+                                                  monkeypatch, capsys):
+    # refused before the base vertex is taken from the order and before any
+    # work is done
+    def no_work(*args):
+        raise AssertionError("presentation built")
+
+    monkeypatch.setattr(cli, "build_presentation", no_work)
+    tri = {**SIMPLEX2, "coords": [[0, 0], [1, 0], [0, 1]]}
+    lam = {"lambda": SIMPLEX2_LAM["lambda"]}
+    if base is not None:
+        lam["base_vertex"] = base
+    argv = ["kring", json_file(tri), json_file(lam),
+            "--order-file", json_file({"order": order})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: vertex order size does not match the polytope\n")
+
+
 @pytest.mark.parametrize("command, code, err", [
     ("validate", 2, "input error: one vector per facet required\n"),
     ("kring", 1, "error: polytope failed validation:\n"),
@@ -476,7 +497,7 @@ def shared_parser_runs(json_file, simplex_files, tower_files):
         (["kring", spf, slf], ["--order-file", of]),
         (["kring", cpf, clf], ["--budget", "1"]),
         (["bott", tf], ["--format", "text", "--budget", "1"]),
-        (["bott-samelson", bf], ["--convention", "col", "--format", "text"]),
+        (["bott-samelson", bf], ["--format", "text", "--budget", "1"]),
         (["compare", tf], ["--budget", "1"]),
     ]
 
@@ -582,6 +603,28 @@ def test_kring_report_round_trips(simplex_files, capsys):
     assert p.dim == 2 and p.facet_count == 3
     assert lam.vectors == ((-1, -1), (1, 0), (0, 1))
     assert lam.base_vertex == 0
+
+
+@pytest.mark.parametrize("p, lam, functional", [
+    (simplex(2), simplex_charmap(2), "-1,2"),
+    (*bott_charmap(BottMatrix(3, [(1, 2, 1), (2, 3, -1)])), "-1,2,-4"),
+], ids=["triangle", "cube3"])
+def test_kring_default_base_vertex_is_the_lowest(json_file, p, lam, functional,
+                                                 capsys):
+    # a labeling without base_vertex, as the benchmark's are, takes the
+    # lowest vertex of the order, here not vertex 0, and reports as the same
+    # labeling with that base vertex set
+    pf = json_file(jsonio.polytope_to_dict(p))
+    vectors = [list(v) for v in lam.vectors]
+    options = [f"--functional={functional}"]
+    code, out = run_main(["kring", pf, json_file({"lambda": vectors}), *options],
+                         capsys)
+    assert code == 0
+    report = json.loads(out)
+    base = report["base_vertex"]
+    assert base == report["vertex_order"][0] != 0
+    lf = json_file({"lambda": vectors, "base_vertex": base})
+    assert run_main(["kring", pf, lf, *options], capsys) == (code, out)
 
 
 def test_kring_functional_flag(simplex_files, capsys):
@@ -698,14 +741,21 @@ def test_bott_samelson_report(json_file, capsys):
 
 
 def test_bott_samelson_convention_flag(json_file, capsys):
-    cf = json_file({"type": "B", "rank": 2, "word": [1, 2]})
-    assert main(["bott-samelson", cf]) == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row["matrix"] == {"n": 2, "c": [[1, 2, -2]]}
-    assert main(["bott-samelson", cf, "--convention", "col"]) == 0
-    col = json.loads(capsys.readouterr().out)
-    assert col["matrix"] == {"n": 2, "c": [[1, 2, -1]]}
-    assert col["rank"] == 4
+    # the word file's "convention" key is the one setter of the pairing
+    for convention, twist in ((None, -2), ("row", -2), ("col", -1)):
+        doc = {"type": "B", "rank": 2, "word": [1, 2]}
+        if convention is not None:
+            doc["convention"] = convention
+        cf = json_file(doc)
+        assert main(["bott-samelson", cf]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input"]["convention"] == (convention or "row")
+        assert report["matrix"] == {"n": 2, "c": [[1, 2, twist]]}
+        assert report["rank"] == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["bott-samelson", cf, "--convention", "col"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convention col" in capsys.readouterr().err
 
 
 def test_tower_duplicate_entry_is_exit_two(tower_files, capsys):

@@ -79,12 +79,15 @@ CUBE3 = {"dim": 3, "facets": 6,
                     [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]}
 CUBE3_LAM = {"lambda": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                         [0, 0, 1], [0, 0, -1]], "base_vertex": 0}
-LABELED = [(TRIANGLE, TRIANGLE_LAM), (SQUARE, SQUARE_LAM), (CUBE3, CUBE3_LAM)]
+# the last labeling has no base vertex, as the benchmark's have none: kring
+# takes the lowest vertex of the order
+LABELED = [(TRIANGLE, TRIANGLE_LAM), (SQUARE, SQUARE_LAM), (CUBE3, CUBE3_LAM),
+           (CUBE3, {"lambda": CUBE3_LAM["lambda"]})]
 TOWER3 = {"n": 3, "c": [[1, 2, 1], [1, 3, -2], [2, 3, 1]]}
 WORDS = [
     {"type": "A", "rank": 2, "word": [1, 2, 1]},
     {"type": "B", "rank": 2, "word": [1, 2], "convention": "row"},
-    {"type": "G", "rank": 2, "word": [2, 1]},
+    {"type": "G", "rank": 2, "word": [2, 1], "convention": "col"},
     {"type": "D", "rank": 4, "word": [1, 2, 3]},
     {"type": "matrix", "rank": 2, "matrix": [[2, -1], [-2, 2]], "word": [1, 2]},
 ]
@@ -95,14 +98,13 @@ OPTIONS = {
     "--budget": ["0", "1", "50"],
     "--r": ["2,3", "1/2,-1", "0,1", "1/0", "a", "1"],
     "--functional": ["1,2", "1,1", "3,-7,19", "x"],
-    "--convention": ["row", "col"],
 }
 COMMAND_OPTIONS = {
     "validate": [],
     "kring": ["--budget", "--r", "--functional", "--order-file"],
     "bott": ["--budget"],
     "compare": ["--budget"],
-    "bott-samelson": ["--budget", "--convention"],
+    "bott-samelson": ["--budget"],
 }
 
 # each a document that makes the program build something as large as a
