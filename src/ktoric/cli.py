@@ -191,10 +191,10 @@ def build_parser():
     k.add_argument("vectors", help="facet vector JSON file")
     k.add_argument("--r", default=None,
                    help="comma separated coefficients, one per base facet (default all 1)")
-    k.add_argument("--functional", default=None,
-                   help="comma separated height functional (default 1,2,4,...)")
-    k.add_argument("--order-file", dest="order_file", default=None,
-                   help="JSON file with an explicit vertex order")
+    order = k.add_mutually_exclusive_group()
+    order.add_argument("--functional",
+                       help="comma separated height functional (default 1,2,4,...)")
+    order.add_argument("--order-file", help="JSON file with an explicit vertex order")
     add_common(k)
 
     b = sub.add_parser("bott", help="relations and rank of a tower")

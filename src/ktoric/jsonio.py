@@ -28,17 +28,26 @@ def _list(x, field):
     return x
 
 
+def _str(x, field):
+    if type(x) is not str:
+        raise ValueError(f"{field}: expected a string, got {x!r}")
+    return x
+
+
 def _ints(seq, field):
     return tuple(_int(x, field) for x in _list(seq, field))
 
 
-def _require(data, *keys):
-    """Raise ValueError unless data is a JSON object holding every key."""
+def _require(data, *keys, optional=()):
+    """Raise ValueError unless data's keys are keys plus some of optional."""
     if type(data) is not dict:
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     for key in keys:
         if key not in data:
             raise ValueError(f"{key}: required key missing")
+    for key in data:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{key}: unknown key")
 
 
 def rational(x, field):
@@ -60,7 +69,7 @@ def rational(x, field):
 
 
 def polytope_from_dict(data):
-    _require(data, "dim", "facets", "vertices")
+    _require(data, "dim", "facets", "vertices", optional=("coords",))
     vertices = tuple(frozenset(_ints(v, "vertices"))
                      for v in _list(data["vertices"], "vertices"))
     coords = data.get("coords")
@@ -83,7 +92,7 @@ def polytope_to_dict(p):
 
 
 def charmap_from_dict(data):
-    _require(data, "lambda")
+    _require(data, "lambda", optional=("base_vertex",))
     vectors = tuple(_ints(row, "lambda") for row in _list(data["lambda"], "lambda"))
     base = data.get("base_vertex")
     return CharacteristicMap(vectors,
@@ -98,7 +107,7 @@ def charmap_to_dict(lam):
 
 
 def bott_from_dict(data):
-    _require(data, "n")
+    _require(data, "n", optional=("c",))
     triples = _list(data.get("c", []), "c")
     for t in triples:
         if type(t) is not list or len(t) != 3:
@@ -111,18 +120,17 @@ def bott_to_dict(c):
 
 
 def cartan_word_from_dict(data):
-    _require(data, "type", "word")
-    kind = str(data["type"])
+    _require(data, "type", "word", optional=("rank", "matrix", "convention"))
     word = _ints(data["word"], "word")
-    if kind == "matrix":
-        _require(data, "matrix")
+    if _str(data["type"], "type") == "matrix":
+        _require(data, "type", "word", "matrix", optional=("rank", "convention"))
         mat = tuple(_ints(row, "matrix") for row in _list(data["matrix"], "matrix"))
         if "rank" in data and _int(data["rank"], "rank") != len(mat):
             raise ValueError(f"rank: {data['rank']} is not the size of the "
                              f"{len(mat)}x{len(mat)} matrix")
     else:
-        _require(data, "rank")
-        mat = cartan_matrix(kind, _int(data["rank"], "rank"))
+        _require(data, "type", "word", "rank", optional=("convention",))
+        mat = cartan_matrix(data["type"], _int(data["rank"], "rank"))
     return CartanWord(mat, word, data.get("convention", "row"))
 
 

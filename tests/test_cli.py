@@ -173,6 +173,24 @@ SIMPLEX2_LAM = {"lambda": [[-1, -1], [1, 0], [0, 1]], "base_vertex": 0}
     (["bott-samelson", {"type": "A", "word": [1, 2]}], "rank: required key missing"),
     (["bott-samelson", {"type": "matrix", "word": [1, 2]}],
      "matrix: required key missing"),
+    # a key no reader reads is refused, not dropped: a misspelled "c" would
+    # leave the tower untwisted, and a named table would hide the matrix
+    # given beside it
+    (["bott", {"n": 2, "C": [[1, 2, 5]]}], "C: unknown key"),
+    (["compare", {"n": 2, "c": [], "twists": [[1, 2, 1]]}], "twists: unknown key"),
+    (["bott-samelson", {"type": "A", "rank": 2, "matrix": [[2, -3], [-1, 2]],
+                        "word": [1, 2]}], "matrix: unknown key"),
+    (["bott-samelson", {"type": "matrix", "matrix": [[2]], "word": [1],
+                        "conventions": "col"}], "conventions: unknown key"),
+    (["kring", {**SIMPLEX2, "coord": [[0, 0], [1, 0], [0, 1]]}, SIMPLEX2_LAM],
+     "coord: unknown key"),
+    (["kring", SIMPLEX2, {**SIMPLEX2_LAM, "base": 1}], "base: unknown key"),
+    (["kring", SIMPLEX2, SIMPLEX2_LAM, "--order-file",
+      {"order": [0, 1, 2], "functional": [1, 2]}], "functional: unknown key"),
+    (["bott-samelson", {"type": None, "rank": 2, "word": [1]}],
+     "type: expected a string, got None"),
+    (["bott-samelson", {"type": ["matrix"], "rank": 2, "word": [1]}],
+     "type: expected a string, got ['matrix']"),
 ])
 def test_malformed_input_names_the_key(json_file, args, message, capsys):
     # the readers name the key; a bare KeyError would print only "'word'".
@@ -603,6 +621,27 @@ def test_kring_report_round_trips(simplex_files, capsys):
     assert p.dim == 2 and p.facet_count == 3
     assert lam.vectors == ((-1, -1), (1, 0), (0, 1))
     assert lam.base_vertex == 0
+    # the echoed documents read back to what the input files gave
+    with open(pf, encoding="utf-8") as fh:
+        assert p == jsonio.polytope_from_dict(json.load(fh))
+    with open(lf, encoding="utf-8") as fh:
+        assert lam == jsonio.charmap_from_dict(json.load(fh))
+
+
+@pytest.mark.parametrize("lam, projective", [
+    ([[-1, -1], [1, 0], [0, 1]], {"relation": "x0^3", "reduces_to_zero": True}),
+    ([[1, 1], [1, 0], [0, 1]], None),
+], ids=["standard", "covector-not-minus-one"])
+def test_kring_projective_check_needs_minus_one_on_the_far_facet(
+        json_file, lam, projective, capsys):
+    # every vertex of both labelings is unimodular; only where each dual
+    # covector takes -1 on facet 0's vector does the check apply
+    pf = json_file(jsonio.polytope_to_dict(simplex(2)))
+    lf = json_file({"lambda": lam, "base_vertex": 0})
+    assert main(["kring", pf, lf]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank"] == 3
+    assert report.get("projective_check") == projective
 
 
 @pytest.mark.parametrize("p, lam, functional", [
@@ -641,6 +680,23 @@ def test_kring_order_file(json_file, simplex_files, capsys):
     assert main(["kring", pf, lf, "--order-file", of]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["vertex_order"] == [0, 2, 1]
+
+
+def test_functional_and_order_file_are_exclusive(json_file, simplex_files,
+                                                 capsys):
+    # the vertex order has one setter: beside an order file a functional,
+    # even one that does not parse, would go unread
+    pf, lf = simplex_files(2)
+    of = json_file({"order": [0, 2, 1]})
+    for first, second in (("--order-file", "--functional"),
+                          ("--functional", "--order-file")):
+        values = {"--order-file": of, "--functional": "x"}
+        with pytest.raises(SystemExit) as exc:
+            main(["kring", pf, lf, f"{first}={values[first]}",
+                  f"{second}={values[second]}"])
+        assert exc.value.code == 2
+        assert (f"argument {second}: not allowed with argument {first}"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("option, value, key, expected", [
@@ -756,6 +812,26 @@ def test_bott_samelson_convention_flag(json_file, capsys):
         main(["bott-samelson", cf, "--convention", "col"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --convention col" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, doc, reader, key", [
+    ("bott", {"n": 3, "c": [[1, 2, 1], [1, 3, -2], [2, 3, 1]]},
+     jsonio.bott_from_dict, "input"),
+    ("compare", {"n": 2, "c": [[1, 2, -1]]}, jsonio.bott_from_dict, "input"),
+    # a lower-case named table, read by cartan_matrix
+    ("bott-samelson", {"type": "b", "rank": 2, "word": [1, 2],
+                       "convention": "col"},
+     jsonio.cartan_word_from_dict, "input"),
+    ("bott-samelson", {"type": "matrix", "matrix": [[2, -1], [-3, 2]],
+                       "word": [2, 1]},
+     jsonio.cartan_word_from_dict, "input"),
+])
+def test_echoed_input_reads_back(json_file, command, doc, reader, key, capsys):
+    # the report's copy of its input holds only keys the reader reads, and
+    # reads back to what the input file gave
+    assert main([command, json_file(doc)]) == 0
+    echoed = json.loads(capsys.readouterr().out)[key]
+    assert reader(echoed) == reader(doc)
 
 
 def test_tower_duplicate_entry_is_exit_two(tower_files, capsys):

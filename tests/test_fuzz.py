@@ -1,6 +1,7 @@
 """The input boundary, fuzzed: every mutated input file ends in exit 0, 1
 or 2, never in another exception, a memory error or a run without end, and
-each fixed input past a size bound ends in its own exit code.
+each fixed input, past a size bound or holding a value no reader reads, ends
+in its own exit code.
 
 The cases are drawn from a fixed seed. They all run in one child
 interpreter under a 2 GiB address-space limit and an alarm per case, so an
@@ -119,6 +120,12 @@ FIXED = [
     ("bott-samelson", [{"type": "A", "rank": 20000, "word": [1]}], [], 1),
     ("bott-samelson", [{"type": "A", "rank": 2 ** 70, "word": [1]}], [], 1),
     ("bott-samelson", [{"type": "A", "rank": 10 ** 288, "word": [1]}], [], 1),
+    # each a value that no reader reads, refused rather than dropped
+    ("kring", [TRIANGLE, TRIANGLE_LAM],
+     [("--order-file", {"order": [0, 2, 1]}), "--functional=x"], 2),
+    ("bott-samelson", [{"type": "A", "rank": 2, "matrix": [[2, -3], [-1, 2]],
+                        "word": [1, 2]}], [], 2),
+    ("bott", [{"n": 2, "C": [[1, 2, 5]]}], [], 2),
 ]
 
 
@@ -137,7 +144,8 @@ def paths(node, at=()):
 
 def mutate(doc, rng):
     """doc with one node replaced, one list entry dropped or repeated, or one
-    key dropped; doc itself when it has no node below its root."""
+    key dropped or repeated in upper case, a key no reader reads; doc itself
+    when it has no node below its root."""
     every = list(paths(doc))
     if not every:
         return doc
@@ -146,14 +154,15 @@ def mutate(doc, rng):
     parent = doc
     for k in up:
         parent = parent[k]
-    hows = ["replace", "replace", "drop"] + ["repeat"] * isinstance(parent, list)
-    how = rng.choice(hows)
+    how = rng.choice(["replace", "replace", "drop", "repeat"])
     if how == "replace":
         parent[key] = copy.deepcopy(rng.choice(VALUES))
     elif how == "drop":
         del parent[key]
-    else:
+    elif isinstance(parent, list):
         parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key.upper()] = copy.deepcopy(parent[key])
     return doc
 
 

@@ -63,14 +63,15 @@ def test_json_input_examples_are_read():
 
 def synopsis():
     """{command: its options} from the block under "## Command line", a
-    command's continuation lines indented below it."""
+    command's continuation lines indented below it; "[--a X | --b Y]" lists
+    two options that exclude each other."""
     block = README.split("## Command line", 1)[1].split("```\n")[1]
     out = {}
     for line in block.splitlines():
         if line.startswith("ktoric "):
             command = line.split()[1]
             out[command] = set()
-        out[command] |= set(re.findall(r"\[(--[a-z-]+)", line))
+        out[command] |= set(re.findall(r"(?:\[|\| )(--[a-z-]+)", line))
     return out
 
 
