@@ -122,7 +122,8 @@ def bott_to_dict(c):
 def cartan_word_from_dict(data):
     _require(data, "type", "word", optional=("rank", "matrix", "convention"))
     word = _ints(data["word"], "word")
-    if _str(data["type"], "type") == "matrix":
+    # any case, as cartan_matrix reads a named kind
+    if _str(data["type"], "type").upper() == "MATRIX":
         _require(data, "type", "word", "matrix", optional=("rank", "convention"))
         mat = tuple(_ints(row, "matrix") for row in _list(data["matrix"], "matrix"))
         if "rank" in data and _int(data["rank"], "rank") != len(mat):

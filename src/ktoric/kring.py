@@ -10,6 +10,7 @@ integers, and the structure constants come out integral.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .charmap import dual_basis, validate_charmap
 from .errors import (
@@ -71,38 +72,35 @@ def _square_free(nvars, facets):
     return Poly(nvars, {mono: 1})
 
 
-def _unit_power(d, j, e):
-    """(1 - x_j)^e over d variables, term by term: the coefficient of x_j^k
-    is (-1)^k C(e, k), and C(e, k+1) = C(e, k) (e - k) / (k + 1)."""
-    terms = {}
-    c = 1
-    for k in range(e + 1):
-        terms[Monomial.variable(d, j, k)] = Fraction(c)
-        c = -c * (e - k) // (k + 1)
-    return Poly._raw(d, terms)
-
-
-def covector_relation(lam, u, coeffs, base_facets):
+def covector_relation(lam, u, coeffs, base_facets, nonfaces):
     """The relation a covector u imposes: the product of (1 - x_j)^{u(v_j)}
     over facets where u is positive equals the matching product where u is
-    negative, scaled by the coefficient monomial of u. KtoricError when
-    either product's degree is past the packed-monomial degree limit, checked
+    negative, scaled by the coefficient monomial of u. Each side is expanded
+    modulo the face ideal: no term whose support contains one of nonfaces,
+    the minimal nonfaces as facet tuples, is formed. KtoricError when either
+    product's degree is past the packed-monomial degree limit, checked
     before the powers are formed."""
     d = len(lam.vectors)
     exps = [u(v) for v in lam.vectors]
     within_degree_limit(sum(e for e in exps if e > 0))
     within_degree_limit(-sum(e for e in exps if e < 0))
-    pos = Poly.one(d)
-    neg = Poly.one(d)
-    for j, e in enumerate(exps):
-        if e > 0:
-            pos = pos * _unit_power(d, j, e)
-        elif e < 0:
-            neg = neg * _unit_power(d, j, -e)
-    r_u = Fraction(1)
-    for k, f in enumerate(base_facets):
-        r_u *= coeffs.values[k] ** exps[f]
-    return pos - r_u * neg
+    masks = [sum(1 << f for f in nf) for nf in nonfaces]
+    r_u = prod(coeffs.values[k] ** exps[f] for k, f in enumerate(base_facets))
+    rel = {}
+    for sign, scale in ((1, 1), (-1, -r_u)):
+        terms = [(0, (0,) * d, scale)]  # (support bit mask, exponents, coefficient)
+        for j, e in enumerate(exps):
+            e *= sign
+            if e > 0:
+                free = [(s | 1 << j, m, c) for s, m, c in terms
+                        if not any(nf & (s | 1 << j) == nf for nf in masks)]
+                b = 1
+                for k in range(1, e + 1):
+                    b = -b * (e - k + 1) // k  # (-1)^k C(e, k)
+                    terms += [(s, m[:j] + (k,) + m[j + 1:], c * b) for s, m, c in free]
+        for _, m, c in terms:
+            rel[m] = rel.get(m, 0) + c
+    return Poly._raw(d, {Monomial._raw(m): Fraction(c) for m, c in rel.items() if c})
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +153,10 @@ def build_presentation(p, lam, coeffs=None):
     base_facets = tuple(sorted(base))
     rest = tuple(j for j in range(p.facet_count) if j not in base)
     order = DegRevLex(base_facets + rest)
-    d = p.facet_count
-    nonface_gens = tuple(_square_free(d, nf) for nf in minimal_nonfaces(p))
+    nonfaces = minimal_nonfaces(p)
+    nonface_gens = tuple(_square_free(p.facet_count, nf) for nf in nonfaces)
     covector_gens = tuple(
-        covector_relation(lam, u, coeffs, base_facets) for u in duals)
+        covector_relation(lam, u, coeffs, base_facets, nonfaces) for u in duals)
     return KRingPresentation(p, lam, coeffs, base_facets, duals,
                              order, nonface_gens, covector_gens, p_rep, l_rep)
 

@@ -23,6 +23,7 @@ from ktoric import (
     invert_unit,
     involution_check,
     laurent_rank,
+    minimal_nonfaces,
     order_vertices,
     product,
     product_charmap,
@@ -178,7 +179,8 @@ def test_criterion_6_invariants():
         # every covector relation already lies in the ideal
         for _ in range(100):
             u = Covector(tuple(rng.randint(-3, 3) for _ in range(n)))
-            z = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets)
+            z = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets,
+                                  minimal_nonfaces(p))
             ok = ok and b.normal_form(z).is_zero
         ok = ok and b.rank <= b.m
         if pres.coeffs.integral:

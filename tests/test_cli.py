@@ -10,9 +10,12 @@ from ktoric import (
     BottMatrix,
     CartanWord,
     bott_charmap,
+    build_presentation,
     cli,
+    compute_basis,
     cube,
     jsonio,
+    order_vertices,
     product,
     product_charmap,
     simplex,
@@ -21,7 +24,8 @@ from ktoric import (
 from ktoric.cli import main
 from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT, RANK_CAP
 
-from ladder import random_tower
+from ladder import generic_functional, random_tower, truncated_triangle
+from test_kring import assert_ring_axioms
 
 
 @pytest.fixture(autouse=True)
@@ -666,6 +670,36 @@ def test_kring_default_base_vertex_is_the_lowest(json_file, p, lam, functional,
     assert run_main(["kring", pf, lf, *options], capsys) == (code, out)
 
 
+def test_truncated_triangle_six_cuts_is_the_nine_gon():
+    p, lam = truncated_triangle(6)
+    assert json.dumps(p) == (
+        '{"dim": 2, "facets": 9, "vertices": [[1, 2], [0, 2], [1, 3], [3, 4], '
+        '[4, 5], [5, 6], [6, 7], [7, 8], [0, 8]], "coords": [["0", "0"], '
+        '["1", "0"], ["0", "2/3"], ["2/9", "2/3"], ["4/9", "14/27"], '
+        '["50/81", "10/27"], ["20/27", "62/243"], ["602/729", "14/81"], '
+        '["665/729", "64/729"]]}')
+    assert json.dumps(lam) == (
+        '{"lambda": [[-1, -1], [1, 0], [0, 1], [0, -1], [-1, -2], [-2, -3], '
+        '[-3, -4], [-4, -5], [-5, -6]], "base_vertex": 0}')
+
+
+@pytest.mark.parametrize("cuts", [6, 8, 10], ids=["9-gon", "11-gon", "13-gon"])
+def test_kring_on_a_truncated_triangle_finishes(json_file, cuts, capsys):
+    # each covector relation is expanded modulo the face ideal; expanded in
+    # full, the 9- and 11-gons ran out of budget and the 13-gon out of memory
+    pd, ld = truncated_triangle(cuts)
+    code, out = run_main(["kring", json_file(pd), json_file(ld)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["rank"] == report["vertex_count"] == cuts + 3
+    p, lam = jsonio.polytope_from_dict(pd), jsonio.charmap_from_dict(ld)
+    pres = build_presentation(p, lam)
+    b = compute_basis(pres, order_vertices(p, generic_functional(p.dim)))
+    assert report["structure_constants"] == [[i, j, k, str(c)]
+                                             for i, j, k, c in b.structure]
+    assert_ring_axioms(pres, b)
+
+
 def test_kring_functional_flag(simplex_files, capsys):
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf, "--functional", "3,1"]) == 0
@@ -812,6 +846,16 @@ def test_bott_samelson_convention_flag(json_file, capsys):
         main(["bott-samelson", cf, "--convention", "col"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --convention col" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["Matrix", "MATRIX"])
+def test_word_file_type_matrix_in_any_case(json_file, kind, capsys):
+    # "matrix" is read without regard to case, as a named kind such as "a" is
+    doc = {"type": "matrix", "rank": 2, "matrix": [[2, -1], [-1, 2]], "word": [1, 2]}
+    expected = run_main(["bott-samelson", json_file(doc)], capsys)
+    assert expected[0] == 0
+    assert run_main(["bott-samelson", json_file({**doc, "type": kind})],
+                    capsys) == expected
 
 
 @pytest.mark.parametrize("command, doc, reader, key", [

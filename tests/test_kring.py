@@ -30,6 +30,7 @@ from ktoric import (
     cube,
     evaluate_in_quotient,
     invert_unit,
+    minimal_nonfaces,
     order_vertices,
     product,
     product_charmap,
@@ -77,7 +78,7 @@ def rendered(pres, p):
 def test_covector_relation_interval():
     pres = build_presentation(simplex(1), simplex_charmap(1))
     z = covector_relation(pres.charmap, Covector((1,)), pres.coeffs,
-                          pres.base_facets)
+                          pres.base_facets, minimal_nonfaces(pres.polytope))
     assert rendered(pres, z) == "-x1 + x0"
 
 
@@ -86,14 +87,14 @@ def test_covector_relation_interval_coefficient_two():
     pres = build_presentation(simplex(1), simplex_charmap(1),
                               CoefficientSpec.of([2]))
     z = covector_relation(pres.charmap, Covector((1,)), pres.coeffs,
-                          pres.base_facets)
+                          pres.base_facets, minimal_nonfaces(pres.polytope))
     assert rendered(pres, z) == "-x1 + 2*x0 - 1"
 
 
 def test_covector_relation_zero_covector_vanishes():
     pres = build_presentation(simplex(1), simplex_charmap(1))
     z = covector_relation(pres.charmap, Covector((0,)), pres.coeffs,
-                          pres.base_facets)
+                          pres.base_facets, minimal_nonfaces(pres.polytope))
     assert z.is_zero
 
 
@@ -101,7 +102,7 @@ def test_covector_relation_triangle_coefficients():
     pres = build_presentation(simplex(2), simplex_charmap(2),
                               CoefficientSpec.of([5, 7]))
     z = covector_relation(pres.charmap, Covector((1, 0)), pres.coeffs,
-                          pres.base_facets)
+                          pres.base_facets, minimal_nonfaces(pres.polytope))
     assert rendered(pres, z) == "-x1 + 5*x0 - 4"
 
 
@@ -403,7 +404,8 @@ def covectors_reduce_to_zero(p, lam, coeffs, functional, rng, trials):
     b = compute_basis(pres, order_vertices(p, functional))
     for _ in range(trials):
         u = Covector(tuple(rng.randint(-3, 3) for _ in range(p.dim)))
-        z = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets)
+        z = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets,
+                              minimal_nonfaces(p))
         assert b.normal_form(z).is_zero
 
 
@@ -860,9 +862,12 @@ def test_covector_redundancy_property():
 def test_covector_relation_is_a_product_of_powers_property():
     # the relation's binomial expansions against repeated multiplication:
     # the product of the (1 - x_j)^e where u(v_j) = e > 0, minus the
-    # product of the (1 - x_j)^-e where e < 0, all coefficients 1
+    # product of the (1 - x_j)^-e where e < 0, all coefficients 1, less
+    # exactly the terms whose support contains a minimal nonface, which lie
+    # in the face ideal
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    dropped_any = []
 
     @hypothesis.settings(max_examples=50, deadline=None, derandomize=True,
                          database=None)
@@ -880,10 +885,22 @@ def test_covector_relation_is_a_product_of_powers_property():
                 pos = pos * (1 - var(d, j)) ** e
             elif e < 0:
                 neg = neg * (1 - var(d, j)) ** -e
-        got = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets)
-        assert got == pos - neg
+        full = (pos - neg).terms
+        nonfaces = minimal_nonfaces(p)
+
+        def on_nonface(mono):
+            support = {j for j, _ in mono.exponents}
+            return any(support.issuperset(nf) for nf in nonfaces)
+
+        got = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets,
+                                nonfaces)
+        assert got == Poly(d, {m: c for m, c in full.items() if not on_nonface(m)})
+        dropped = full.keys() - got.terms.keys()
+        assert all(on_nonface(m) for m in dropped)
+        dropped_any.extend(dropped)
 
     check()
+    assert dropped_any
 
 
 def test_structure_constants_satisfy_ring_axioms_property():
