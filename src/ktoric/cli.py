@@ -26,12 +26,26 @@ from .polyring import DEFAULT_BUDGET, Poly, render_poly
 from .polytope import generic_functional, order_vertices, validate_polytope
 
 
+def _unique_keys(pairs):
+    """The dict of a JSON object's pairs. A key given twice is refused with
+    ValueError, as json.load would keep its last value and drop the first."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"{key}: key given twice")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path):
     """The JSON document in the file at path. One nested past the
     interpreter's recursion limit is unparsable input too: ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
@@ -120,7 +134,7 @@ def cmd_validate(args):
 def cmd_kring(args):
     p = jsonio.polytope_from_dict(_load_json(args.polytope))
     lam = jsonio.charmap_from_dict(_load_json(args.vectors))
-    coeffs = CoefficientSpec.of(_fraction_list(args.r, "--r")) if args.r else None
+    coeffs = CoefficientSpec(_fraction_list(args.r, "--r")) if args.r else None
     if args.order_file:
         vo = jsonio.vertex_order_from_dict(_load_json(args.order_file))
         if len(vo.order) != p.vertex_count:

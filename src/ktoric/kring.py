@@ -61,10 +61,6 @@ class CoefficientSpec:
     def ones(cls, n):
         return cls((Fraction(1),) * n)
 
-    @classmethod
-    def of(cls, seq):
-        return cls(tuple(seq))
-
 
 def _square_free(nvars, facets):
     fs = set(facets)

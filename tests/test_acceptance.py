@@ -66,7 +66,7 @@ def test_criterion_2_deformed_simplex():
     for n in range(1, 4):
         r = [k + 2 for k in range(n)]
         pres, b = face_basis(simplex(n), simplex_charmap(n),
-                             CoefficientSpec.of(r))
+                             CoefficientSpec(r))
         y = 1 - Poly.variable(n + 1, 0)
         rel = Poly.one(n + 1)
         for rk in [1] + r:
@@ -161,7 +161,7 @@ def test_criterion_6_invariants():
     # faces (the tensor must then agree) or different ones (only the ideal
     # side is order-free; the tensor follows the assignment, not the ring)
     catalog = [
-        (simplex(2), simplex_charmap(2), CoefficientSpec.of([2, 3]), (2, 3), True),
+        (simplex(2), simplex_charmap(2), CoefficientSpec([2, 3]), (2, 3), True),
         (simplex(2), simplex_charmap(2), None, (3, 1), False),
         (cube(2), CharacteristicMap(((1, 0), (-1, 1), (0, 1), (0, -1)),
                                     base_vertex=0), None, (3, 1), True),

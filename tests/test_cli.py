@@ -884,6 +884,31 @@ def test_tower_duplicate_entry_is_exit_two(tower_files, capsys):
     assert "given twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, text, key", [
+    (["validate", "DOC", SIMPLEX2_LAM],
+     '{"dim": 2, "facets": 3, "facets": 4, "vertices": [[1, 2], [0, 2], [0, 1]]}',
+     "facets"),
+    (["kring", SIMPLEX2, "DOC"],
+     '{"lambda": [[1, 0], [0, 1], [1, 1]], "lambda": [[-1, -1], [1, 0], [0, 1]]}',
+     "lambda"),
+    (["bott", "DOC"], '{"n": 2, "c": [[1, 2, 3]], "c": []}', "c"),
+    (["bott-samelson", "DOC"],
+     '{"type": "A", "rank": 2, "word": [1, 2], "word": [2]}', "word"),
+    (["kring", SIMPLEX2, SIMPLEX2_LAM, "--order-file", "DOC"],
+     '{"order": [0, 1, 2], "order": [2, 0, 1]}', "order"),
+], ids=["polytope", "labeling", "tower", "word", "order"])
+def test_key_given_twice_is_exit_two(tmp_path, json_file, args, text, key,
+                                     capsys):
+    # json.load keeps a repeated key's last value, so the first went unread;
+    # each file kind, given text with one key twice at "DOC", is refused
+    doc = tmp_path / "twice.json"
+    doc.write_text(text)
+    argv = [str(doc) if a == "DOC" else a if isinstance(a, str) else json_file(a)
+            for a in args]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {key}: key given twice\n"
+
+
 # --- report digests ------------------------------------------------------------
 
 

@@ -430,7 +430,7 @@ def test_entry_points_reject_non_integers(make, value):
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda v: CoefficientSpec((v,)), id="CoefficientSpec"),
-    pytest.param(lambda v: CoefficientSpec.of([1, v]), id="CoefficientSpec.of"),
+    pytest.param(lambda v: CoefficientSpec([1, v]), id="CoefficientSpec_list"),
     pytest.param(lambda v: Poly(1, {(1,): v}), id="Poly"),
     pytest.param(lambda v: Poly.constant(1, v), id="Poly.constant"),
     pytest.param(lambda v: Poly.variable(1, 0) * v, id="Poly.__mul__"),
@@ -451,7 +451,7 @@ def reduction_bases():
     pres = build_presentation(simplex(2), simplex_charmap(2))
     yield buchberger(list(pres.ideal_gens), pres.order), True
     pres = build_presentation(simplex(3), simplex_charmap(3),
-                              CoefficientSpec.of([2, Fraction(1, 3), 5]))
+                              CoefficientSpec([2, Fraction(1, 3), 5]))
     yield buchberger(list(pres.ideal_gens), pres.order), True
     lp = bott_presentation(random_tower(3, random.Random(17)))
     yield buchberger(list(lp.ideal_gens), lp.order), True
