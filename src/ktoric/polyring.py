@@ -443,10 +443,8 @@ def _reduce(terms, heads, order, budget, table):
     (den, terms) from _combine: the entries of the t combined, made by _fill
     as needed and kept in table. A table serves one head sequence, or one
     that has grown by appending once the entries it made stale are dropped."""
-    for t in terms:
-        if t not in table:
-            _fill(table, terms, heads, order, budget)
-            break
+    if not terms.keys() <= table.keys():
+        _fill(table, terms, heads, order, budget)
     return _combine(terms.items(), table)
 
 
@@ -532,8 +530,11 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     monomials (degree first) and then by the generator indices; pairs are
     popped smallest key first. A popped pair with coprime leading monomials
     is dropped, as is one subsumed by a third generator whose pairs with
-    both have already been popped. budget caps the cancellation steps of
-    the run, one per table entry made for a reducible monomial, including
+    both have already been popped. Every pair among the current generators
+    is queued, so "already popped" is held as one set per generator, of the
+    partners of its popped pairs, and the third generators to try are the
+    intersection of the pair's two sets. budget caps the cancellation steps
+    of the run, one per table entry made for a reducible monomial, including
     one made again after a new head left it stale; BudgetExceededError means
     the cap was hit, not that the computation would diverge.
 
@@ -552,36 +553,27 @@ def buchberger(gens, order, budget=DEFAULT_BUDGET):
     heads = [_head(t, order) for t in gens]
     key, g = order.packed_key, order.guards
     queue = []         # (order key of the lcm, i, j, lcm), a heap
-    pending = set()    # the pairs still in the queue
+    popped = []        # popped[k]: the heads whose pair with head k has popped
     table = {}         # normal forms by heads; see _fill
 
     def add_pairs(j):
         lm = heads[j][0]
+        popped.append(set())
         for i in range(j):
             l = order.lcm(heads[i][0], lm)
             heapq.heappush(queue, (key(l), i, j, l))
-            pending.add((i, j))
 
-    for j in range(1, len(heads)):
+    for j in range(len(heads)):
         add_pairs(j)
 
     while queue:
         _, i, j, l = heapq.heappop(queue)
-        pending.discard((i, j))
+        popped[i].add(j)
+        popped[j].add(i)
         if l == heads[i][0] + heads[j][0]:
             continue  # coprime leading monomials reduce to zero for free
         lg = l | g
-        subsumed = False
-        for k, (lm, _, _) in enumerate(heads):
-            if k in (i, j):
-                continue
-            if (lg - lm) & g == g:
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    subsumed = True
-                    break
-        if subsumed:
+        if any((lg - heads[k][0]) & g == g for k in popped[i] & popped[j]):
             continue
         within_degree_limit(order.degree(l))
         _, r = _reduce(s_polynomial(heads[i], heads[j], l), heads, order,

@@ -505,7 +505,9 @@ def test_quotient_dimension_priority_independent():
 
 def rescan_buchberger(gens, order):
     """Reference Buchberger that picks each pair by rescanning every pending
-    pair with min(), as the library did before its pair heap. Returns the
+    pair with min(), as the library did before its pair heap, and tries
+    every generator for the chain criterion against the set of pending
+    pairs, as it did before its sets of popped partners. Returns the
     reduced basis and the number of S-polynomials reduced."""
     key = degrevlex_key(order)
     basis = [monic(g, order) for g in gens if not g.is_zero]
@@ -552,13 +554,19 @@ def selection_cases():
             yield pytest.param(bott_presentation(c), id=f"seed{seed}-n{n}-laurent")
             yield pytest.param(build_presentation(*bott_charmap(c)),
                                id=f"seed{seed}-n{n}-cube")
+        # height 4, a first draw: 95 to 135 pairs reduced, a long pair queue
+        c = random_tower(4, random.Random(seed))
+        yield pytest.param(bott_presentation(c), id=f"seed{seed}-n4-laurent")
+        yield pytest.param(build_presentation(*bott_charmap(c)),
+                           id=f"seed{seed}-n4-cube")
     for kind, word in (("A", (1, 2, 1)), ("B", (1, 2, 1, 2))):
         yield pytest.param(bott_samelson_presentation(
             CartanWord(cartan_matrix(kind, 2), word)), id=f"{kind}2-word{len(word)}")
 
 
-@pytest.mark.parametrize("pres", list(selection_cases()))
-def test_heap_selection_matches_rescan(pres, monkeypatch):
+def counted_buchberger(pres, monkeypatch):
+    """The basis of one Buchberger run on pres, and the number of
+    S-polynomials it reduced."""
     calls = []
     of_heads = polyring.s_polynomial
 
@@ -569,9 +577,27 @@ def test_heap_selection_matches_rescan(pres, monkeypatch):
     monkeypatch.setattr(polyring, "s_polynomial", counted)
     gb = buchberger(list(pres.ideal_gens), pres.order)
     monkeypatch.undo()
+    return gb, len(calls)
+
+
+@pytest.mark.parametrize("pres", list(selection_cases()))
+def test_heap_selection_matches_rescan(pres, monkeypatch):
+    gb, calls = counted_buchberger(pres, monkeypatch)
     want, reduced = rescan_buchberger(list(pres.ideal_gens), pres.order)
     assert list(gb.generators) == want
-    assert len(calls) == reduced
+    assert calls == reduced
+
+
+@pytest.mark.parametrize("kind, rank, word, reduced", [
+    pytest.param("A", 3, (1, 2, 1, 3, 2, 1), 1052, id="A3-longest"),
+    pytest.param("G", 2, (1, 2, 1, 2, 1, 2), 1314, id="G2-longest"),
+])
+def test_longest_word_pairs_reduced(kind, rank, word, reduced, monkeypatch):
+    # the frontier words, too large for the rescan oracle: a criterion that
+    # drops a pair the rescan keeps, or keeps one it drops, moves the count
+    pres = bott_samelson_presentation(
+        CartanWord(cartan_matrix(kind, rank), word))
+    assert counted_buchberger(pres, monkeypatch)[1] == reduced
 
 
 def budget_cases():
