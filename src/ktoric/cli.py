@@ -147,6 +147,7 @@ def cmd_kring(args):
         lam = CharacteristicMap(lam.vectors, vo.order[0])
     pres = build_presentation(p, lam, coeffs)
     basis = compute_basis(pres, vo, budget=args.budget)
+    pres = basis.presentation  # with the relations compute_basis added, if any
     projective = _projective_check(pres, basis)
     _emit(jsonio.kring_report(pres, basis, projective), args.format)
     return 1 if projective is not None and not projective["reduces_to_zero"] else 0
@@ -188,7 +189,8 @@ def build_parser():
         description="Exact quotient ring computations for labeled simple polytopes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, budget=True):
+    def add_common(sp, handler, budget=True):
+        sp.set_defaults(handler=handler)
         sp.add_argument("--format", choices=("json", "text"), default="json",
                         help="output format (default json)")
         if budget:
@@ -198,7 +200,7 @@ def build_parser():
     v = sub.add_parser("validate", help="check a polytope and its facet vectors")
     v.add_argument("polytope", help="polytope JSON file")
     v.add_argument("vectors", help="facet vector JSON file")
-    add_common(v, budget=False)
+    add_common(v, cmd_validate, budget=False)
 
     k = sub.add_parser("kring", help="compute the quotient ring and face basis")
     k.add_argument("polytope", help="polytope JSON file")
@@ -209,35 +211,26 @@ def build_parser():
     order.add_argument("--functional",
                        help="comma separated height functional (default 1,2,4,...)")
     order.add_argument("--order-file", help="JSON file with an explicit vertex order")
-    add_common(k)
+    add_common(k, cmd_kring)
 
     b = sub.add_parser("bott", help="relations and rank of a tower")
     b.add_argument("tower", help="tower JSON file")
-    add_common(b)
+    add_common(b, cmd_bott)
 
     s = sub.add_parser("bott-samelson", help="tower relations from a word of simple roots")
     s.add_argument("cartan", help="Cartan data JSON file")
-    add_common(s)
+    add_common(s, cmd_bott_samelson)
 
     c = sub.add_parser("compare", help="cross-check the two presentations of a tower")
     c.add_argument("tower", help="tower JSON file")
-    add_common(c)
+    add_common(c, cmd_compare)
     return ap
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "kring": cmd_kring,
-    "bott": cmd_bott,
-    "bott-samelson": cmd_bott_samelson,
-    "compare": cmd_compare,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except KtoricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,26 +16,20 @@ from .polyring import render_poly
 from .polytope import SimplePolytope, VertexOrder
 
 
-def _int(x, field):
-    if type(x) is not int:
-        raise ValueError(f"{field}: expected an integer, got {x!r}")
-    return x
+_KINDS = {int: "an integer", list: "a list", str: "a string"}
 
 
-def _list(x, field):
-    if type(x) is not list:
-        raise ValueError(f"{field}: expected a list, got {x!r}")
-    return x
-
-
-def _str(x, field):
-    if type(x) is not str:
-        raise ValueError(f"{field}: expected a string, got {x!r}")
+def _typed(x, field, *kinds):
+    """x, when its type is exactly one of kinds; ValueError naming field
+    otherwise."""
+    if type(x) not in kinds:
+        expected = " or ".join(_KINDS[k] for k in kinds)
+        raise ValueError(f"{field}: expected {expected}, got {x!r}")
     return x
 
 
 def _ints(seq, field):
-    return tuple(_int(x, field) for x in _list(seq, field))
+    return tuple(_typed(x, field, int) for x in _typed(seq, field, list))
 
 
 def _require(data, *keys, optional=()):
@@ -54,8 +48,7 @@ def rational(x, field):
     """x, a JSON integer or a string such as "-1/2", as a Fraction; the CLI
     reads its --r and --functional lists with it too. Raises ValueError
     naming field on anything else, a zero denominator included."""
-    if type(x) not in (int, str):
-        raise ValueError(f"{field}: expected an integer or a string, got {x!r}")
+    _typed(x, field, int, str)
     # "[-]digits", the common case, goes to int(): the Fraction string
     # parser gives the same, more slowly
     digits = x.removeprefix("-") if type(x) is str else ""
@@ -71,13 +64,14 @@ def rational(x, field):
 def polytope_from_dict(data):
     _require(data, "dim", "facets", "vertices", optional=("coords",))
     vertices = tuple(frozenset(_ints(v, "vertices"))
-                     for v in _list(data["vertices"], "vertices"))
+                     for v in _typed(data["vertices"], "vertices", list))
     coords = data.get("coords")
     if coords is not None:
-        coords = tuple(tuple(rational(x, "coords") for x in _list(pt, "coords"))
-                       for pt in _list(coords, "coords"))
-    return SimplePolytope(_int(data["dim"], "dim"), _int(data["facets"], "facets"),
-                          vertices, coords)
+        coords = tuple(tuple(rational(x, "coords")
+                             for x in _typed(pt, "coords", list))
+                       for pt in _typed(coords, "coords", list))
+    return SimplePolytope(_typed(data["dim"], "dim", int),
+                          _typed(data["facets"], "facets", int), vertices, coords)
 
 
 def polytope_to_dict(p):
@@ -93,10 +87,11 @@ def polytope_to_dict(p):
 
 def charmap_from_dict(data):
     _require(data, "lambda", optional=("base_vertex",))
-    vectors = tuple(_ints(row, "lambda") for row in _list(data["lambda"], "lambda"))
+    vectors = tuple(_ints(row, "lambda")
+                    for row in _typed(data["lambda"], "lambda", list))
     base = data.get("base_vertex")
     return CharacteristicMap(vectors,
-                             None if base is None else _int(base, "base_vertex"))
+                             None if base is None else _typed(base, "base_vertex", int))
 
 
 def charmap_to_dict(lam):
@@ -108,11 +103,12 @@ def charmap_to_dict(lam):
 
 def bott_from_dict(data):
     _require(data, "n", optional=("c",))
-    triples = _list(data.get("c", []), "c")
+    triples = _typed(data.get("c", []), "c", list)
     for t in triples:
         if type(t) is not list or len(t) != 3:
             raise ValueError(f"c: expected [i, j, value], got {t!r}")
-    return BottMatrix(_int(data["n"], "n"), tuple(_ints(t, "c") for t in triples))
+    return BottMatrix(_typed(data["n"], "n", int),
+                      tuple(_ints(t, "c") for t in triples))
 
 
 def bott_to_dict(c):
@@ -123,15 +119,16 @@ def cartan_word_from_dict(data):
     _require(data, "type", "word", optional=("rank", "matrix", "convention"))
     word = _ints(data["word"], "word")
     # any case, as cartan_matrix reads a named kind
-    if _str(data["type"], "type").upper() == "MATRIX":
+    if _typed(data["type"], "type", str).upper() == "MATRIX":
         _require(data, "type", "word", "matrix", optional=("rank", "convention"))
-        mat = tuple(_ints(row, "matrix") for row in _list(data["matrix"], "matrix"))
-        if "rank" in data and _int(data["rank"], "rank") != len(mat):
+        mat = tuple(_ints(row, "matrix")
+                    for row in _typed(data["matrix"], "matrix", list))
+        if "rank" in data and _typed(data["rank"], "rank", int) != len(mat):
             raise ValueError(f"rank: {data['rank']} is not the size of the "
                              f"{len(mat)}x{len(mat)} matrix")
     else:
         _require(data, "type", "word", "rank", optional=("convention",))
-        mat = cartan_matrix(data["type"], _int(data["rank"], "rank"))
+        mat = cartan_matrix(data["type"], _typed(data["rank"], "rank", int))
     return CartanWord(mat, word, data.get("convention", "row"))
 
 

@@ -2,13 +2,15 @@
 
 One generator per facet. The ideal combines the monomials of facet sets with
 empty intersection and, for each covector dual to the facet vectors at a
-chosen base vertex, a relation between products of the unit classes 1 - x_j.
-Classes of the faces ascending from each vertex give a distinguished module
-basis; when all the coefficients are 1 it really is a basis over the
-integers, and the structure constants come out integral.
+chosen base vertex, a relation between products of the unit classes 1 - x_j;
+with all coefficients 1, also the powers x_j^(dim+1) where those alone leave
+the quotient too large (see compute_basis). Classes of the faces ascending
+from each vertex give a distinguished module basis; when all the
+coefficients are 1 it really is a basis over the integers, and the structure
+constants come out integral.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
 
@@ -112,6 +114,8 @@ class KRingPresentation:
     # the validation reports build_presentation checked, kept for the report
     polytope_report: object
     charmap_report: object
+    # the x_j^(dim+1) compute_basis adds when the ideal alone is too small
+    nilpotent_gens: tuple = ()
 
     @property
     def nvars(self):
@@ -119,7 +123,7 @@ class KRingPresentation:
 
     @property
     def ideal_gens(self):
-        return self.nonface_gens + self.covector_gens
+        return self.nonface_gens + self.covector_gens + self.nilpotent_gens
 
     @property
     def var_names(self):
@@ -266,17 +270,36 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     The face classes must span; in the integral case they must be a basis,
     so a rank short of the vertex count raises. With other coefficients the
     shortfall is only recorded as a warning.
+
+    The covector relations clear the denominators 1 - x_j and do not say
+    that these are units, so at some base vertices of a manifold that is not
+    toric the quotient is infinite or of rank past the vertex count. In the
+    integral case the ideal then gains x_j^(dim+1) for every facet j, and
+    Buchberger runs once more on a budget of the same size. These hold in
+    K(M): 1 - x_j is the class of a line bundle, and 1 - [L] lies in the
+    second step of the skeletal filtration, which is 0 past 2 dim (Atiyah,
+    K-Theory, 1967). The result's presentation is then the one with
+    nilpotent_gens. A budget stop is never retried.
     """
     p = pres.polytope
-    gb, std = quotient_basis(pres, budget)
-    m = p.vertex_count
+    m, d = p.vertex_count, p.facet_count
+    integral = pres.coeffs.integral
+    try:
+        gb, std = quotient_basis(pres, budget)
+    except InfiniteDimensionError:
+        if not integral:
+            raise
+        std = None
+    if integral and (std is None or len(std) > m):
+        pres = replace(pres, nilpotent_gens=tuple(
+            Poly.variable(d, j) ** (p.dim + 1) for j in range(d)))
+        gb, std = quotient_basis(pres, budget)
     q = len(std)
     if q > m:
         raise KtoricError(
             f"quotient rank {q} exceeds the vertex count {m}; "
             "face classes cannot span")
     faces = ascending_faces(p, vertex_order)
-    d = p.facet_count
     basis_facet_sets = []
     basis_monos = []
     for w in vertex_order.order:
@@ -290,7 +313,6 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     reduce = gb.reduce
     change = _matrix((reduce((1, {b: 1})) for b in packed), index)
     rank = rat_rank(change)
-    integral = pres.coeffs.integral
 
     warnings = []
     if rank < m:

@@ -77,9 +77,8 @@ class VertexOrder:
 
 def simplex(n):
     """The n-simplex. Facet i >= 1 is opposite the i-th basis point, facet 0
-    is opposite the origin; vertex k is the one missing facet k."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    is opposite the origin; vertex k is the one missing facet k.
+    SimplePolytope refuses n < 1."""
     everything = frozenset(range(n + 1))
     verts = []
     coords = []

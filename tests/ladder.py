@@ -17,7 +17,7 @@ from ktoric import (
     simplex_charmap,
 )
 # the test modules take the library's generic functional from here
-from ktoric.polytope import generic_functional
+from ktoric.polytope import SimplePolytope, _edges, generic_functional
 
 
 def random_tower(n, rng):
@@ -52,6 +52,40 @@ def truncated_triangle(k):
     return ({"dim": 2, "facets": k + 3, "vertices": vertices,
              "coords": [[str(x) for x in pt] for pt in coords]},
             {"lambda": lam, "base_vertex": 0})
+
+
+def cp2_sum():
+    """The polytope and facet-assignment documents of CP²#CP², the standard
+    quasitoric manifold that is not toric (Davis-Januszkiewicz, Duke Math.
+    J. 62, 1991): truncated_triangle(1) with its new facet labeled λ0 - λ1,
+    where the toric blow-up has λ0 + λ1."""
+    pd, ld = truncated_triangle(1)
+    ld["lambda"][3] = [-2, -1]
+    return pd, ld
+
+
+def truncate(p, lam, w, depth, signs):
+    """The simple polytope p with its vertex w cut off, and its facet vectors
+    lam with the new facet F's: for each facet f of w, in increasing order, a
+    vertex at depth (a Fraction in (0, 1)) along the edge from w that leaves
+    f, on the facets of w but f and on F. λ_F is the sum of signs[i] λ_i over
+    the i-th facet of w, each sign ±1. The new vertex that leaves the i-th
+    facet has determinant ±signs[i] times w's, so every sign pattern keeps
+    the labeling unimodular; all +1 is the toric blow-up. The new vertices
+    go last, and lam's base vertex is dropped."""
+    facets = sorted(p.vertices[w])
+    new = p.facet_count
+    vertices = [fs for v, fs in enumerate(p.vertices) if v != w]
+    coords = [pt for v, pt in enumerate(p.coords) if v != w]
+    ends = _edges(p)[w]
+    for f in facets:
+        vertices.append(p.vertices[w] - {f} | {new})
+        coords.append(tuple(a + depth * (b - a)
+                            for a, b in zip(p.coords[w], p.coords[ends[f]])))
+    cut = tuple(sum(s * lam.vectors[f][r] for s, f in zip(signs, facets))
+                for r in range(p.dim))
+    return (SimplePolytope(p.dim, new + 1, tuple(vertices), tuple(coords)),
+            CharacteristicMap(lam.vectors + (cut,)))
 
 
 def twisted_square(a):

@@ -11,8 +11,10 @@ the tower constructions cell by cell: the stage relations from Poly powers,
 the cube's facet vectors and a word's twists, the structure constants of
 a tower's cube ring by a triangular rewrite, the involution check by
 reducing each relation's plain swap, the built-in Cartan matrices kind by
-kind, and the vertices adjacent to each vertex of an incidence table by the
-pairwise scan. The division, the
+kind, the vertices adjacent to each vertex of an incidence table by the
+pairwise scan, and the structure constants of the cohomology ring from
+sympy's Groebner basis of the Stanley-Reisner ideal plus the linear
+relations. The division, the
 Groebner-basis check and the rewrite share no code with the library's
 Groebner engine, nor the two eliminations with its elimination."""
 
@@ -512,3 +514,53 @@ def pairwise_adjacency(p):
             adj[i].append(j)
             adj[j].append(i)
     return adj
+
+
+def cohomology_structure(p, lam, facet_sets):
+    """The structure constants of H = Q[v]/(SR + J) in the classes v_F of
+    the facet sets F in facet_sets, a basis of H: SR holds the square-free
+    monomials of the minimal facet sets that no vertex lies on, found by
+    testing every set of at most dim + 1 facets, and J the forms
+    sum_j lam_j[r] v_j, one per coordinate r. For each pair (i, j) with
+    |F_i| + |F_j| <= dim, the Fractions c with v_{F_i} v_{F_j} =
+    sum_k c_k v_{F_k} over the k with |F_k| = |F_i| + |F_j|, as a dict
+    {(i, j): {k: c_k}} of the nonzero ones. H is the rational cohomology of
+    the quasitoric manifold (Davis-Januszkiewicz, Duke Math. J. 62, 1991).
+    Computed by sympy's grevlex Groebner basis of SR + J and one solve per
+    product; sympy must be importable."""
+    import sympy
+
+    d = p.facet_count
+    v = sympy.symbols(f"v0:{d}")
+    faces = {s for fs in p.vertices
+             for k in range(p.dim + 1) for s in combinations(sorted(fs), k)}
+    nonfaces = [s for k in range(2, p.dim + 2) for s in combinations(range(d), k)
+                if s not in faces
+                and all(t in faces for t in combinations(s, k - 1))]
+    gens = [sympy.prod(v[f] for f in s) for s in nonfaces]
+    gens += [sum(lam.vectors[j][r] * v[j] for j in range(d)) for r in range(p.dim)]
+    gb = sympy.groebner(gens, *v, order="grevlex", domain=sympy.QQ)
+
+    def normal_form(fs):
+        rem = gb.reduce(sympy.Mul(*(v[f] for f in fs)))[1]
+        return {m: Fraction(int(c.p), int(c.q))
+                for m, c in sympy.Poly(rem, *v).terms()}
+
+    out = {}
+    for i, fi in enumerate(facet_sets):
+        for j, fj in enumerate(facet_sets):
+            size = len(fi) + len(fj)
+            if size > p.dim:
+                continue
+            ks = [k for k, fk in enumerate(facet_sets) if len(fk) == size]
+            cols = [normal_form(facet_sets[k]) for k in ks]
+            target = normal_form(fi + fj)
+            monos = sorted(set(target).union(*cols))
+            rows = [[col.get(m, Fraction(0)) for col in cols]
+                    + [target.get(m, Fraction(0))] for m in monos]
+            red, pivots = fraction_rref(rows)
+            # the v_{F_k} of one degree are independent, and span the product
+            assert pivots == list(range(len(ks))), (i, j)
+            out[i, j] = {ks[c]: red[r][-1] for r, c in enumerate(pivots)
+                         if red[r][-1]}
+    return out

@@ -24,7 +24,7 @@ from ktoric import (
 from ktoric.cli import main
 from ktoric.polyring import DEFAULT_BUDGET, DEGREE_LIMIT, RANK_CAP
 
-from ladder import generic_functional, random_tower, truncated_triangle
+from ladder import cp2_sum, generic_functional, random_tower, truncated_triangle
 from test_kring import assert_ring_axioms
 
 
@@ -698,6 +698,45 @@ def test_kring_on_a_truncated_triangle_finishes(json_file, cuts, capsys):
     assert report["structure_constants"] == [[i, j, k, str(c)]
                                              for i, j, k, c in b.structure]
     assert_ring_axioms(pres, b)
+
+
+# the 3-simplex truncated at two vertices, a quasitoric manifold that is not
+# toric
+TRUNCATED_SIMPLEX = (
+    {"dim": 3, "facets": 6,
+     "vertices": [[0, 2, 3], [0, 1, 3], [0, 1, 2], [2, 3, 4], [1, 3, 4],
+                  [2, 4, 5], [1, 4, 5], [1, 2, 5]],
+     "coords": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                ["89/239", "0", "0"], ["0", "89/239", "0"],
+                ["7387/53297", "0", "12460/53297"],
+                ["0", "7387/53297", "12460/53297"], ["0", "0", "32297/53297"]]},
+    {"lambda": [[-1, -1, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                [2, 2, 1]]})
+
+
+@pytest.mark.parametrize("pd, ld, fallback", [
+    (*cp2_sum(), [1, 2, 3]),
+    (*TRUNCATED_SIMPLEX, [7]),
+], ids=["cp2-sum", "truncated-simplex"])
+def test_kring_is_one_ring_at_every_base_vertex(json_file, pd, ld, fallback,
+                                                capsys):
+    # at the base vertices in fallback the covector relations alone give a
+    # quotient of rank 5 on CP²#CP² and an infinite one on the truncated
+    # simplex; kring adds x_j^(dim+1) for every facet there, lists them last
+    # in relations, and finds the same ring as at the other base vertices
+    pf = json_file(pd)
+    reports = []
+    for w in range(len(pd["vertices"])):
+        code, out = run_main(["kring", pf, json_file({**ld, "base_vertex": w})],
+                             capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert all(r["rank"] == r["vertex_count"] == len(pd["vertices"])
+               for r in reports)
+    assert len({json.dumps(r["structure_constants"]) for r in reports}) == 1
+    powers = [f"x{j}^{pd['dim'] + 1}" for j in range(pd["facets"])]
+    assert [w for w, r in enumerate(reports)
+            if r["relations"][-len(powers):] == powers] == fallback
 
 
 def test_kring_functional_flag(simplex_files, capsys):

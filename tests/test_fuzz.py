@@ -23,7 +23,7 @@ from pathlib import Path
 
 import ktoric
 
-from ladder import truncated_triangle
+from ladder import cp2_sum, truncated_triangle
 
 SEED = 20251021
 CASES = 300
@@ -125,6 +125,7 @@ THREE_FACETS = [{"dim": 2, "facets": 4,
                  "coords": [[0, 0], [1, 0], [1, 1], [0, 1]]},
                 {"lambda": [[1, 0], [0, 1], [-1, 0], [0, -1]], "base_vertex": 1}]
 BIG_TRIANGLE = {**TRIANGLE, "facets": 30000000}
+CP2_SUM, CP2_SUM_LAM = cp2_sum()
 # (command, documents, options, exit code); a document given as a str is
 # the file's text, written as is
 FIXED = [
@@ -180,6 +181,9 @@ FIXED = [
     # relation of the 15-gon had about 10^10 terms; the budget stops it
     ("kring", list(truncated_triangle(6)), [], 0),
     ("kring", list(truncated_triangle(12)), [], 1),
+    # CP²#CP² at a base vertex where the covector relations alone leave a
+    # quotient of rank 5: kring adds x_j^3 and runs Buchberger once more
+    ("kring", [CP2_SUM, {**CP2_SUM_LAM, "base_vertex": 1}], [], 0),
     # each a value that no reader reads, refused rather than dropped
     ("kring", [TRIANGLE, TRIANGLE_LAM],
      [("--order-file", {"order": [0, 2, 1]}), "--functional=x"], 2),
