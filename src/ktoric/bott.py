@@ -111,14 +111,6 @@ class LaurentPresentation:
         names += [f"y{i}_inv" for i in range(1, self.n + 1)]
         return tuple(names)
 
-    def y(self, i):
-        """Variable index of the i-th generator, 1-based."""
-        return i - 1
-
-    def y_inv(self, i):
-        """Variable index of the i-th inverse, 1-based."""
-        return self.n + i - 1
-
 
 def bott_presentation(c):
     """Relations of the tower ring: stage i satisfies (y_i - 1)(y_i - P_i) = 0
@@ -180,9 +172,8 @@ def _stage_products(lp):
     are a module basis of the quotient: each stage relation is a monic
     quadratic over the ring of the earlier stages."""
     n = lp.n
-    gens = [lp.y(i) for i in range(1, n + 1)]
     return tuple(Monomial(1 if k in combo else 0 for k in range(2 * n))
-                 for size in range(n + 1) for combo in combinations(gens, size))
+                 for size in range(n + 1) for combo in combinations(range(n), size))
 
 
 def bott_equivalence(c, budget=DEFAULT_BUDGET):
@@ -201,11 +192,9 @@ def bott_equivalence(c, budget=DEFAULT_BUDGET):
     basis = compute_basis(pres, vo, budget=budget)
     lp = bott_presentation(c)
     d = p.facet_count
-    images = [None] * (2 * c.n)
-    for i in range(1, c.n + 1):
-        unit = 1 - Poly.variable(d, 2 * (i - 1) + 1)
-        images[lp.y_inv(i)] = basis.normal_form(unit)
-        images[lp.y(i)] = invert_unit(unit, basis)
+    units = [1 - Poly.variable(d, f) for f in range(1, d, 2)]  # upper facets
+    images = ([invert_unit(u, basis) for u in units]
+              + [basis.groebner.normal_form(u) for u in units])
     return ring_map_check(lp, tuple(images), basis, _stage_products(lp),
                           budget=budget)
 

@@ -74,13 +74,12 @@ def _scalar(v):
 
 
 def _text_lines(obj, indent=0):
+    """The lines of obj, a dict or a nonempty list, two spaces deeper per level."""
     pad = "  " * indent
     if isinstance(obj, dict):
         items = ((f"{k}:", v) for k, v in obj.items())
-    elif isinstance(obj, list):
-        items = (("-", v) for v in obj)
     else:
-        return [f"{pad}{_scalar(obj)}"]
+        items = (("-", v) for v in obj)
     lines = []
     for label, v in items:
         if isinstance(v, (dict, list)) and v:
@@ -118,7 +117,7 @@ def _projective_check(pres, basis):
         rel = rel * (1 - r * y)
     return {
         "relation": render_poly(rel, pres.var_names, pres.order),
-        "reduces_to_zero": basis.normal_form(rel).is_zero,
+        "reduces_to_zero": basis.groebner.normal_form(rel).is_zero,
     }
 
 
@@ -134,14 +133,15 @@ def cmd_validate(args):
 def cmd_kring(args):
     p = jsonio.polytope_from_dict(_load_json(args.polytope))
     lam = jsonio.charmap_from_dict(_load_json(args.vectors))
-    coeffs = CoefficientSpec(_fraction_list(args.r, "--r")) if args.r else None
-    if args.order_file:
+    coeffs = (None if args.r is None
+              else CoefficientSpec(_fraction_list(args.r, "--r")))
+    if args.order_file is not None:
         vo = jsonio.vertex_order_from_dict(_load_json(args.order_file))
         if len(vo.order) != p.vertex_count:
             raise ValueError("vertex order size does not match the polytope")
     else:
-        functional = (_fraction_list(args.functional, "--functional")
-                      if args.functional else generic_functional(p.dim))
+        functional = (generic_functional(p.dim) if args.functional is None
+                      else _fraction_list(args.functional, "--functional"))
         vo = order_vertices(p, functional)
     if lam.base_vertex is None:
         lam = CharacteristicMap(lam.vectors, vo.order[0])

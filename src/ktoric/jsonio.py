@@ -63,8 +63,12 @@ def rational(x, field):
 
 def polytope_from_dict(data):
     _require(data, "dim", "facets", "vertices", optional=("coords",))
-    vertices = tuple(frozenset(_ints(v, "vertices"))
-                     for v in _typed(data["vertices"], "vertices", list))
+    vertices = [_ints(v, "vertices")
+                for v in _typed(data["vertices"], "vertices", list)]
+    for w, facets in enumerate(vertices):
+        if len(set(facets)) < len(facets):
+            raise ValueError(f"vertices: vertex {w} lists a facet twice: "
+                             f"{list(facets)}")
     coords = data.get("coords")
     if coords is not None:
         coords = tuple(tuple(rational(x, "coords")

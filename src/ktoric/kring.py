@@ -251,9 +251,6 @@ class BasisResult:
     def m(self):
         return len(self.basis_monomials)
 
-    def normal_form(self, p):
-        return self.groebner.normal_form(p)
-
     def basis_coords(self, p):
         """The m Fractions that write the Poly p in the face classes."""
         x = _packed(p, self.groebner.order)
@@ -284,6 +281,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
     p = pres.polytope
     m, d = p.vertex_count, p.facet_count
     integral = pres.coeffs.integral
+    faces = ascending_faces(p, vertex_order)  # a bad order fails before Buchberger
     try:
         gb, std = quotient_basis(pres, budget)
     except InfiniteDimensionError:
@@ -299,7 +297,6 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
         raise KtoricError(
             f"quotient rank {q} exceeds the vertex count {m}; "
             "face classes cannot span")
-    faces = ascending_faces(p, vertex_order)
     basis_facet_sets = []
     basis_monos = []
     for w in vertex_order.order:
@@ -358,8 +355,9 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
 
 
 def invert_unit(p, basis):
-    """Inverse of the class of p in the quotient, by solving one linear
-    system over the standard monomials."""
+    """Inverse of the class of p in the quotient: one linear system over the
+    standard monomials, solved for e_0, the coordinates of 1, which is the
+    first of them, degree first, in every nonzero quotient."""
     gb, order = basis.groebner, basis.groebner.order
     index = {order.pack(mono): i for i, mono in enumerate(basis.std_monomials)}
     q = len(index)
@@ -369,10 +367,7 @@ def invert_unit(p, basis):
     # index, keyed by packed standard monomial, iterates in their order
     mat = _matrix((gb.reduce(_product(u, (1, {s: 1}), order)) for s in index),
                   index)
-    target = index.get(order.pack(Monomial.one(order.nvars)))
-    if target is None:
-        raise NotAUnitError("1 is not a standard monomial here")
-    sol = rat_solve(mat, [int(i == target) for i in range(q)])
+    sol = rat_solve(mat, [1] + [0] * (q - 1))
     if sol is None:
         raise NotAUnitError("element is not invertible in the quotient")
     den, x = sol

@@ -284,7 +284,7 @@ def face_change_inverse(b):
     d = b.presentation.nvars
     change = [[Fraction(0)] * b.m for _ in index]
     for j, mono in enumerate(b.basis_monomials):
-        for s, c in b.normal_form(Poly(d, {mono: 1})).terms.items():
+        for s, c in b.groebner.normal_form(Poly(d, {mono: 1})).terms.items():
             change[index[s]][j] = c
     return fraction_inverse(change)
 
@@ -295,7 +295,7 @@ def fraction_coords(b, p):
     face_change_inverse(b)."""
     index = {mono: i for i, mono in enumerate(b.std_monomials)}
     out = [Fraction(0)] * b.m
-    for mono, c in b.normal_form(p).terms.items():
+    for mono, c in b.groebner.normal_form(p).terms.items():
         for r, row in enumerate(face_change_inverse(b)):
             out[r] += row[index[mono]] * c
     return tuple(out)

@@ -160,7 +160,8 @@ def test_presentation_twisted_stage():
 
 def test_presentation_variable_helpers():
     lp = bott_presentation(BottMatrix(2))
-    assert (lp.y(1), lp.y(2), lp.y_inv(1), lp.y_inv(2)) == (0, 1, 2, 3)
+    # variables 0..n-1 are the generators, n..2n-1 their inverses
+    assert lp.var_names == ("y1", "y2", "y1_inv", "y2_inv")
     assert [f.name for f in dataclasses.fields(lp)] == [
         "matrix", "defining", "order"]
     assert (lp.n, lp.nvars) == (2, 4)

@@ -468,6 +468,43 @@ def test_empty_field_is_exit_two(simplex_files, option, text, capsys):
     assert f"input error: {option}: empty field in {text!r}" in err
 
 
+@pytest.mark.parametrize("option, err", [
+    ("--r", "input error: --r: empty field in ''\n"),
+    ("--functional", "input error: --functional: empty field in ''\n"),
+    ("--order-file", "input error: [Errno 2] No such file or directory: ''\n"),
+], ids=["--r", "--functional", "--order-file"])
+def test_empty_option_value_is_exit_two(simplex_files, option, err, capsys):
+    # an empty value is given, not absent: it must not run the default
+    pf, lf = simplex_files(2)
+    assert main(["kring", pf, lf, f"{option}="]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("command", ["validate", "kring"])
+def test_vertex_listing_a_facet_twice_is_exit_two(json_file, command, capsys):
+    # read as a set, [0, 2, 2] would be the vertex [0, 2] of a valid triangle
+    tri = {"dim": 2, "facets": 3, "vertices": [[1, 2], [0, 2, 2], [0, 1]],
+           "coords": [[0, 0], [1, 0], [0, 1]]}
+    assert main([command, json_file(tri), json_file(SIMPLEX2_LAM)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: vertices: vertex 1 lists a facet twice: [0, 2, 2]\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "1", str(DEFAULT_BUDGET)])
+def test_bad_order_is_an_order_error_under_any_budget(json_file, budget, capsys):
+    # the order is checked before Buchberger spends any of the budget
+    p, lam = bott_charmap(BottMatrix(3, [(1, 2, 1)]))
+    # the generic order is 0, 1, ..., 7; vertex 3 lies above 0 on a square
+    order = [0, 3, 2, 1, 4, 5, 6, 7]
+    argv = ["kring", json_file(jsonio.polytope_to_dict(p)),
+            json_file(jsonio.charmap_to_dict(lam)),
+            "--order-file", json_file({"order": order}), "--budget", budget]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: face at vertex 3 contains lower vertices [0]; the supplied "
+        "order is not induced by a height function\n")
+
+
 def test_non_integer_order_file_is_exit_two(json_file, simplex_files, capsys):
     pf, lf = simplex_files(2)
     of = json_file({"order": [0, 2.0, 1]})

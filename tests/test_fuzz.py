@@ -190,6 +190,11 @@ FIXED = [
     ("bott-samelson", [{"type": "A", "rank": 2, "matrix": [[2, -3], [-1, 2]],
                         "word": [1, 2]}], [], 2),
     ("bott", [{"n": 2, "C": [[1, 2, 5]]}], [], 2),
+    # an empty value is given, not absent, and a facet listed twice at a
+    # vertex is not read as listed once
+    ("kring", [TRIANGLE, TRIANGLE_LAM], ["--r="], 2),
+    ("kring", [{**TRIANGLE, "vertices": [[1, 2, 2], [0, 2], [0, 1]]},
+               TRIANGLE_LAM], [], 2),
     # a key given twice, whose first value json.load would drop
     ("bott", ['{"n": 2, "c": [[1, 2, 3]], "c": []}'], [], 2),
 ]

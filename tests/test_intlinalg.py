@@ -170,6 +170,11 @@ def test_rat_solve_inconsistent_returns_none():
     assert rat_solve([[(0, 1), (1, 1)], [(0, 1), (1, 1)]], [0, 1]) is None
 
 
+def test_rat_solve_needs_one_right_hand_side_entry_per_row():
+    with pytest.raises(ValueError, match="right hand side length does not match"):
+        rat_solve([[(0, 1)], [(1, 1)]], [1])
+
+
 def test_rat_solve_underdetermined_sets_free_vars_to_zero():
     assert rat_solve([[(0, 1), (1, 1)]], [3]) == (1, {0: 3})
     assert rat_solve([[(0, 2)], [(1, 3)]], [1, 1]) == (6, {0: 3, 1: 2})

@@ -16,6 +16,7 @@ from ktoric import (
     KtoricError,
     NoBaseVertexError,
     NotAUnitError,
+    OrderPropertyError,
     Poly,
     RankDeficientError,
     ValidationFailedError,
@@ -203,7 +204,8 @@ def test_structure_constants_reproduce_products():
                 expanded = sum(
                     (x * classes[k] for k, x in enumerate(c[i][j])),
                     Poly.zero(3))
-                assert b.normal_form(classes[i] * classes[j] - expanded).is_zero
+                lhs = classes[i] * classes[j]
+                assert b.groebner.normal_form(lhs - expanded).is_zero
 
 
 def test_interval_rank_and_nilpotence():
@@ -211,8 +213,8 @@ def test_interval_rank_and_nilpotence():
     pres = build_presentation(p, simplex_charmap(1))
     b = compute_basis(pres, order_vertices(p, (1,)))
     assert b.rank == 2
-    assert b.normal_form(var(2, 0) ** 2).is_zero
-    assert b.normal_form(var(2, 0) * var(2, 1)).is_zero
+    assert b.groebner.normal_form(var(2, 0) ** 2).is_zero
+    assert b.groebner.normal_form(var(2, 0) * var(2, 1)).is_zero
 
 
 def test_interval_coefficient_two_halves_the_square():
@@ -234,12 +236,12 @@ def test_square_with_trivial_twist_is_a_product():
     assert b.rank == 4
     assert abs(b.change_det) == 1
     x0, x2 = var(4, 0), var(4, 2)
-    assert b.normal_form(x0 * x0).is_zero
-    assert b.normal_form(x2 * x2).is_zero
-    assert not b.normal_form(x0 * x2).is_zero
+    assert b.groebner.normal_form(x0 * x0).is_zero
+    assert b.groebner.normal_form(x2 * x2).is_zero
+    assert not b.groebner.normal_form(x0 * x2).is_zero
     # opposite facets carry the same class
-    assert b.normal_form(var(4, 1) - x0).is_zero
-    assert b.normal_form(var(4, 3) - x2).is_zero
+    assert b.groebner.normal_form(var(4, 1) - x0).is_zero
+    assert b.groebner.normal_form(var(4, 3) - x2).is_zero
 
 
 # --- units ------------------------------------------------------------------
@@ -249,8 +251,8 @@ def test_invert_unit_frozen():
     _, b = triangle_basis()
     inv = invert_unit(1 - var(3, 0), b)
     assert rendered(b.presentation, inv) == "x0^2 + x0 + 1"
-    assert inv == b.normal_form(1 + var(3, 0) + var(3, 0) * var(3, 1))
-    assert b.normal_form((1 - var(3, 0)) * inv - 1).is_zero
+    assert inv == b.groebner.normal_form(1 + var(3, 0) + var(3, 0) * var(3, 1))
+    assert b.groebner.normal_form((1 - var(3, 0)) * inv - 1).is_zero
 
 
 def test_invert_unit_identity():
@@ -264,6 +266,16 @@ def test_invert_unit_rejects_nonunit():
         invert_unit(var(3, 0), b)
 
 
+def test_invert_unit_on_the_zero_ring():
+    # the unit ideal leaves no standard monomial, so there is no 1 to solve for
+    _, b = triangle_basis()
+    zero = dataclasses.replace(
+        b, groebner=buchberger([Poly.one(3)], b.groebner.order),
+        std_monomials=())
+    with pytest.raises(NotAUnitError, match="the quotient ring is zero"):
+        invert_unit(Poly.one(3), zero)
+
+
 def test_invert_unit_random_units():
     # 1 + nilpotent is always invertible; check against the defining identity
     _, b = triangle_basis()
@@ -272,14 +284,14 @@ def test_invert_unit_random_units():
         u = Poly.one(3) + sum(
             (rng.randint(-2, 2) * var(3, j) for j in range(3)), Poly.zero(3))
         inv = invert_unit(u, b)
-        assert b.normal_form(u * inv - 1).is_zero
+        assert b.groebner.normal_form(u * inv - 1).is_zero
 
 
 def test_invert_unit_nonintegral():
     # 1 - x0 stays a unit when the coefficients deform the relations
     _, b = triangle_basis(CoefficientSpec([2, 3]))
     u = 1 - var(3, 0)
-    assert b.normal_form(u * invert_unit(u, b) - 1).is_zero
+    assert b.groebner.normal_form(u * invert_unit(u, b) - 1).is_zero
 
 
 # --- ring map checks --------------------------------------------------------
@@ -325,7 +337,7 @@ def test_polys_over_another_variable_count_are_refused(entry, nvars):
     pres, b = triangle_basis()
     x = var(nvars, nvars - 1)
     calls = {
-        "normal_form": lambda: b.normal_form(x),
+        "normal_form": lambda: b.groebner.normal_form(x),
         "basis_coords": lambda: b.basis_coords(x),
         "invert_unit": lambda: invert_unit(1 - x, b),
         "ring_map_check": lambda: ring_map_check(pres, (x,) * 3, b,
@@ -345,7 +357,7 @@ def test_zero_polys_over_another_variable_count_are_refused(nvars):
     zero = Poly.zero(nvars)
     match = f"a Poly over {nvars} variables met an order over 3"
     with pytest.raises(ValueError, match=match):
-        b.normal_form(zero)
+        b.groebner.normal_form(zero)
     with pytest.raises(ValueError, match=match):
         b.basis_coords(zero)
     with pytest.raises(ValueError, match=match):
@@ -355,7 +367,7 @@ def test_zero_polys_over_another_variable_count_are_refused(nvars):
     with pytest.raises(ValueError, match=f"a monomial over {nvars} variables "
                        "met an order over 3"):
         b.groebner.order.pack(Monomial((0,) * nvars))
-    assert b.normal_form(Poly.zero(3)) == Poly.zero(3)
+    assert b.groebner.normal_form(Poly.zero(3)) == Poly.zero(3)
 
 
 def test_evaluate_in_quotient_needs_one_image_per_variable():
@@ -369,7 +381,7 @@ def test_evaluate_in_quotient_needs_one_image_per_variable():
     with pytest.raises(ValueError, match="one image per source variable"):
         evaluate_in_quotient(Poly.variable(2, 1), [x0] * 3, gb)
     got = evaluate_in_quotient(Poly.variable(2, 1), [x0] * 2, gb)
-    assert _unpacked(*got, gb.order) == b.normal_form(var(3, 0))
+    assert _unpacked(*got, gb.order) == b.groebner.normal_form(var(3, 0))
 
 
 def test_evaluate_in_quotient():
@@ -380,7 +392,7 @@ def test_evaluate_in_quotient():
     assert evaluate_in_quotient((y - 1) ** 3, (img,), gb)[1] == {}
     x0 = var(3, 0)
     got = evaluate_in_quotient(y * y, (_packed(x0 + 1, gb.order),), gb)
-    assert _unpacked(*got, gb.order) == b.normal_form((x0 + 1) ** 2)
+    assert _unpacked(*got, gb.order) == b.groebner.normal_form((x0 + 1) ** 2)
 
 
 def test_quotient_products_keep_the_degree_limit():
@@ -413,7 +425,7 @@ def covectors_reduce_to_zero(p, lam, coeffs, functional, rng, trials):
         u = Covector(tuple(rng.randint(-3, 3) for _ in range(p.dim)))
         z = covector_relation(pres.charmap, u, pres.coeffs, pres.base_facets,
                               minimal_nonfaces(p))
-        assert b.normal_form(z).is_zero
+        assert b.groebner.normal_form(z).is_zero
 
 
 def test_covector_redundancy_triangle():
@@ -438,7 +450,7 @@ def test_nilpotency_across_catalog(prism):
         b = compute_basis(pres, order_vertices(p, functional))
         d, n = p.facet_count, p.dim
         for j in range(d):
-            assert b.normal_form(var(d, j) ** (n + 1)).is_zero
+            assert b.groebner.normal_form(var(d, j) ** (n + 1)).is_zero
         assert b.rank <= b.m
         assert b.rank == len(p.vertices)
 
@@ -495,7 +507,7 @@ def test_different_assignment_moves_classes_between_vertices():
     b1, b2 = compute_basis(pres, w1), compute_basis(pres, w2)
     assert b1.basis_monomials != b2.basis_monomials
     # x0*x1 and x0*x2 are the same class here, so the tensors still agree
-    assert b1.normal_form(var(3, 0) * var(3, 1)) == b2.normal_form(
+    assert b1.groebner.normal_form(var(3, 0) * var(3, 1)) == b2.groebner.normal_form(
         var(3, 0) * var(3, 2))
     assert b1.structure == b2.structure
     assert b1.rank == b2.rank
@@ -690,7 +702,7 @@ def test_engine_form_arithmetic_matches_poly_oracle(p, lam, coeffs):
             inv = invert_unit(u, b)
         except NotAUnitError:
             return
-        assert b.normal_form(u * inv - 1).is_zero
+        assert b.groebner.normal_form(u * inv - 1).is_zero
         inverted.append(u)
 
     check()
@@ -780,6 +792,14 @@ def test_budget_propagates_through_compute_basis():
     pres = build_presentation(p, hirzebruch(1))
     with pytest.raises(BudgetExceededError):
         compute_basis(pres, order_vertices(p, (1, 2)), budget=1)
+
+
+def test_bad_order_fails_before_buchberger():
+    # the order is checked first, so no budget hides it
+    p = cube(2)
+    pres = build_presentation(p, hirzebruch(1))
+    with pytest.raises(OrderPropertyError, match="face at vertex 3"):
+        compute_basis(pres, VertexOrder((0, 3, 1, 2)), budget=0)
 
 
 def test_cap_propagates_through_quotient_basis():

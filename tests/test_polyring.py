@@ -357,6 +357,38 @@ def test_standard_monomials_unit_ideal():
     assert standard_monomials(gb) == ()
 
 
+def test_standard_monomials_start_at_one_property():
+    # invert_unit solves for the first standard monomial as the class of 1:
+    # the list is sorted by degree first, and 1 is standard in every
+    # nonzero quotient
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def ideals(draw):
+        n = draw(st.integers(1, 3))
+        terms = st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n).map(Monomial),
+            st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+        gens = [Poly(n, t) for t in draw(st.lists(terms, max_size=3))]
+        # a pure power of each variable leads a generator, so every quotient
+        # is finite, and only the unit ideal leaves no standard monomial
+        gens += [Poly.variable(n, i) ** draw(st.integers(1, 3)) - draw(
+            st.integers(-1, 1)) for i in range(n)]
+        return gens, DegRevLex(draw(st.permutations(range(n))))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(ideals())
+    def check(case):
+        gens, o = case
+        std = standard_monomials(buchberger(gens, o))
+        if std:
+            assert std[0] == Monomial.one(o.nvars)
+
+    check()
+
+
 def test_standard_monomials_cap():
     o = DegRevLex.standard(2)
     x, y = variables(2)
