@@ -26,7 +26,7 @@ from .kring import (
 )
 from .polyring import (
     DEFAULT_BUDGET, RANK_CAP, DegRevLex, Monomial, Poly, _Budget, buchberger)
-from .polytope import cube, generic_functional, order_vertices
+from .polytope import cube, order_vertices
 from .validation import strict_int
 
 
@@ -188,7 +188,7 @@ def bott_equivalence(c, budget=DEFAULT_BUDGET):
     """
     p, lam = bott_charmap(c)
     pres = build_presentation(p, lam)
-    vo = order_vertices(p, generic_functional(c.n))
+    vo = order_vertices(p)
     basis = compute_basis(pres, vo, budget=budget)
     lp = bott_presentation(c)
     d = p.facet_count

@@ -23,7 +23,7 @@ from .charmap import CharacteristicMap, validate_charmap
 from .errors import KtoricError
 from .kring import CoefficientSpec, build_presentation, compute_basis
 from .polyring import DEFAULT_BUDGET, Poly, render_poly
-from .polytope import generic_functional, order_vertices, validate_polytope
+from .polytope import order_vertices, validate_polytope
 
 
 def _unique_keys(pairs):
@@ -97,10 +97,11 @@ def _emit(report, fmt):
         sys.stdout.write("\n".join(_text_lines(report)) + "\n")
 
 
-def _projective_check(pres, basis):
+def _projective_check(basis):
     """When exactly one facet misses the base vertex and every dual covector
     takes -1 on its vector, the quotient satisfies one polynomial identity in
     the unit class of that facet; report whether it reduces to zero."""
+    pres = basis.presentation
     p = pres.polytope
     if p.facet_count != p.dim + 1:
         return None
@@ -140,16 +141,13 @@ def cmd_kring(args):
         if len(vo.order) != p.vertex_count:
             raise ValueError("vertex order size does not match the polytope")
     else:
-        functional = (generic_functional(p.dim) if args.functional is None
-                      else _fraction_list(args.functional, "--functional"))
-        vo = order_vertices(p, functional)
+        vo = order_vertices(p, None if args.functional is None
+                            else _fraction_list(args.functional, "--functional"))
     if lam.base_vertex is None:
         lam = CharacteristicMap(lam.vectors, vo.order[0])
-    pres = build_presentation(p, lam, coeffs)
-    basis = compute_basis(pres, vo, budget=args.budget)
-    pres = basis.presentation  # with the relations compute_basis added, if any
-    projective = _projective_check(pres, basis)
-    _emit(jsonio.kring_report(pres, basis, projective), args.format)
+    basis = compute_basis(build_presentation(p, lam, coeffs), vo, budget=args.budget)
+    projective = _projective_check(basis)
+    _emit(jsonio.kring_report(basis, projective), args.format)
     return 1 if projective is not None and not projective["reduces_to_zero"] else 0
 
 

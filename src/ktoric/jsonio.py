@@ -47,7 +47,9 @@ def _require(data, *keys, optional=()):
 def rational(x, field):
     """x, a JSON integer or a string such as "-1/2", as a Fraction; the CLI
     reads its --r and --functional lists with it too. Raises ValueError
-    naming field on anything else, a zero denominator included."""
+    naming field on anything else, a zero denominator included, and on a
+    decimal exponent such as "1e999999999", which Fraction multiplies out
+    in full."""
     _typed(x, field, int, str)
     # "[-]digits", the common case, goes to int(): the Fraction string
     # parser gives the same, more slowly
@@ -55,6 +57,8 @@ def rational(x, field):
     try:
         if digits.isascii() and digits.isdigit():
             return Fraction(int(x))
+        if "e" in digits or "E" in digits:
+            raise ValueError
         return Fraction(x)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{field}: expected a fraction with a nonzero "
@@ -178,7 +182,8 @@ def _rendered_relations(pres):
     return [render_poly(g, pres.var_names, pres.order) for g in pres.ideal_gens]
 
 
-def kring_report(pres, basis, projective=None):
+def kring_report(basis, projective=None):
+    pres = basis.presentation
     report = {
         "command": "kring",
         "polytope": polytope_to_dict(pres.polytope),

@@ -59,10 +59,6 @@ class CoefficientSpec:
     def integral(self):
         return all(v == 1 for v in self.values)
 
-    @classmethod
-    def ones(cls, n):
-        return cls((Fraction(1),) * n)
-
 
 def _square_free(nvars, facets):
     fs = set(facets)
@@ -146,7 +142,7 @@ def build_presentation(p, lam, coeffs=None):
         raise ValidationFailedError("facet vectors failed validation:\n" + str(l_rep))
     duals = dual_basis(p, lam)
     if coeffs is None:
-        coeffs = CoefficientSpec.ones(p.dim)
+        coeffs = CoefficientSpec((1,) * p.dim)
     if len(coeffs.values) != p.dim:
         raise ValueError("one coefficient per base facet required")
     base = p.vertices[lam.base_vertex]
@@ -215,14 +211,6 @@ def _accumulate(inverse, nf):
     return den * e, sums
 
 
-def _dense(den, sums, m):
-    """The m Fractions behind an _accumulate result."""
-    out = [Fraction(0)] * m
-    for r, s in sums.items():
-        out[r] = Fraction(s, den)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class BasisResult:
     """Everything computed for one presentation and vertex order: the
@@ -257,8 +245,8 @@ class BasisResult:
         if self.change_inverse is None:
             raise RankDeficientError(
                 "face classes are not a basis here, coordinates are undefined")
-        return _dense(*_accumulate(self.change_inverse, self.groebner.reduce(x)),
-                      self.m)
+        den, sums = _accumulate(self.change_inverse, self.groebner.reduce(x))
+        return tuple(Fraction(sums.get(r, 0), den) for r in range(self.m))
 
 
 def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
@@ -344,7 +332,7 @@ def compute_basis(pres, vertex_order, budget=DEFAULT_BUDGET):
                     if integral and any(s % den for s in sums.values()):
                         raise KtoricError(
                             "non integer structure constant with all coefficients 1; "
-                            f"pair ({i},{j}) gave {_dense(den, sums, m)}")
+                            f"pair ({i},{j}) gave coordinates {sums} over {den}")
                     seen[b] = [(k, Fraction(s, den)) for k, s in sorted(sums.items())]
                 structure.extend((i, j, k, c) for k, c in seen[b])
         structure = tuple(structure)

@@ -50,10 +50,10 @@ class Monomial(tuple):
         return cls._raw((0,) * nvars)
 
     @classmethod
-    def variable(cls, nvars, index, power=1):
+    def variable(cls, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
-        return cls._raw(power if i == index else 0 for i in range(nvars))
+        return cls._raw(1 if i == index else 0 for i in range(nvars))
 
     @property
     def exps(self):
@@ -504,9 +504,6 @@ class GroebnerBasis:
             _unpacked(den, {lm: den, **{t: -a for t, a in rule}}, self.order)
             for lm, den, rule in self.heads)
 
-    def leading_monomials(self):
-        return tuple(self.order.unpack(h[0]) for h in self.heads)
-
     def reduce(self, x, budget=None):
         """Normal form of x = (den, terms), the engine's form that _packed
         makes: terms maps monomials packed by the basis's order to nonzero
@@ -610,7 +607,7 @@ def standard_monomials(gb):
     later variables.
     """
     order, nvars = gb.order, gb.order.nvars
-    lms = gb.leading_monomials()
+    lms = [order.unpack(lm) for lm, _, _ in gb.heads]
     if any(lm.degree == 0 for lm in lms):
         return ()
     if len({pp[0] for pp in map(Monomial.pure_power, lms) if pp}) < nvars:

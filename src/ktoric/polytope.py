@@ -221,10 +221,17 @@ def generic_functional(dim):
     return tuple(1 << k for k in range(dim))
 
 
-def order_vertices(p, functional):
-    """Order vertices by a rational linear functional on their coordinates."""
+def order_vertices(p, functional=None):
+    """Order vertices by a rational linear functional on their coordinates,
+    by default generic_functional(p.dim), formed only for more than dim
+    points: its dim**2 / 2 bits are then fewer than the coordinates read."""
     if p.coords is None:
         raise ValueError("polytope has no coordinates, supply an explicit vertex order")
+    if functional is None:
+        if p.vertex_count <= p.dim:
+            raise ValueError(f"a polytope of dimension {p.dim} has more than "
+                             f"{p.dim} vertices, not {p.vertex_count}")
+        functional = generic_functional(p.dim)
     func = list(map(strict_rational, functional))
     if len(func) != p.dim:
         raise ValueError("functional arity must equal the dimension")

@@ -158,7 +158,7 @@ def box_standard_monomials(gb):
     side in each variable is the least pure power among the leading
     monomials; () for the unit ideal, None when some variable has no pure
     power. Sorted small to large."""
-    lms = gb.leading_monomials()
+    lms = [gb.order.unpack(lm) for lm, _, _ in gb.heads]
     if any(lm.degree == 0 for lm in lms):
         return ()
     bound = [None] * gb.order.nvars

@@ -28,6 +28,20 @@ def test_covector_is_a_functional():
     assert tuple(u) == (2, -1)
 
 
+def test_covector_refuses_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="covector and vector lengths differ"):
+        Covector((2, -1))((3, 4, 5))
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ((), "at least one facet vector required"),
+    (((1, 0), (0, 1), (-1,)), "all facet vectors must have the same length"),
+], ids=["empty", "ragged"])
+def test_charmap_refuses_a_bad_shape(vectors, message):
+    with pytest.raises(ValueError, match=message):
+        CharacteristicMap(vectors)
+
+
 def test_simplex_charmap_valid():
     for n in range(1, 5):
         rep = validate_charmap(simplex(n), simplex_charmap(n))
@@ -138,6 +152,13 @@ def test_dual_basis_nonunimodular_base_rejected():
     # vertex 0 uses facets 1 and 2; their vectors span index 2 here
     lam = CharacteristicMap(((0, 1), (1, 1), (1, -1)), base_vertex=0)
     with pytest.raises(ValueError):
+        dual_basis(simplex(2), lam)
+
+
+def test_dual_basis_singular_base_rejected():
+    # vertex 0 uses facets 1 and 2, whose vectors are parallel
+    lam = CharacteristicMap(((0, 1), (1, 1), (2, 2)), base_vertex=0)
+    with pytest.raises(ValueError, match="facet vectors are not invertible"):
         dual_basis(simplex(2), lam)
 
 

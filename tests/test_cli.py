@@ -367,6 +367,44 @@ def test_thirty_million_facets_are_counted_not_listed(json_file, capsys,
     assert capsys.readouterr().err.startswith(err)
 
 
+@pytest.mark.parametrize("coords, err", [
+    (None, "polytope has no coordinates, supply an explicit vertex order"),
+    ([[0] * 200000],
+     "a polytope of dimension 200000 has more than 200000 vertices, not 1"),
+], ids=["no-coords", "one-point"])
+def test_default_functional_is_formed_after_its_checks(json_file, capsys,
+                                                       coords, err):
+    # generic_functional(200000) holds about 2 * 10^10 bits: formed before
+    # these checks, it ran past test_fuzz's 2 GiB limit
+    doc = {"dim": 200000, "facets": 200000, "vertices": [[0]]}
+    if coords is not None:
+        doc["coords"] = coords
+    start = time.process_time()
+    assert main(["kring", json_file(doc), json_file({"lambda": [[1]]})]) == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == f"input error: {err}\n"
+
+
+@pytest.mark.parametrize("where, value", [
+    ("coords", "1e999999999"),
+    ("--r", "1e999999999"),
+    ("--functional", "1E999999999"),
+])
+def test_decimal_exponent_is_exit_two(json_file, capsys, where, value):
+    # Fraction would multiply the exponent out in full, for minutes
+    coords = [[0, 0], [1, 0], [0, 1]]
+    options = [f"{where}={value},1"]
+    if where == "coords":
+        coords[1][0], options = value, []
+    tri = {**SIMPLEX2, "coords": coords}
+    start = time.process_time()
+    assert main(["kring", json_file(tri), json_file(SIMPLEX2_LAM), *options]) == 2
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == (
+        f"input error: {where}: expected a fraction with a nonzero "
+        f"denominator, got '{value}'\n")
+
+
 def test_negative_budget_is_exit_two(tower_files, capsys):
     tf = tower_files(2, [(1, 2, 1)])
     with pytest.raises(SystemExit) as exc:
@@ -838,7 +876,7 @@ def test_kring_coefficients_flag(simplex_files, capsys):
 def test_kring_failed_projective_check_is_exit_one(simplex_files, capsys,
                                                    monkeypatch):
     failed = {"relation": "x0^3", "reduces_to_zero": False}
-    monkeypatch.setattr(cli, "_projective_check", lambda pres, basis: failed)
+    monkeypatch.setattr(cli, "_projective_check", lambda basis: failed)
     pf, lf = simplex_files(2)
     assert main(["kring", pf, lf]) == 1
     report = json.loads(capsys.readouterr().out)

@@ -125,6 +125,9 @@ THREE_FACETS = [{"dim": 2, "facets": 4,
                  "coords": [[0, 0], [1, 0], [1, 1], [0, 1]]},
                 {"lambda": [[1, 0], [0, 1], [-1, 0], [0, -1]], "base_vertex": 1}]
 BIG_TRIANGLE = {**TRIANGLE, "facets": 30000000}
+# too few points for a polytope of its dimension, whose default functional
+# generic_functional(200000) would hold about 2 * 10^10 bits
+FLAT = {"dim": 200000, "facets": 200000, "vertices": [[0]]}
 CP2_SUM, CP2_SUM_LAM = cp2_sum()
 # (command, documents, options, exit code); a document given as a str is
 # the file's text, written as is
@@ -172,6 +175,12 @@ FIXED = [
     ("kring", [BIG_TRIANGLE, TRIANGLE_LAM], [], 1),
     ("validate", [{**TRIANGLE, "facets": 2 ** 70}, TRIANGLE_LAM], [], 2),
     ("kring", [TRIANGLE, {**TRIANGLE_LAM, "base_vertex": 7}], [], 2),
+    ("kring", [FLAT, {"lambda": [[1]]}], [], 2),
+    ("kring", [{**FLAT, "coords": [[0] * 200000]}, {"lambda": [[1]]}], [], 2),
+    # a decimal exponent, which Fraction would multiply out in full
+    ("kring", [{**TRIANGLE, "coords": [[0, 0], ["1e999999999", 0], [0, 1]]},
+               TRIANGLE_LAM], [], 2),
+    ("kring", [TRIANGLE, TRIANGLE_LAM], ["--r=1e999999999,1"], 2),
     ("bott-samelson", [{"type": "A", "rank": 317, "word": [1]}], [], 1),
     ("bott-samelson", [{"type": "A", "rank": 20000, "word": [1]}], [], 1),
     ("bott-samelson", [{"type": "A", "rank": 2 ** 70, "word": [1]}], [], 1),

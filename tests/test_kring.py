@@ -121,7 +121,7 @@ def test_coefficient_spec_constructors():
     s = CoefficientSpec([2, 3])
     assert s.values == (Fraction(2), Fraction(3))
     assert not s.integral
-    assert CoefficientSpec.ones(2).integral
+    assert CoefficientSpec((1, 1)).integral
     assert CoefficientSpec([Fraction(1, 2)]).values == (Fraction(1, 2),)
 
 

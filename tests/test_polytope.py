@@ -24,6 +24,7 @@ from ktoric import (
 from ktoric import polytope
 from ktoric.polytope import _edges
 
+from ladder import face_rungs
 from oracles import pairwise_adjacency
 
 # three vertices on facet 0, which no polygon has: the ridge {0} holds all
@@ -307,6 +308,24 @@ def test_order_vertices_tie_and_shape_errors():
     bare = SimplePolytope(2, 3, simplex(2).vertices)
     with pytest.raises(ValueError):
         order_vertices(bare, (1, 2))
+    # the default is taken only for an absent functional, not an empty one
+    with pytest.raises(ValueError, match="functional arity"):
+        order_vertices(cube(2), ())
+
+
+@pytest.mark.parametrize("p, lam", face_rungs())
+def test_order_vertices_defaults_to_the_generic_functional(p, lam):
+    assert order_vertices(p) == order_vertices(p, polytope.generic_functional(p.dim))
+
+
+def test_default_functional_needs_more_points_than_the_dimension():
+    # generic_functional(dim) holds about dim**2 / 2 bits; more than dim
+    # points of dimension dim make it no larger than the coordinates read.
+    # An explicit functional orders any number of points
+    p = SimplePolytope(2, 3, simplex(2).vertices[:2], simplex(2).coords[:2])
+    with pytest.raises(ValueError, match="has more than 2 vertices, not 2"):
+        order_vertices(p)
+    assert order_vertices(p, (1, 2)).order == (0, 1)
 
 
 def fraction_order(p, functional):
